@@ -19,6 +19,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -63,7 +64,13 @@ def _meta_from_bytes(arr):
 
 
 def write_arrays(path, arrays):
-    """Serialize an ordered {name: ndarray} mapping."""
+    """Serialize an ordered {name: ndarray} mapping.
+
+    The bytes go to `<path>.tmp` in the same directory, which then replaces
+    `path` in one rename: a process that fails partway through the write
+    leaves the previous file intact.  There is no fsync, so this does not
+    guard against power loss.
+    """
     manifest = bytearray()
     payload = bytearray()
     for name, arr in arrays.items():
@@ -77,11 +84,18 @@ def write_arrays(path, arrays):
         manifest += struct.pack(f"<{arr.ndim}I", *arr.shape)
         manifest += struct.pack("<Q", len(payload))
         payload += arr.tobytes()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", VERSION, len(arrays)))
-        f.write(manifest)
-        f.write(payload)
+    tmp = os.fspath(path) + ".tmp"
+    f = open(tmp, "wb")
+    try:
+        with f:
+            f.write(MAGIC)
+            f.write(struct.pack("<II", VERSION, len(arrays)))
+            f.write(manifest)
+            f.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_arrays(path):

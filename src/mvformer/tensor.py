@@ -33,12 +33,11 @@ class Tensor:
 
     Leaves created with ``requires_grad=True`` accumulate into ``grad``
     across backward passes (cleared by the optimizer).  Intermediate
-    results drop their gradient after backward unless ``retain_grad`` is
-    set.  ``data`` must never be mutated once the tensor has been recorded
-    as an input of another op.
+    results drop their gradient after backward.  ``data`` must never be
+    mutated once the tensor has been recorded as an input of another op.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "retain_grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -49,7 +48,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self.retain_grad = False
         self._parents = ()
         self._backward = None
 
@@ -63,14 +61,6 @@ class Tensor:
     def channel_vector(values, requires_grad=False, dtype=np.float32):
         arr = np.asarray(values, dtype=dtype).reshape(1, -1, 1, 1)
         return Tensor(arr, requires_grad)
-
-    @staticmethod
-    def zeros(shape, requires_grad=False, dtype=np.float32):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad)
-
-    @staticmethod
-    def ones(shape, requires_grad=False, dtype=np.float32):
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad)
 
     # -- properties --------------------------------------------------------
 
@@ -90,12 +80,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a scalar tensor; got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
-    def astype(self, dtype):
-        return Tensor(self.data.astype(dtype), requires_grad=False)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -122,9 +106,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def backward(self):
-        backward(self)
 
 
 def _as_tensor(value, like=None):
@@ -392,9 +373,22 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     """Cross-correlation of `x` with kernel `w` (no kernel flip).
 
     `w` has shape (c_out, c_in/groups, kh, kw); `b`, when given, is a
-    per-channel (1, c_out, 1, 1) tensor.  Depthwise convolution is
-    groups == c_in; pointwise is kh == kw == 1.  Output spatial dims follow
-    the floor convention: (h + 2*pad - kh) // stride + 1.
+    per-channel (1, c_out, 1, 1) tensor.  Output spatial dims follow the
+    floor convention: (h + 2*pad - kh) // stride + 1.
+
+    The kernel is chosen from the call's shapes; each case has one
+    implementation and the output is always a fresh C-contiguous array:
+
+    - pointwise (1x1, stride 1, pad 0, groups == 1): one matmul over
+      (n, c, h*w);
+    - depthwise (groups == c_in == c_out, stride 1, output the size of the
+      input): shift-and-accumulate over slices of the unpadded input.  On an
+      h-row map with pad p, kernel row u can reach data only for u in
+      [max(0, p-h+1), min(kh, p+h)), and likewise for columns; the other
+      taps read only padding, so they are skipped (their products are exact
+      zeros) and their weight gradient is exactly zero;
+    - everything else (stem, downsample, grouped, strided): one einsum over
+      an as_strided patch view of the padded input.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(pad)
@@ -419,7 +413,90 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     if b is not None and b.shape != (1, cout, 1, 1):
         raise ShapeError(f"conv2d: bias must be (1, {cout}, 1, 1), got {b.shape}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    unit_stride = sh == sw == 1
+    if unit_stride and groups == 1 and kh == kw == 1 and ph == pw == 0:
+        out, grads = _pointwise(x.data, w.data)
+    elif unit_stride and groups == cin == cout and (hout, wout) == (h, wd):
+        out, grads = _depthwise(x.data, w.data, ph, pw)
+    else:
+        out, grads = _general(x.data, w.data, (sh, sw), (ph, pw), groups, (hout, wout))
+    if b is not None:
+        out += b.data
+
+    parents = (x, w) if b is None else (x, w, b)
+
+    def bw(g, acc):
+        if b is not None and b.requires_grad:
+            acc(b, g.sum(axis=(0, 2, 3), keepdims=True))
+        gx, gw = grads(g, x.requires_grad, w.requires_grad)
+        if gw is not None:
+            acc(w, gw)
+        if gx is not None:
+            acc(x, gx)
+
+    return _node(out, parents, bw)
+
+
+# Each kernel returns (output without bias, grads) where
+# grads(g, need_x, need_w) -> (x-grad or None, w-grad or None).
+
+
+def _pointwise(x, w):
+    n, cin, h, wd = x.shape
+    cout = w.shape[0]
+    x3 = x.reshape(n, cin, h * wd)
+    w2 = w.reshape(cout, cin)
+    out = np.matmul(w2, x3).reshape(n, cout, h, wd)
+
+    def grads(g, need_x, need_w):
+        g3 = g.reshape(n, cout, h * wd)
+        gx = np.matmul(w2.T, g3).reshape(x.shape) if need_x else None
+        gw = np.tensordot(g3, x3, axes=([0, 2], [0, 2])).reshape(w.shape) if need_w else None
+        return gx, gw
+
+    return out, grads
+
+
+def _live_taps(k, pad, size):
+    """Kernel offsets that can reach data, each with its (output, input) slices."""
+    taps = []
+    for u in range(max(0, pad - size + 1), min(k, pad + size)):
+        d = u - pad
+        taps.append((u, slice(max(0, -d), size - max(0, d)), slice(max(0, d), size - max(0, -d))))
+    return taps
+
+
+def _depthwise(x, w, ph, pw):
+    c, _, kh, kw = w.shape
+    rows = _live_taps(kh, ph, x.shape[2])
+    cols = _live_taps(kw, pw, x.shape[3])
+    wt = w.reshape(c, kh, kw, 1, 1)
+    out = np.zeros(x.shape, np.result_type(x, w))
+    for u, oy, iy in rows:
+        for v, ox, ix in cols:
+            out[:, :, oy, ox] += wt[:, u, v] * x[:, :, iy, ix]
+
+    def grads(g, need_x, need_w):
+        gx = np.zeros(x.shape, g.dtype) if need_x else None
+        gw = np.zeros(w.shape, g.dtype) if need_w else None
+        for u, oy, iy in rows:
+            for v, ox, ix in cols:
+                if need_x:
+                    gx[:, :, iy, ix] += wt[:, u, v] * g[:, :, oy, ox]
+                if need_w:
+                    gw[:, 0, u, v] = np.einsum("nchw,nchw->c", g[:, :, oy, ox], x[:, :, iy, ix])
+        return gx, gw
+
+    return out, grads
+
+
+def _general(x, w, stride, pad, groups, out_hw):
+    sh, sw = stride
+    ph, pw = pad
+    hout, wout = out_hw
+    n, _, h, wd = x.shape
+    cout, cin_g, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     sn, sc, srow, scol = xp.strides
     patches = np.lib.stride_tricks.as_strided(
         xp,
@@ -427,31 +504,26 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
         strides=(sn, sc * cin_g, sc, srow, scol, srow * sh, scol * sw),
         writeable=False,
     )
-    wg = w.data.reshape(groups, cout // groups, cin_g, kh, kw)
+    wg = w.reshape(groups, cout // groups, cin_g, kh, kw)
     out = np.einsum("ngiuvyx,goiuv->ngoyx", patches, wg, optimize=True)
-    out = out.reshape(n, cout, hout, wout)
-    if b is not None:
-        out = out + b.data
+    out = np.ascontiguousarray(out.reshape(n, cout, hout, wout))
 
-    parents = (x, w) if b is None else (x, w, b)
-
-    def bw(g, acc):
+    def grads(g, need_x, need_w):
         gg = g.reshape(n, groups, cout // groups, hout, wout)
-        if w.requires_grad:
-            gw = np.einsum("ngiuvyx,ngoyx->goiuv", patches, gg, optimize=True)
-            acc(w, gw.reshape(cout, cin_g, kh, kw))
-        if b is not None and b.requires_grad:
-            acc(b, g.sum(axis=(0, 2, 3), keepdims=True))
-        if x.requires_grad:
+        gx = gw = None
+        if need_w:
+            gw = np.einsum("ngiuvyx,ngoyx->goiuv", patches, gg, optimize=True).reshape(w.shape)
+        if need_x:
             gxp = np.zeros_like(xp)
             gxp_g = gxp.reshape(n, groups, cin_g, xp.shape[2], xp.shape[3])
             for u in range(kh):
                 for v in range(kw):
                     contrib = np.einsum("goi,ngoyx->ngiyx", wg[:, :, :, u, v], gg, optimize=True)
                     gxp_g[:, :, :, u : u + hout * sh : sh, v : v + wout * sw : sw] += contrib
-            acc(x, gxp[:, :, ph : ph + h, pw : pw + wd])
+            gx = gxp[:, :, ph : ph + h, pw : pw + wd]
+        return gx, gw
 
-    return _node(out, parents, bw)
+    return out, grads
 
 
 # -- backward ----------------------------------------------------------------------
@@ -487,7 +559,7 @@ def backward(loss):
     """Populate gradients of every reachable leaf with d(loss)/d(leaf).
 
     `loss` must be a scalar on the tape.  Leaf gradients accumulate across
-    calls; intermediate gradients are dropped unless `retain_grad` was set.
+    calls; intermediate gradients are dropped.
     Gradient arrays are never mutated in place.
     """
     if loss.size != 1:
@@ -512,7 +584,5 @@ def backward(loss):
             raise GraphError("tape node visited without a gradient (graph inconsistency)")
         if node._backward is not None:
             node._backward(g, acc)
-            if node.retain_grad:
-                node.grad = g
         else:
             node.grad = g if node.grad is None else node.grad + g

@@ -64,7 +64,16 @@ def _int_tuple(text):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Desk-scale defaults; every field maps to one config-file key."""
+    """Desk-scale defaults; every field maps to one config-file key.
+
+    Batching policy: training and evaluation indices are cut into
+    ``batch_size`` chunks, and a trailing chunk of one sample is folded into
+    the chunk before it (so the last step sees ``batch_size + 1`` samples).
+    A single image has no batch statistics at the last stage (n*h*w = 1 at
+    32x32), so the batch-statistics norms ``mvn`` and ``bn`` also require
+    ``batch_size >= 2`` and ``train_size >= 2``.  The schedule's step count
+    counts folded batches.
+    """
 
     # [model]
     preset: str = "micro"
@@ -94,8 +103,13 @@ class TrainConfig:
             )
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        if self.batch_size < 1 or self.epochs < 0 or self.train_size < 1:
+            raise ConfigError("batch_size and train_size must be >= 1 and epochs >= 0")
+        if self.norm in ("mvn", "bn") and min(self.batch_size, self.train_size) < 2:
+            raise ConfigError(
+                f"norm {self.norm!r} draws batch statistics: batch_size ({self.batch_size}) "
+                f"and train_size ({self.train_size}) must be >= 2"
+            )
 
 
 _SCHEMA = {
@@ -261,9 +275,13 @@ def parse_data_overrides(text):
 
 
 def _batches(indices, batch_size):
+    """Chunks of `batch_size`; a size-1 remainder joins the chunk before it."""
     indices = np.asarray(indices)
-    for start in range(0, len(indices), batch_size):
-        yield indices[start : start + batch_size]
+    count = len(indices)
+    starts = list(range(0, count, batch_size))
+    if batch_size > 1 and len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return [indices[a:b] for a, b in zip(starts, starts[1:] + [count])]
 
 
 def evaluate(model, dataset, indices, batch_size=64):
@@ -312,7 +330,7 @@ def train_loop(model, dataset, cfg, out_dir):
     opt = AdamW(
         list(model.named_parameters()), base_lr=cfg.base_lr, weight_decay=cfg.weight_decay
     )
-    steps_per_epoch = max(1, math.ceil(cfg.train_size / cfg.batch_size))
+    steps_per_epoch = len(_batches(range(cfg.train_size), cfg.batch_size))
     total_steps = max(1, cfg.epochs * steps_per_epoch)
     warmup_steps = cfg.warmup_epochs * steps_per_epoch
     shuffle_rng = np.random.default_rng((cfg.seed, 101))

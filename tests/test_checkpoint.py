@@ -138,3 +138,43 @@ class TestGuards:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model, opt)
         assert read_meta(path) == {}
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        import mvformer.checkpoint as checkpoint
+
+        model, opt = trained_pair()
+        path = tmp_path / "last.ckpt"
+        save_checkpoint(path, model, opt, {"train.epoch": "1"})
+        before = path.read_bytes()
+
+        class FailingFile:
+            """A real file whose second write raises, as a full disk would."""
+
+            def __init__(self, f):
+                self.f = f
+                self.writes = 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError("no space left on device")
+                return self.f.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        monkeypatch.setattr(checkpoint, "open", lambda p, mode: FailingFile(open(p, mode)), raising=False)
+        model2, opt2 = trained_pair(seed=1)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, model2, opt2, {"train.epoch": "2"})
+        monkeypatch.undo()
+
+        assert path.read_bytes() == before
+        assert read_meta(path) == {"train.epoch": "1"}
+        load_checkpoint(path, build_model(model_config("micro", num_classes=4), seed=3), opt2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["last.ckpt"]

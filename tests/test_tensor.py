@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import conv2d_oracle, moments_oracle, numeric_grad
+import mvformer.tensor as tensor
+from oracles import conv2d_oracle, max_rel_err, moments_oracle, numeric_grad
 from mvformer.tensor import (
     GraphError,
     ShapeError,
@@ -64,6 +65,17 @@ class TestConv2d:
             ((1, 6, 5, 5), (6, 3, 1, 1), (1, 1), (0, 0), 2),
             ((1, 2, 6, 6), (2, 1, 5, 1), (1, 1), (2, 0), 2),
             ((1, 2, 6, 6), (2, 1, 1, 5), (1, 1), (0, 2), 2),
+            # depthwise kernels larger than the map: most taps read only padding
+            ((2, 3, 1, 1), (3, 1, 7, 7), (1, 1), (3, 3), 3),
+            ((2, 4, 2, 2), (4, 1, 7, 7), (1, 1), (3, 3), 4),
+            ((2, 3, 4, 4), (3, 1, 27, 1), (1, 1), (13, 0), 3),
+            ((2, 3, 4, 4), (3, 1, 1, 27), (1, 1), (0, 13), 3),
+            ((2, 3, 2, 2), (3, 1, 13, 1), (1, 1), (6, 0), 3),
+            # pointwise with bias at batch > 1
+            ((3, 5, 4, 6), (7, 5, 1, 1), (1, 1), (0, 0), 1),
+            # depthwise weights on the general path: strided, and shrinking output
+            ((2, 4, 7, 7), (4, 1, 3, 3), (2, 2), (1, 1), 4),
+            ((2, 4, 6, 6), (4, 1, 3, 3), (1, 1), (0, 0), 4),
         ],
     )
     def test_against_nested_loop_oracle(self, shape, kernel, stride, pad, groups):
@@ -81,6 +93,28 @@ class TestConv2d:
         ).data
         want = conv2d_oracle(x, w, b, stride, pad, groups)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize(
+        "shape,kernel,stride,pad,groups,path",
+        [
+            ((3, 5, 4, 6), (7, 5, 1, 1), 1, 0, 1, "_pointwise"),
+            ((2, 4, 8, 8), (4, 1, 7, 7), 1, 3, 4, "_depthwise"),
+            ((2, 3, 4, 4), (3, 1, 27, 1), 1, (13, 0), 3, "_depthwise"),
+            ((2, 3, 8, 8), (4, 3, 3, 3), 2, 1, 1, "_general"),  # downsample
+            ((2, 4, 7, 7), (4, 1, 3, 3), 2, 1, 4, "_general"),  # strided depthwise
+            ((2, 4, 6, 6), (4, 1, 3, 3), 1, 0, 4, "_general"),  # depthwise, output shrinks
+            ((1, 6, 5, 5), (6, 3, 1, 1), 1, 0, 2, "_general"),  # grouped pointwise
+            ((2, 3, 5, 5), (4, 3, 1, 1), 1, 1, 1, "_general"),  # padded 1x1
+        ],
+    )
+    def test_kernel_routing(self, monkeypatch, shape, kernel, stride, pad, groups, path):
+        used = []
+        for name in ("_pointwise", "_depthwise", "_general"):
+            real = getattr(tensor, name)
+            monkeypatch.setattr(tensor, name, lambda *a, _n=name, _f=real: used.append(_n) or _f(*a))
+        out = conv2d(Tensor(np.ones(shape)), Tensor(np.ones(kernel)), stride=stride, pad=pad, groups=groups)
+        assert used == [path]
+        assert out.data.flags.c_contiguous
 
     def test_shape_errors_name_axes(self):
         x = Tensor(np.zeros((1, 4, 3, 3)))
@@ -291,6 +325,56 @@ class TestBackward:
             num = numeric_grad(lambda: loss().item(), t.data)
             denom = np.maximum(np.maximum(np.abs(t.grad), np.abs(num)), 1e-4)
             assert (np.abs(t.grad - num) / denom).max() < 1e-3
+
+
+class TestConvFastPathGrads:
+    @pytest.mark.parametrize(
+        "shape,kernel,pad,groups",
+        [
+            ((2, 3, 4, 4), (3, 1, 3, 3), (1, 1), 3),
+            ((2, 3, 2, 2), (3, 1, 7, 7), (3, 3), 3),
+            ((2, 2, 4, 4), (2, 1, 9, 1), (4, 0), 2),
+            ((2, 2, 4, 4), (2, 1, 1, 9), (0, 4), 2),
+            ((3, 4, 2, 3), (5, 4, 1, 1), (0, 0), 1),
+        ],
+    )
+    def test_grads_match_central_differences(self, shape, kernel, pad, groups):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, size=kernel), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, size=(1, kernel[0], 1, 1)), requires_grad=True)
+
+        def loss():
+            return tsum(square(conv2d(x, w, b, pad=pad, groups=groups)))
+
+        backward(loss())
+        for t in (x, w, b):
+            num = numeric_grad(lambda: loss().item(), t.data)
+            assert max_rel_err(t.grad, num) < 1e-3
+
+    @pytest.mark.parametrize(
+        "shape,kernel,pad,live_rows,live_cols",
+        [
+            ((2, 3, 2, 2), (3, 1, 7, 7), (3, 3), slice(2, 5), slice(2, 5)),
+            ((2, 3, 1, 1), (3, 1, 7, 7), (3, 3), slice(3, 4), slice(3, 4)),
+            ((2, 3, 2, 2), (3, 1, 13, 1), (6, 0), slice(5, 8), slice(0, 1)),
+        ],
+    )
+    def test_dead_taps_get_exactly_zero_weight_grad(self, shape, kernel, pad, live_rows, live_cols):
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.uniform(-1, 1, size=shape))
+        w = Tensor(rng.uniform(-1, 1, size=kernel), requires_grad=True)
+
+        def loss():
+            return tsum(square(conv2d(x, w, pad=pad, groups=shape[1])))
+
+        backward(loss())
+        num = numeric_grad(lambda: loss().item(), w.data)
+        assert max_rel_err(w.grad, num) < 1e-3
+        dead = np.ones(kernel[2:], dtype=bool)
+        dead[live_rows, live_cols] = False
+        assert (w.grad[:, :, dead] == 0).all() and (num[:, :, dead] == 0).all()
+        assert (w.grad[:, :, ~dead] != 0).all()
 
 
 class TestDeterminism:

@@ -125,6 +125,18 @@ image_size = 32
         with pytest.raises(ConfigError, match="label_smoothing"):
             TrainConfig(label_smoothing=1.0)
 
+    @pytest.mark.parametrize("norm", ["mvn", "bn"])
+    def test_batch_statistics_norms_need_two_samples(self, norm):
+        with pytest.raises(ConfigError, match="batch_size"):
+            TrainConfig(norm=norm, batch_size=1)
+        with pytest.raises(ConfigError, match="train_size"):
+            TrainConfig(norm=norm, train_size=1)
+        TrainConfig(norm="ln", batch_size=1)
+
+    def test_empty_training_set_rejected(self):
+        with pytest.raises(ConfigError, match="train_size"):
+            TrainConfig(norm="ln", train_size=0)
+
     def test_dims_override(self):
         cfg = parse_config_text("[model]\npreset = micro\nembed_dims = 4,8,16,32\ndepths = 1,1,1,1\n")
         mc = resolve_model_config(cfg)
@@ -166,6 +178,21 @@ class TestTrainLoop:
         ds = SyntheticDataset(resolve_data_spec(cfg))
         acc = evaluate(model, ds, ds.val_indices, cfg.batch_size)
         assert acc == history[-1].val_acc
+
+    def test_size_one_remainder_folds_into_previous_batch(self, tmp_path, monkeypatch):
+        """65 = 64 + 1 trains as one batch of 65; the schedule counts one step an epoch."""
+        calls = []
+        real = training.cosine_lr
+
+        def recorded(step, total, warmup, base_lr):
+            calls.append((step, total))
+            return real(step, total, warmup, base_lr)
+
+        monkeypatch.setattr(training, "cosine_lr", recorded)
+        cfg = TrainConfig(train_size=65, batch_size=64, epochs=2, val_size=8, warmup_epochs=0)
+        history = run_training(cfg, tmp_path)
+        assert calls == [(0, 2), (1, 2)]
+        assert all(math.isfinite(r.train_loss) for r in history)
 
     def test_nan_loss_aborts_and_keeps_checkpoint(self, tmp_path, monkeypatch):
         calls = {"n": 0}
