@@ -15,7 +15,7 @@ from .analysis import (
     dump_alpha_profile,
     normalize_image_grid,
 )
-from .data import SyntheticDataset, SyntheticSpec, generate_batch
+from .data import SyntheticDataset, SyntheticSpec
 from .gradcheck import check_gradients, run_checks
 from .mixer import StageSpec, TokenMixer, ablate_spec, make_stage_spec, star_relu
 from .model import ModelConfig, MVFormer, build_model, model_config
@@ -36,6 +36,7 @@ from .tensor import (
     channel_split,
     conv2d,
     global_avg_pool,
+    grad_enabled,
     mean,
     moments,
     tsum,
@@ -74,8 +75,8 @@ __all__ = [
     "count_params",
     "dump_alpha_profile",
     "evaluate",
-    "generate_batch",
     "global_avg_pool",
+    "grad_enabled",
     "instance_norm",
     "layer_norm",
     "make_stage_spec",

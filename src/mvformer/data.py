@@ -1,6 +1,7 @@
 """Deterministic synthetic image classes for desk-scale training.
 
-Each sample is a pure function of (dataset seed, sample index): the label
+Each sample is a pure function of (dataset seed, sample index), so a
+dataset draws each index once and keeps it (read-only).  The label
 is index mod class count, and the image is drawn by that class's pattern
 generator (horizontal stripes, vertical stripes, a checkerboard, or soft
 blobs) at a randomized frequency, phase, tilt, amplitude, and channel
@@ -79,6 +80,7 @@ class SyntheticDataset:
         size = spec.image_size
         grid = (np.arange(size) + 0.5) / size
         self._yy, self._xx = np.meshgrid(grid, grid, indexing="ij")
+        self._samples = {}  # index -> (read-only image, label)
 
     @property
     def train_indices(self):
@@ -93,17 +95,29 @@ class SyntheticDataset:
         return int(index) % self.spec.classes
 
     def sample(self, index):
-        """(image (c, h, w) float32 in [0, 1], label)."""
+        """(image (c, h, w) float32 in [0, 1], label); the image is read-only.
+
+        Drawn on the first call for `index`; later calls return the same array.
+        """
+        index = int(index)
+        hit = self._samples.get(index)
+        if hit is None:
+            hit = self._samples[index] = self._draw(index)
+        return hit
+
+    def _draw(self, index):
         spec = self.spec
         label = self.label(index)
-        rng = np.random.default_rng((spec.seed, int(index)))
+        rng = np.random.default_rng((spec.seed, index))
         band = 1.0 + (label // len(_GENERATORS))  # extra classes reuse generators at higher frequency
         pattern = _GENERATORS[label % len(_GENERATORS)](rng, self._yy, self._xx, band)
         amplitude = rng.uniform(0.30, 0.45)
         tint = rng.uniform(0.6, 1.0, size=spec.channels)
         img = 0.5 + amplitude * tint[:, None, None] * pattern[None, :, :]
         img += rng.normal(0.0, spec.noise, size=img.shape)
-        return np.clip(img, 0.0, 1.0).astype(np.float32), label
+        img = np.clip(img, 0.0, 1.0).astype(np.float32)
+        img.flags.writeable = False
+        return img, label
 
     def batch(self, indices):
         """(images Tensor (b, c, h, w), labels int64 array)."""
@@ -114,7 +128,3 @@ class SyntheticDataset:
             images.append(img)
             labels.append(lab)
         return Tensor(np.stack(images)), np.asarray(labels, dtype=np.int64)
-
-
-def generate_batch(dataset, indices):
-    return dataset.batch(indices)

@@ -36,7 +36,7 @@ from .mixer import (
 )
 from .module import Module
 from .norm import PlainNorm, make_norm
-from .tensor import Tensor, add, conv2d, global_avg_pool, mul
+from .tensor import Tensor, add, conv2d, global_avg_pool, grad_enabled, mul
 
 STEM_GEOMETRY = (7, 4, 2)  # kernel, stride, pad for stage 1
 DOWN_GEOMETRY = (3, 2, 1)  # kernel, stride, pad for stages 2-4
@@ -238,13 +238,20 @@ class MVFormer(Module):
         return x
 
     def forward(self, images, training=False, rng=None):
-        """Images (n, c_in, h, w) -> logits (n, num_classes, 1, 1)."""
-        x = self.features(images, training, rng)
-        x = global_avg_pool(x)
-        x = self.head_norm.forward(x, training)
-        x = conv2d(x, self.head_fc1_w, self.head_fc1_b)
-        x = self.head_act.forward(x)
-        return conv2d(x, self.head_fc2_w, self.head_fc2_b)
+        """Images (n, c_in, h, w) -> logits (n, num_classes, 1, 1).
+
+        Eval mode (``training=False``) records no tape: the logits and every
+        intermediate have no parents and no backward closures, so nothing can
+        differentiate through them and each intermediate is freed as soon as
+        the next layer has consumed it.
+        """
+        with grad_enabled(training):
+            x = self.features(images, training, rng)
+            x = global_avg_pool(x)
+            x = self.head_norm.forward(x, training)
+            x = conv2d(x, self.head_fc1_w, self.head_fc1_b)
+            x = self.head_act.forward(x)
+            return conv2d(x, self.head_fc2_w, self.head_fc2_b)
 
     def mvn_sites(self):
         """Block norm sites in network order: (stage, block_index, site, norm)."""

@@ -37,10 +37,6 @@ class AdamW:
         self.m = {name: np.zeros_like(p.data) for name, p in self.named_params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.named_params}
 
-    def zero_grad(self):
-        for _, p in self.named_params:
-            p.tensor.grad = None
-
     def step(self, lr=None):
         lr = self.base_lr if lr is None else lr
         self.step_count += 1

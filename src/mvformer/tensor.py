@@ -6,6 +6,8 @@ shape ``(1, 1, 1, 1)``, per-channel vectors ``(1, C, 1, 1)``, convolution
 kernels ``(c_out, c_in/groups, kh, kw)``.  Ops record their inputs and a
 backward rule on the produced tensor; ``backward(loss)`` materializes the
 tape in topological order and accumulates gradients into the leaves.
+Inside ``with grad_enabled(False):`` ops compute the same arrays but link
+no tape, so their outputs hold no parents and no backward closures.
 
 Storage is float32 by default.  Ops preserve the dtype of their inputs, so
 a graph built from float64 leaves evaluates entirely in 64-bit (used by the
@@ -13,6 +15,8 @@ finite-difference gradient checks).
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -116,10 +120,29 @@ def _as_tensor(value, like=None):
     return Tensor.scalar(value, dtype=dtype)
 
 
+_grad_on = True  # read by _node; set only through grad_enabled
+
+
+@contextlib.contextmanager
+def grad_enabled(flag):
+    """Within the block, ops link a tape only if `flag` is true.
+
+    The previous mode is restored on exit, also when the block raises, so
+    blocks nest.  Leaves keep their ``requires_grad``; only op outputs are
+    affected.
+    """
+    global _grad_on
+    prev, _grad_on = _grad_on, bool(flag)
+    try:
+        yield
+    finally:
+        _grad_on = prev
+
+
 def _node(data, parents, backward_fn):
-    """Create an op output; the tape link exists only if a parent needs grad."""
+    """Create an op output; the tape link exists only if grad is on and a parent needs it."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_on and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -221,11 +244,11 @@ def sqrt(x):
 
 
 def relu(x):
-    mask = x.data > 0
-    data = np.where(mask, x.data, 0)
+    """max(x, 0); NaN propagates, -0.0 maps to +0.0."""
+    data = np.maximum(x.data, 0)
 
     def bw(g, acc):
-        acc(x, g * mask)
+        acc(x, g * (data > 0))
 
     return _node(data, (x,), bw)
 

@@ -285,7 +285,10 @@ def _batches(indices, batch_size):
 
 
 def evaluate(model, dataset, indices, batch_size=64):
-    """Inference-mode accuracy over `indices` (frozen batch-norm statistics)."""
+    """Inference-mode accuracy over `indices` (frozen batch-norm statistics).
+
+    Its eval-mode forwards record no autodiff tape (see ``MVFormer.forward``).
+    """
     correct = 0
     total = 0
     for chunk in _batches(indices, batch_size):

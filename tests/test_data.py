@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mvformer.data import SyntheticDataset, SyntheticSpec, generate_batch
+from mvformer.data import SyntheticDataset, SyntheticSpec
 
 
 def make_ds(**kw):
@@ -28,6 +28,27 @@ class TestDeterminism:
         b, _ = make_ds(seed=2).sample(5)
         assert not np.array_equal(a, b)
 
+    def test_repeated_sample_returns_same_array(self):
+        ds = make_ds(seed=3)
+        a, la = ds.sample(9)
+        b, lb = ds.sample(np.int64(9))
+        assert a is b and la == lb
+
+    def test_sample_is_read_only(self):
+        img, _ = make_ds(seed=3).sample(2)
+        with pytest.raises(ValueError, match="read-only"):
+            img[0, 0, 0] = 0.5
+
+    def test_memoised_batch_matches_fresh_dataset(self):
+        ds = make_ds(seed=4)
+        idx = [5, 0, 9, 5, 3]
+        ds.batch(idx[:3])  # draws some samples
+        first, labels = ds.batch(idx)
+        again, _ = ds.batch(idx)
+        fresh, fresh_labels = make_ds(seed=4).batch(idx)
+        assert first.data.tobytes() == again.data.tobytes() == fresh.data.tobytes()
+        assert np.array_equal(labels, fresh_labels)
+
     def test_different_index_differs(self):
         ds = make_ds()
         a, _ = ds.sample(0)
@@ -38,7 +59,7 @@ class TestDeterminism:
 class TestShapesAndRanges:
     def test_batch_shapes(self):
         ds = make_ds(classes=4, image_size=32)
-        images, labels = generate_batch(ds, range(8))
+        images, labels = ds.batch(range(8))
         assert images.shape == (8, 3, 32, 32)
         assert images.dtype == np.float32
         assert labels.dtype == np.int64

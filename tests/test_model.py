@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mvformer.gradcheck import DEFAULT_TOLERANCE, check_gradients
 from mvformer.mixer import ConfigError, make_stage_spec
 from mvformer.model import (
     Block,
@@ -13,7 +14,8 @@ from mvformer.model import (
     drop_path,
     model_config,
 )
-from mvformer.tensor import Tensor, add, conv2d, global_avg_pool, mul
+from mvformer.tensor import Tensor, add, backward, conv2d, global_avg_pool, mul
+from mvformer.training import ce_label_smoothing
 
 
 def micro(num_classes=4, **overrides):
@@ -229,8 +231,39 @@ class TestModelForward:
         y = model.head_norm.forward(y, training=False)
         y = conv2d(y, model.head_fc1_w, model.head_fc1_b)
         y = model.head_act.forward(y)
-        want = conv2d(y, model.head_fc2_w, model.head_fc2_b).data
-        assert np.array_equal(got, want)
+        want = conv2d(y, model.head_fc2_w, model.head_fc2_b)
+        # the eval forward links no tape; the same layers called directly do
+        assert want.requires_grad and want._parents
+        assert np.array_equal(got, want.data)
+
+    def test_eval_forward_records_no_tape(self):
+        model = build_model(micro(), seed=0)
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.uniform(0, 1, (2, 3, 32, 32)).astype(np.float32), requires_grad=True)
+        logits = model.forward(x, training=False)
+        assert not logits.requires_grad
+        assert logits._parents == () and logits._backward is None
+        taped = model.forward(x, training=True)
+        assert taped.requires_grad and taped._parents
+
+    def test_training_step_after_eval_gradchecks(self):
+        model = build_model(micro(), seed=3).cast_(np.float64)
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.uniform(0, 1, (2, 3, 32, 32)))
+
+        def loss():
+            return ce_label_smoothing(model.forward(x, training=True), np.array([0, 1]), 0.1)
+
+        model.forward(x, training=False)
+        backward(loss())
+        assert all(p.grad is not None for _, p in model.named_parameters())
+        named = [
+            (n, p.tensor)
+            for n, p in model.named_parameters()
+            if n.startswith(("embed1.", "stage1_block0.norm1.", "stage4_block0.mixer.", "head_"))
+        ]
+        errors = check_gradients(loss, named, samples_per_param=2, rng=rng)
+        assert max(errors.values()) < DEFAULT_TOLERANCE, errors
 
     def test_res_scale_present_exactly_in_configured_stages(self):
         model = build_model(micro(), seed=0)

@@ -16,6 +16,7 @@ from mvformer.tensor import (
     channel_split,
     conv2d,
     global_avg_pool,
+    grad_enabled,
     mean,
     moments,
     mul,
@@ -237,6 +238,25 @@ class TestElementwise:
         with pytest.raises(ShapeError, match="axis 1"):
             a + b
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_bitwise_matches_where_form(self, dtype):
+        rng = np.random.default_rng(3)
+        arr = rng.normal(size=(2, 3, 5, 5)).astype(dtype)
+        arr.reshape(-1)[:4] = [0.0, -0.0, np.finfo(dtype).tiny, -np.finfo(dtype).tiny]
+        got = relu(Tensor(arr)).data
+        want = np.where(arr > 0, arr, 0)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()  # bytes, so -0.0 vs +0.0 counts
+        assert not np.signbit(got).any()
+
+    def test_relu_propagates_nan(self):
+        arr = np.array([np.nan, -1.0, 2.0, np.nan], dtype=np.float32).reshape(1, 1, 2, 2)
+        x = Tensor(arr, requires_grad=True)
+        out = relu(x)
+        np.testing.assert_array_equal(out.data.reshape(-1), [np.nan, 0.0, 2.0, np.nan])
+        backward(tsum(out))
+        np.testing.assert_array_equal(x.grad.reshape(-1), [0.0, 0.0, 1.0, 0.0])
+
 
 class TestGlobalAvgPool:
     def test_constant(self):
@@ -325,6 +345,55 @@ class TestBackward:
             num = numeric_grad(lambda: loss().item(), t.data)
             denom = np.maximum(np.maximum(np.abs(t.grad), np.abs(num)), 1e-4)
             assert (np.abs(t.grad - num) / denom).max() < 1e-3
+
+
+class TestGradEnabled:
+    def leaf(self):
+        return Tensor(np.ones((1, 2, 2, 2)), requires_grad=True)
+
+    def test_disabled_ops_link_no_tape(self):
+        x = self.leaf()
+        with grad_enabled(False):
+            out = tsum(square(conv2d(relu(x), Tensor(np.ones((2, 2, 1, 1))))))
+            assert x.requires_grad  # leaves keep their flag
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+        with pytest.raises(GraphError, match="detached"):
+            backward(out)
+
+    def test_same_arrays_with_and_without_tape(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(2, 4, 5, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 1, 3, 3)), requires_grad=True)
+
+        def build():
+            mu, var = moments(relu(conv2d(x, w, pad=1, groups=4)), (0, 2, 3))
+            return sqrt(var + 1e-5) + mu
+
+        taped = build()
+        with grad_enabled(False):
+            free = build()
+        assert taped.requires_grad and not free.requires_grad
+        assert np.array_equal(taped.data, free.data)
+
+    def test_restored_after_exception(self):
+        with pytest.raises(ShapeError):
+            with grad_enabled(False):
+                self.leaf() + Tensor(np.ones((1, 3, 2, 2)))
+        assert (self.leaf() * 2.0).requires_grad
+
+    def test_nested_blocks_restore_outer_mode(self):
+        x = self.leaf()
+        with grad_enabled(False):
+            with grad_enabled(True):
+                assert (x * 2.0).requires_grad
+            assert not (x * 2.0).requires_grad
+            with grad_enabled(False):
+                assert not (x * 2.0).requires_grad
+            assert not (x * 2.0).requires_grad
+        with grad_enabled(True):
+            assert (x * 2.0).requires_grad
+        assert (x * 2.0).requires_grad
 
 
 class TestConvFastPathGrads:

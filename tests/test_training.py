@@ -215,6 +215,22 @@ class TestTrainLoop:
 
 
 class TestModePlumbing:
+    def test_evaluate_records_no_tape(self, monkeypatch):
+        model = build_model(model_config("micro", num_classes=4), seed=0)
+        ds = SyntheticDataset(resolve_data_spec(TrainConfig(**TINY)))
+        outputs = []
+        forward = model.forward
+
+        def recording(images, training=False, rng=None):
+            outputs.append(forward(images, training, rng))
+            return outputs[-1]
+
+        monkeypatch.setattr(model, "forward", recording)
+        evaluate(model, ds, ds.val_indices, 20)
+        assert len(outputs) == 3  # chunks of 20, 20 and 8
+        assert all(not out.requires_grad and out._parents == () for out in outputs)
+        assert all(p.grad is None for _, p in model.named_parameters())
+
     def test_frozen_stats_reproduce_training_forward(self):
         """With momentum 1, inference row-by-row matches the training pass."""
         model = build_model(model_config("micro", num_classes=4), seed=0)
