@@ -27,6 +27,7 @@ from .norm import (
     batch_norm,
     instance_norm,
     layer_norm,
+    standardize,
 )
 from .optim import AdamW, cosine_lr
 from .tensor import (
@@ -85,6 +86,7 @@ __all__ = [
     "moments",
     "normalize_image_grid",
     "run_checks",
+    "standardize",
     "star_relu",
     "train_loop",
     "tsum",

@@ -55,8 +55,12 @@ def _meta_to_bytes(meta):
 
 
 def _meta_from_bytes(arr):
+    try:
+        text = arr.tobytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointFormatError("meta block is not valid utf-8") from exc
     meta = {}
-    for line in arr.tobytes().decode("utf-8").splitlines():
+    for line in text.splitlines():
         if line:
             key, _, value = line.partition("=")
             meta[key] = value
@@ -104,6 +108,8 @@ def read_arrays(path):
         buf = f.read()
     if buf[:4] != MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic {buf[:4]!r}, expected {MAGIC!r}")
+    if len(buf) < 12:
+        raise CheckpointIntegrityError(f"{path}: truncated header ({len(buf)} bytes)")
     version, count = struct.unpack_from("<II", buf, 4)
     if version != VERSION:
         raise CheckpointFormatError(f"{path}: unsupported version {version}")
@@ -126,6 +132,8 @@ def read_arrays(path):
             entries.append((name, _CODE_DTYPES[code], shape, offset))
     except struct.error as exc:
         raise CheckpointIntegrityError(f"{path}: truncated manifest") from exc
+    except UnicodeDecodeError as exc:
+        raise CheckpointFormatError(f"{path}: entry name is not valid utf-8") from exc
     payload = buf[pos:]
     expected = sum(int(np.prod(s, dtype=np.int64)) * d.itemsize for _, d, s, _ in entries)
     if len(payload) != expected:

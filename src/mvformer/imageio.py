@@ -11,7 +11,7 @@ import numpy as np
 
 
 class ImageFormatError(ValueError):
-    """Not a P5/P6 file, unsupported maxval, or truncated payload."""
+    """Not a P5/P6 file, malformed header, unsupported maxval, or truncated payload."""
 
 
 def _read_tokens(buf, count):
@@ -42,7 +42,12 @@ def _read_pnm(path, magic, channels):
     if not buf.startswith(magic):
         raise ImageFormatError(f"{path}: expected {magic.decode()} header, got {buf[:2]!r}")
     tokens, payload_at = _read_tokens(buf[2:], 3)
-    width, height, maxval = (int(t) for t in tokens)
+    try:
+        width, height, maxval = (int(t) for t in tokens)
+    except ValueError as exc:
+        raise ImageFormatError(f"{path}: non-integer header field in {tokens!r}") from exc
+    if width < 1 or height < 1:
+        raise ImageFormatError(f"{path}: width and height must be positive, got {width}x{height}")
     if maxval != 255:
         raise ImageFormatError(f"{path}: only maxval 255 is supported, got {maxval}")
     need = width * height * channels

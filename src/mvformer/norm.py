@@ -1,10 +1,17 @@
 """Batch, layer, and instance normalization, and their learnable fusion.
 
-All three normalizations share one stats core (mean / population variance
-over a reduction-axis set), so a one-hot fusion weight reproduces the
-corresponding single normalization bitwise.  The fused layer keeps three
-per-channel weight vectors (one per normalization view, initialized to
-ones) and applies a single channelwise affine after the weighted sum.
+All three normalizations share one stats path, `standardize`: the
+population variance over a reduction-axis set as one tape node
+(``tensor.variance``), ``sqrt(var + eps)`` from the ordinary ops, and the
+centre-and-divide as one node (``tensor.normalize``) whose backward folds
+in the mean's gradient.  The square root stays an ordinary op of this
+module, so the gradient along the std path is checked like any other (the
+benchmark's smoke test breaks ``norm.sqrt`` and expects the float64
+gradient check to notice).  Sharing the path means a one-hot fusion
+weight reproduces the corresponding single normalization bitwise.  The
+fused layer keeps three per-channel weight vectors (one per normalization
+view, initialized to ones) and applies a single channelwise affine after
+the weighted sum.
 
 Batch normalization is the only statful view: training mode normalizes
 with batch statistics and updates per-channel running mean/variance;
@@ -17,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .module import Module
-from .tensor import Tensor, add, div, moments, mul, sqrt, sub
+from .tensor import Tensor, add, div, mul, normalize, sqrt, sub, variance
 
 DEFAULT_EPS = 1e-5
 DEFAULT_MOMENTUM = 0.1
@@ -27,10 +34,15 @@ class DegenerateInputError(ValueError):
     """Normalization over a reduction extent too small to carry statistics."""
 
 
-def _standardize(x, axes, eps):
-    """(x - mean) / sqrt(var + eps) over `axes`; the shared stats path."""
-    mu, var = moments(x, axes)
-    return div(sub(x, mu), sqrt(add(var, eps)))
+def standardize(x, axes, eps):
+    """(x - mean) / sqrt(var + eps) over `axes`; the shared stats path.
+
+    Returns ``(y, mu, var)``: the standardized tensor and the mean and
+    population variance as plain keepdims arrays.  ``y`` is bitwise equal to
+    ``div(sub(x, mu), sqrt(add(var, eps)))`` over ``moments(x, axes)``.
+    """
+    mu, var = variance(x, axes)
+    return normalize(x, axes, mu, sqrt(add(var, eps))), mu, var.data
 
 
 def batch_norm(x, state, training):
@@ -47,11 +59,10 @@ def batch_norm(x, state, training):
             raise DegenerateInputError(
                 f"batch_norm: batch statistics need n*h*w >= 2 per channel, got {n}*{h}*{w}"
             )
-        mu, var = moments(x, (0, 2, 3))
-        out = div(sub(x, mu), sqrt(add(var, state.eps)))
+        out, mu, var = standardize(x, (0, 2, 3), state.eps)
         m = state.momentum
-        state.set_buffer("run_mean", (1.0 - m) * state.run_mean + m * mu.data.reshape(c))
-        state.set_buffer("run_var", (1.0 - m) * state.run_var + m * var.data.reshape(c))
+        state.set_buffer("run_mean", (1.0 - m) * state.run_mean + m * mu.reshape(c))
+        state.set_buffer("run_var", (1.0 - m) * state.run_var + m * var.reshape(c))
         return out
     rm = Tensor(state.run_mean.reshape(1, c, 1, 1))
     rv = Tensor(state.run_var.reshape(1, c, 1, 1))
@@ -62,7 +73,7 @@ def layer_norm(x, eps=DEFAULT_EPS):
     """Per-pixel standardization across channels (pre-affine)."""
     if x.shape[1] < 2:
         raise DegenerateInputError(f"layer_norm: needs C >= 2 channels, got {x.shape[1]}")
-    return _standardize(x, (1,), eps)
+    return standardize(x, (1,), eps)[0]
 
 
 def instance_norm(x, eps=DEFAULT_EPS):
@@ -71,7 +82,7 @@ def instance_norm(x, eps=DEFAULT_EPS):
         raise DegenerateInputError(
             f"instance_norm: needs h*w >= 2 spatial positions, got {x.shape[2]}x{x.shape[3]}"
         )
-    return _standardize(x, (2, 3), eps)
+    return standardize(x, (2, 3), eps)[0]
 
 
 def apply_affine(x, gamma, beta):
@@ -161,7 +172,7 @@ class MultiViewNorm(Module):
             raise ValueError(f"norm built for {self.channels} channels, input has {x.shape[1]}")
         x_bn = batch_norm(x, self, training)
         x_ln = layer_norm(x, self.eps)
-        x_in = _standardize(x, (2, 3), self.eps)  # unguarded: zero contribution at 1x1
+        x_in = standardize(x, (2, 3), self.eps)[0]  # unguarded: zero contribution at 1x1
         mixed = add(add(mul(x_bn, self.alpha_bn), mul(x_ln, self.alpha_ln)), mul(x_in, self.alpha_in))
         return apply_affine(mixed, self.gamma, self.beta)
 

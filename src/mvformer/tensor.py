@@ -294,12 +294,17 @@ def tsum(x, axes=None):
     return _node(data, (x,), bw)
 
 
+def _count(shape, axes):
+    count = 1
+    for a in axes:
+        count *= shape[a]
+    return count
+
+
 def mean(x, axes=None):
     """Arithmetic mean over `axes`; result keeps rank 4."""
     axes = _norm_axes(x, axes)
-    count = 1
-    for a in axes:
-        count *= x.shape[a]
+    count = _count(x.shape, axes)
     if count == 0:
         raise ShapeError(f"mean over empty extent (axes {axes} of shape {x.shape})")
     data = x.data.mean(axis=axes, keepdims=True)
@@ -322,6 +327,69 @@ def moments(x, axes):
     mu = mean(x, axes)
     var = mean(square(sub(x, mu)), axes)
     return mu, var
+
+
+def _mean_keep(a, axes, count):
+    """``a.mean(axis=axes, keepdims=True)``, bitwise, without numpy's Python wrapper."""
+    out = np.add.reduce(a, axis=axes, keepdims=True)
+    out /= count
+    return out
+
+
+def variance(x, axes):
+    """Population variance over `axes` as one tape node, and the mean.
+
+    Returns ``(mu, var)``: the mean as a plain keepdims array and the
+    variance (divided by the element count) as a tensor whose only parent
+    is `x`.  The mean carries no tape link: the variance's gradient does not
+    depend on it (centred values sum to zero), and `normalize` folds the
+    mean's gradient into its own backward.  ``var`` is bitwise equal to
+    ``moments(x, axes)[1]``.
+    """
+    axes = _norm_axes(x, axes)
+    if axes == ():
+        raise ShapeError("variance needs at least one reduction axis")
+    count = _count(x.shape, axes)
+    if count == 0:
+        raise ShapeError(f"variance over empty extent (axes {axes} of shape {x.shape})")
+    mu = _mean_keep(x.data, axes, count)
+    sq = x.data - mu
+    np.multiply(sq, sq, out=sq)
+    data = _mean_keep(sq, axes, count)
+
+    def bw(g, acc):
+        gx = x.data - mu
+        gx *= g * (2.0 / count)
+        acc(x, gx)
+
+    return mu, _node(data, (x,), bw)
+
+
+def normalize(x, axes, mu, std):
+    """(x - mu) / std, recorded as one tape node on `x` and `std`.
+
+    `mu` is the mean of `x` over `axes` as a plain keepdims array (as
+    `variance` returns it) and `std` a keepdims tensor.  The backward folds
+    the mean's gradient in: `x` receives ``(g - mean(g)) / std`` and `std`
+    receives ``-sum(g * y) / std``, both over `axes`; only the output ``y``
+    and ``std`` are kept, not `x`.  ``y`` is bitwise equal to
+    ``div(sub(x, mu), std)``.
+    """
+    axes = _norm_axes(x, axes)
+    count = _count(x.shape, axes)
+    s = std.data
+    y = x.data - mu
+    y /= s
+
+    def bw(g, acc):
+        gx = g - _mean_keep(g, axes, count)
+        gx /= s
+        acc(x, gx)
+        gs = np.add.reduce(g * y, axis=axes, keepdims=True)
+        gs /= s
+        acc(std, -gs)
+
+    return _node(y, (x, std), bw)
 
 
 def global_avg_pool(x):

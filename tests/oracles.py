@@ -48,6 +48,12 @@ def moments_oracle(x, axes):
     return mu, var
 
 
+def standardize_oracle(x, axes, eps):
+    """(x - mean) / sqrt(var + eps) from the two-pass moments."""
+    mu, var = moments_oracle(x, axes)
+    return (x - mu) / np.sqrt(var + eps)
+
+
 def numeric_grad(f, x, h=1e-3):
     """Central differences of scalar f() with respect to 64-bit array x."""
     g = np.zeros_like(x)

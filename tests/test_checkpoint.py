@@ -1,5 +1,7 @@
 """Checkpoint format: byte-stable round trips and corruption handling."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,25 @@ class TestGuards:
         path.write_bytes(data[: len(data) - 100])
         with pytest.raises(CheckpointIntegrityError, match="payload"):
             read_arrays(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"MVFK\x01\x00")
+        with pytest.raises(CheckpointIntegrityError, match="truncated header"):
+            read_arrays(path)
+
+    def test_non_utf8_entry_name(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        manifest = struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<BBIQ", 0, 1, 1, 0)
+        path.write_bytes(b"MVFK" + struct.pack("<II", 1, 1) + manifest + b"\x00" * 4)
+        with pytest.raises(CheckpointFormatError, match="utf-8"):
+            read_arrays(path)
+
+    def test_non_utf8_meta(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_arrays(path, {"meta": np.frombuffer(b"key=\xff\n", dtype=np.uint8).copy()})
+        with pytest.raises(CheckpointFormatError, match="utf-8"):
+            read_meta(path)
 
     def test_meta_absent_is_empty(self, tmp_path):
         model, opt = trained_pair()

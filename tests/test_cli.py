@@ -227,6 +227,13 @@ class TestUsage:
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("command", ["eval", "dump-alphas"])
+    def test_truncated_checkpoint_header_is_input_error(self, tmp_path, capsys, command):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(b"MVFK\x01\x00")
+        assert main([command, "--checkpoint", str(path)]) == 2
+        assert "truncated header" in capsys.readouterr().err
+
     def test_numeric_abort_exit_code(self, tmp_path, capsys, monkeypatch):
         import mvformer.cli as cli_mod
         from mvformer.optim import NumericsError

@@ -42,6 +42,22 @@ class TestGuards:
         with pytest.raises(ImageFormatError, match="maxval"):
             read_ppm(path)
 
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            (b"P6 -2 -3 255\n", "positive"),
+            (b"P6 x 2 255\n", "non-integer"),
+            (b"P6 0 4 255\n", "positive"),
+            (b"P6 4 0 255\n", "positive"),
+            (b"P6 2 2 2.5\n", "non-integer"),
+        ],
+    )
+    def test_malformed_header_fields(self, tmp_path, header, match):
+        path = tmp_path / "x.ppm"
+        path.write_bytes(header + b"\x00" * 18)
+        with pytest.raises(ImageFormatError, match=match):
+            read_ppm(path)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "x.ppm"
         path.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 5)

@@ -13,8 +13,11 @@ from mvformer.norm import (
     batch_norm,
     instance_norm,
     layer_norm,
+    standardize,
 )
-from mvformer.tensor import Tensor, backward, moments, tsum, square
+from mvformer import norm, tensor
+from mvformer.tensor import Tensor, add, backward, div, moments, mul, sqrt, sub, tsum, square
+from oracles import max_rel_err, moments_oracle, numeric_grad, standardize_oracle
 
 EPS = 1e-5
 TWO_POINT = 1.0 / np.sqrt(1.0 + EPS)  # normalized value of {0, 2} data
@@ -22,6 +25,69 @@ TWO_POINT = 1.0 / np.sqrt(1.0 + EPS)  # normalized value of {0, 2} data
 
 def bn_state(c):
     return PlainNorm(c, "bn")
+
+
+class TestStandardize:
+    AXES = [(0, 2, 3), (1,), (2, 3)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axes", AXES)
+    def test_forward_bitwise_equals_composite(self, axes, dtype):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(2.0, 3.0, size=(4, 5, 3, 6)).astype(dtype))
+        mu, var = moments(x, axes)
+        composite = div(sub(x, mu), sqrt(add(var, EPS)))
+        y, _, _ = standardize(x, axes, EPS)
+        assert y.dtype == dtype
+        assert np.array_equal(y.data, composite.data)
+
+    @pytest.mark.parametrize("axes", AXES)
+    def test_matches_oracles(self, axes):
+        x = np.random.default_rng(22).normal(-1.0, 2.0, size=(3, 5, 4, 6))
+        y, mu, var = standardize(Tensor(x), axes, EPS)
+        mu_o, var_o = moments_oracle(x, axes)
+        np.testing.assert_allclose(mu, mu_o, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(var, var_o, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(y.data, standardize_oracle(x, axes, EPS), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape,axes",
+        [((3, 4, 2, 3), (0, 2, 3)), ((3, 4, 2, 3), (1,)), ((3, 4, 2, 3), (2, 3)), ((3, 4, 1, 1), (2, 3))],
+    )
+    def test_x_grads_match_central_differences(self, shape, axes):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        w = Tensor(rng.normal(size=shape))
+
+        def loss():
+            return tsum(mul(standardize(x, axes, EPS)[0], w))
+
+        backward(loss())
+        num = numeric_grad(lambda: loss().item(), x.data)
+        assert max_rel_err(x.grad, num) < 1e-3
+        if shape[2] * shape[3] == 1 and axes == (2, 3):  # centred numerator exactly zero
+            assert (x.grad == 0).all() and (num == 0).all()
+
+    def test_wrong_sqrt_gradient_shows_in_x_grad(self, monkeypatch):
+        """The std path runs through this module's `sqrt`, so a broken one is visible."""
+        rng = np.random.default_rng(24)
+        data, w = rng.normal(size=(2, 4, 3, 3)), Tensor(rng.normal(size=(2, 4, 3, 3)))
+
+        def x_grad():
+            x = Tensor(data.copy(), requires_grad=True)
+            backward(tsum(mul(MultiViewNorm(4).cast_(np.float64).forward(x, training=True), w)))
+            return x.grad
+
+        right = x_grad()
+
+        def doubled_sqrt(v):
+            out = tensor.sqrt(v)
+            real = out._backward
+            out._backward = lambda g, acc: real(2.0 * g, acc)
+            return out
+
+        monkeypatch.setattr(norm, "sqrt", doubled_sqrt)
+        assert max_rel_err(x_grad(), right) > 0.1
 
 
 class TestBatchNorm:
@@ -256,6 +322,23 @@ class TestMultiViewNorm:
         np.testing.assert_allclose(
             out.data, only_bn_ln.forward(x, training=True).data, rtol=1e-6, atol=1e-6
         )
+
+    def test_training_tape_has_nineteen_op_nodes(self):
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.normal(size=(2, 4, 3, 3)).astype(np.float32), requires_grad=True)
+        out = MultiViewNorm(4).forward(x, training=True)
+        seen, stack, ops = set(), [out], []
+        while stack:
+            t = stack.pop()
+            if id(t) in seen or not t.requires_grad:
+                continue
+            seen.add(id(t))
+            if t._parents:
+                ops.append(t)
+            stack.extend(t._parents)
+        # 3 views of variance, add eps, sqrt, normalize; 3 alpha muls, 2 adds, the affine mul + add
+        assert len(ops) == 19
+        assert sum(t._parents[0] is x for t in ops) == 6  # the only full-size reads of x
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="channels"):

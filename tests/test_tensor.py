@@ -11,19 +11,24 @@ from mvformer.tensor import (
     GraphError,
     ShapeError,
     Tensor,
+    add,
     backward,
     channel_concat,
     channel_split,
     conv2d,
+    div,
     global_avg_pool,
     grad_enabled,
     mean,
     moments,
     mul,
+    normalize,
     relu,
     sqrt,
     square,
+    sub,
     tsum,
+    variance,
 )
 
 
@@ -168,6 +173,69 @@ class TestMoments:
             [np.ptp(x[:, c]) == 0 for c in range(x.shape[1])]
         ).reshape(var.shape)
         assert np.array_equal(var.data == 0, const_slices)
+
+
+class TestVarianceNormalize:
+    AXES = [(0, 2, 3), (1,), (2, 3)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axes", AXES)
+    def test_forward_bitwise_equals_composite(self, axes, dtype):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(2.0, 3.0, size=(4, 5, 3, 6)).astype(dtype))
+        mu_t, var_t = moments(x, axes)
+        mu, var = variance(x, axes)
+        assert np.array_equal(mu, mu_t.data) and np.array_equal(var.data, var_t.data)
+        std = sqrt(add(var, 1e-5))
+        y = normalize(x, axes, mu, std)
+        assert y.dtype == dtype
+        assert np.array_equal(y.data, div(sub(x, mu_t), std).data)
+
+    @pytest.mark.parametrize("axes", AXES)
+    def test_variance_matches_oracle(self, axes):
+        x = np.random.default_rng(22).normal(-1.0, 2.0, size=(3, 5, 4, 6))
+        mu, var = variance(Tensor(x), axes)
+        mu_o, var_o = moments_oracle(x, axes)
+        np.testing.assert_allclose(mu, mu_o, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(var.data, var_o, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("axes", AXES)
+    def test_grads_match_central_differences(self, axes):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(3, 4, 2, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=x.shape))
+        s_shape = tuple(1 if a in axes else n for a, n in enumerate(x.shape))
+        std = Tensor(rng.uniform(0.5, 2.0, size=s_shape), requires_grad=True)
+
+        def norm_loss():  # the mean is recomputed, as `normalize` requires
+            return tsum(mul(normalize(x, axes, x.data.mean(axis=axes, keepdims=True), std), w))
+
+        def var_loss():
+            return tsum(mul(variance(x, axes)[1], std))
+
+        for loss, leaves in ((norm_loss, (x, std)), (var_loss, (x,))):
+            x.grad = std.grad = None
+            backward(loss())
+            for t in leaves:
+                num = numeric_grad(lambda: loss().item(), t.data)
+                assert max_rel_err(t.grad, num) < 1e-3
+
+    def test_tape_links(self):
+        x = Tensor(np.arange(24.0).reshape(2, 3, 2, 2), requires_grad=True)
+        mu, var = variance(x, (1,))
+        std = sqrt(add(var, 1e-5))
+        y = normalize(x, (1,), mu, std)
+        assert isinstance(mu, np.ndarray) and var._parents == (x,)
+        assert y._parents == (x, std)
+
+    @pytest.mark.parametrize("shape,axes", [((2, 3, 0, 4), (2, 3)), ((0, 3, 2, 2), (0, 2, 3)), ((2, 0, 2, 2), (1,))])
+    def test_empty_extent_rejected(self, shape, axes):
+        with pytest.raises(ShapeError, match="empty extent"):
+            variance(Tensor(np.zeros(shape)), axes)
+
+    def test_empty_axes_rejected(self):
+        with pytest.raises(ShapeError, match="at least one"):
+            variance(Tensor(np.ones((1, 2, 3, 3))), ())
 
 
 class TestSplitConcat:
