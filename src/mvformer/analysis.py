@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DOWN_GEOMETRY, STEM_GEOMETRY, ModelConfig, MVFormer
+from .model import DOWN_GEOMETRY, STEM_GEOMETRY, ModelConfig, MVFormer, stage_map_sizes
 from .norm import DEFAULT_EPS, DegenerateInputError, MultiViewNorm, standardize
 from .tensor import Tensor
 
@@ -66,13 +66,6 @@ class CostReport:
         return "\n".join(lines)
 
 
-def _conv_out(size, kernel, stride, pad):
-    out = (size + 2 * pad - kernel) // stride + 1
-    if out < 1:
-        raise ValueError(f"input size {size} too small for kernel {kernel} stride {stride}")
-    return out
-
-
 def _norm_params(kind, channels):
     # multi-view: three view weights + affine; single view: affine only
     return 5 * channels if kind == "mvn" else 2 * channels
@@ -119,12 +112,10 @@ def cost_report(cfg, input_hw=224):
     if not isinstance(cfg, ModelConfig):
         raise TypeError(f"expected ModelConfig or model, got {type(cfg).__name__}")
     rows = []
-    size = input_hw
     cin = cfg.input_channels
-    for stage in (1, 2, 3, 4):
+    for stage, size in zip((1, 2, 3, 4), stage_map_sizes(input_hw)):
         cout = cfg.embed_dims[stage - 1]
-        k, s, p = STEM_GEOMETRY if stage == 1 else DOWN_GEOMETRY
-        size = _conv_out(size, k, s, p)
+        k = (STEM_GEOMETRY if stage == 1 else DOWN_GEOMETRY)[0]
         params = k * k * cin * cout + cout
         if stage > 1:
             params += _norm_params(cfg.block_norm, cin)

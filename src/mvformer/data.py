@@ -35,6 +35,10 @@ class SyntheticSpec:
             raise ValueError(f"need at least 2 classes, got {self.classes}")
         if self.image_size < 8:
             raise ValueError(f"image_size must be >= 8, got {self.image_size}")
+        if self.train_size < 0:
+            raise ValueError(f"train_size must be >= 0, got {self.train_size}")
+        if self.val_size < 1:
+            raise ValueError(f"val_size must be >= 1, got {self.val_size}")
 
 
 def _stripes(rng, yy, xx, band, horizontal):

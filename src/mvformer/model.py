@@ -41,6 +41,19 @@ from .tensor import Tensor, add, conv2d, global_avg_pool, grad_enabled, mul
 STEM_GEOMETRY = (7, 4, 2)  # kernel, stride, pad for stage 1
 DOWN_GEOMETRY = (3, 2, 1)  # kernel, stride, pad for stages 2-4
 
+
+def stage_map_sizes(input_hw):
+    """Side of the square map each stage runs on, for a square input."""
+    sizes = []
+    size = input_hw
+    for k, s, p in (STEM_GEOMETRY,) + (DOWN_GEOMETRY,) * 3:
+        if size + 2 * p < k:
+            raise ValueError(f"input size {input_hw} too small: a {size}-wide map meets kernel {k}")
+        size = (size + 2 * p - k) // s + 1
+        sizes.append(size)
+    return tuple(sizes)
+
+
 NORM_KINDS = ("mvn", "bn", "ln", "in")
 
 PRESETS = {

@@ -17,6 +17,7 @@ finite-difference gradient checks).
 from __future__ import annotations
 
 import contextlib
+import functools
 
 import numpy as np
 
@@ -470,16 +471,21 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     The kernel is chosen from the call's shapes; each case has one
     implementation and the output is always a fresh C-contiguous array:
 
-    - pointwise (1x1, stride 1, pad 0, groups == 1): one matmul over
+    - ``_pointwise`` (1x1, stride 1, pad 0, groups == 1): one matmul over
       (n, c, h*w);
-    - depthwise (groups == c_in == c_out, stride 1, output the size of the
-      input): shift-and-accumulate over slices of the unpadded input.  On an
-      h-row map with pad p, kernel row u can reach data only for u in
-      [max(0, p-h+1), min(kh, p+h)), and likewise for columns; the other
-      taps read only padding, so they are skipped (their products are exact
-      zeros) and their weight gradient is exactly zero;
-    - everything else (stem, downsample, grouped, strided): one einsum over
-      an as_strided patch view of the padded input.
+    - same-size stride-1 depthwise (groups == c_in == c_out), h*w <= n:
+      ``_depthwise_unrolled``, one (h*w, h*w) map matrix per channel and one
+      batched matmul per pass.  The matrix is then no bigger than the
+      channel's batch data, so building it pays back within the call;
+    - the same with h*w > n: ``_depthwise``, shift-and-accumulate over
+      slices of the unpadded input.  On an h-row map with pad p, kernel row
+      u reaches data only for u in [max(0, p-h+1), min(kh, p+h)), likewise
+      for columns; other taps are skipped, and on both depthwise kernels
+      their weight gradient is exactly zero;
+    - everything else (stem, downsample, grouped, strided): ``_general``,
+      im2col and one batched matmul.
+
+    ``analysis.cost_report`` counts nominal MACs whatever a kernel skips or adds.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(pad)
@@ -508,7 +514,8 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     if unit_stride and groups == 1 and kh == kw == 1 and ph == pw == 0:
         out, grads = _pointwise(x.data, w.data)
     elif unit_stride and groups == cin == cout and (hout, wout) == (h, wd):
-        out, grads = _depthwise(x.data, w.data, ph, pw)
+        depthwise = _depthwise_unrolled if h * wd <= n else _depthwise
+        out, grads = depthwise(x.data, w.data, ph, pw)
     else:
         out, grads = _general(x.data, w.data, (sh, sw), (ph, pw), groups, (hout, wout))
     if b is not None:
@@ -581,36 +588,96 @@ def _depthwise(x, w, ph, pw):
     return out, grads
 
 
+@functools.lru_cache(maxsize=64)
+def _tap_table(h, wd, kh, kw, ph, pw):
+    """Read-only tables of a same-size stride-1 conv on an h x wd map.
+
+    ``taps[i, o]``: the flat tap ``u * kw + v`` carrying input i to output o,
+    else ``kh * kw`` (a zero column).  ``order``: the live (i, o) pairs by
+    tap; ``starts``: where each tap's run begins; ``live``: those taps.
+    """
+    iy, ix = np.divmod(np.arange(h * wd), wd)
+    u = iy[:, None] - iy[None, :] + ph
+    v = ix[:, None] - ix[None, :] + pw
+    taps = np.where((u >= 0) & (u < kh) & (v >= 0) & (v < kw), u * kw + v, kh * kw).ravel()
+    order = np.argsort(taps, kind="stable")
+    order = order[taps[order] < kh * kw]
+    live, starts = np.unique(taps[order], return_index=True)
+    tables = (taps.reshape(h * wd, h * wd), order, starts, live)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _depthwise_unrolled(x, w, ph, pw):
+    n, c, h, wd = x.shape
+    _, _, kh, kw = w.shape
+    kk = kh * kw
+    taps, order, starts, live = _tap_table(h, wd, kh, kw, ph, pw)
+
+    def map_matrix():
+        """(c, hw in, hw out) weights; rebuilt in the backward so only x is kept."""
+        wz = np.zeros((c, kk + 1), w.dtype)
+        wz[:, :kk] = w.reshape(c, kk)
+        return wz[:, taps]
+
+    xc = x.reshape(n, c, h * wd).transpose(1, 0, 2)  # (c, n, hw), a view
+    out = np.empty((n, c, h * wd), np.result_type(x, w))
+    np.matmul(xc, map_matrix(), out=out.transpose(1, 0, 2))
+
+    def grads(g, need_x, need_w):
+        gc = g.reshape(n, c, h * wd).transpose(1, 0, 2)
+        gx = gw = None
+        if need_x:
+            gx = np.empty((n, c, h * wd), g.dtype)
+            np.matmul(gc, map_matrix().transpose(0, 2, 1), out=gx.transpose(1, 0, 2))
+            gx = gx.reshape(x.shape)
+        if need_w:
+            pairs = np.matmul(xc.transpose(0, 2, 1), gc).reshape(c, -1)
+            gw = np.zeros((c, kk), g.dtype)
+            gw[:, live] = np.add.reduceat(pairs[:, order], starts, axis=1)
+            gw = gw.reshape(w.shape)
+        return gx, gw
+
+    return out.reshape(x.shape), grads
+
+
 def _general(x, w, stride, pad, groups, out_hw):
     sh, sw = stride
     ph, pw = pad
     hout, wout = out_hw
     n, _, h, wd = x.shape
     cout, cin_g, kh, kw = w.shape
+    cout_g = cout // groups
+    cols_shape = (groups, cin_g * kh * kw, n * hout * wout)
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     sn, sc, srow, scol = xp.strides
+    # reshaping this window view copies it into the im2col matrix; the
+    # backward rebuilds it, so only xp is kept
     patches = np.lib.stride_tricks.as_strided(
         xp,
-        shape=(n, groups, cin_g, kh, kw, hout, wout),
-        strides=(sn, sc * cin_g, sc, srow, scol, srow * sh, scol * sw),
+        shape=(groups, cin_g, kh, kw, n, hout, wout),
+        strides=(sc * cin_g, sc, srow, scol, sn, srow * sh, scol * sw),
         writeable=False,
     )
-    wg = w.reshape(groups, cout // groups, cin_g, kh, kw)
-    out = np.einsum("ngiuvyx,goiuv->ngoyx", patches, wg, optimize=True)
-    out = np.ascontiguousarray(out.reshape(n, cout, hout, wout))
+    wg = w.reshape(groups, cout_g, cin_g * kh * kw)
+    out = np.matmul(wg, patches.reshape(cols_shape))
+    out = np.ascontiguousarray(out.reshape(groups, cout_g, n, hout * wout).transpose(2, 0, 1, 3))
+    out = out.reshape(n, cout, hout, wout)
 
     def grads(g, need_x, need_w):
-        gg = g.reshape(n, groups, cout // groups, hout, wout)
+        gg = g.reshape(n, groups, cout_g, hout * wout).transpose(1, 2, 0, 3)
+        gg = gg.reshape(groups, cout_g, n * hout * wout)
         gx = gw = None
         if need_w:
-            gw = np.einsum("ngiuvyx,ngoyx->goiuv", patches, gg, optimize=True).reshape(w.shape)
+            gw = np.matmul(gg, patches.reshape(cols_shape).transpose(0, 2, 1)).reshape(w.shape)
         if need_x:
+            gcols = np.matmul(wg.transpose(0, 2, 1), gg).reshape(patches.shape)
             gxp = np.zeros_like(xp)
-            gxp_g = gxp.reshape(n, groups, cin_g, xp.shape[2], xp.shape[3])
+            gxp_g = gxp.reshape(n, groups, cin_g, *xp.shape[2:]).transpose(1, 2, 0, 3, 4)
             for u in range(kh):
                 for v in range(kw):
-                    contrib = np.einsum("goi,ngoyx->ngiyx", wg[:, :, :, u, v], gg, optimize=True)
-                    gxp_g[:, :, :, u : u + hout * sh : sh, v : v + wout * sw : sw] += contrib
+                    gxp_g[:, :, :, u : u + hout * sh : sh, v : v + wout * sw : sw] += gcols[:, :, u, v]
             gx = gxp[:, :, ph : ph + h, pw : pw + wd]
         return gx, gw
 

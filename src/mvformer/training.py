@@ -18,7 +18,7 @@ import numpy as np
 from .checkpoint import save_checkpoint
 from .data import SyntheticDataset, SyntheticSpec
 from .mixer import ConfigError
-from .model import ModelConfig, build_model, model_config
+from .model import ModelConfig, build_model, model_config, stage_map_sizes
 from .optim import AdamW, NumericsError, cosine_lr
 from .tensor import Tensor, backward, exp, log, mul, sub, tsum
 
@@ -72,7 +72,9 @@ class TrainConfig:
     A single image has no batch statistics at the last stage (n*h*w = 1 at
     32x32), so the batch-statistics norms ``mvn`` and ``bn`` also require
     ``batch_size >= 2`` and ``train_size >= 2``.  The schedule's step count
-    counts folded batches.
+    counts folded batches.  Plain instance norm draws statistics over each
+    map alone, so ``in`` rejects an ``image_size`` whose last stage runs on
+    a 1x1 map (32x32 does; 35x35 and up do not).
     """
 
     # [model]
@@ -109,6 +111,11 @@ class TrainConfig:
             raise ConfigError(
                 f"norm {self.norm!r} draws batch statistics: batch_size ({self.batch_size}) "
                 f"and train_size ({self.train_size}) must be >= 2"
+            )
+        if self.norm == "in" and stage_map_sizes(self.image_size)[-1] < 2:
+            raise ConfigError(
+                f"norm 'in' needs >= 2 positions per map, but image_size {self.image_size} "
+                "leaves a 1x1 map at stage 4"
             )
 
 

@@ -113,6 +113,20 @@ class TestTrainEval:
     def test_train_missing_config_is_input_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
 
+    def test_train_instance_norm_on_1x1_map_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "in.cfg"
+        cfg.write_text("[model]\nnorm = in\n[train]\nepochs = 1\nwarmup_epochs = 0\n")
+        out = tmp_path / "in_run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "1x1 map at stage 4" in capsys.readouterr().err
+        assert not list(out.glob("*.ckpt")) and not (out / "metrics.csv").exists()
+
+    def test_eval_empty_validation_split_is_input_error(self, trained_run, capsys):
+        rc = main(["eval", "--checkpoint", str(trained_run / "last.ckpt"), "--data", "val_size=-5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "val_size must be >= 1" in err
+
     def test_dump_alphas_fresh_checkpoint(self, tmp_path, capsys):
         out = tmp_path / "fresh"
         assert main(["train", "--out", str(out), "--epochs", "0"]) == 0

@@ -86,6 +86,16 @@ class TestShapesAndRanges:
         with pytest.raises(ValueError, match="classes"):
             SyntheticSpec(classes=1)
 
+    def test_negative_train_size_rejected(self):
+        with pytest.raises(ValueError, match="train_size must be >= 0"):
+            SyntheticSpec(train_size=-3)
+        assert list(make_ds(train_size=0, val_size=2).train_indices) == []
+
+    @pytest.mark.parametrize("val_size", [0, -5])
+    def test_empty_validation_split_rejected(self, val_size):
+        with pytest.raises(ValueError, match="val_size must be >= 1"):
+            SyntheticSpec(val_size=val_size)
+
 
 def probe_features(images):
     """Per-image gradient-energy statistics; the probe's feature map."""

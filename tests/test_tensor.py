@@ -82,6 +82,12 @@ class TestConv2d:
             # depthwise weights on the general path: strided, and shrinking output
             ((2, 4, 7, 7), (4, 1, 3, 3), (2, 2), (1, 1), 4),
             ((2, 4, 6, 6), (4, 1, 3, 3), (1, 1), (0, 0), 4),
+            # depthwise with n >= h*w: the unrolled map-matrix kernel
+            ((64, 2, 8, 8), (2, 1, 7, 7), (1, 1), (3, 3), 2),
+            ((16, 3, 4, 4), (3, 1, 3, 3), (1, 1), (1, 1), 3),
+            ((16, 3, 4, 4), (3, 1, 27, 1), (1, 1), (13, 0), 3),
+            ((16, 3, 4, 4), (3, 1, 1, 27), (1, 1), (0, 13), 3),
+            ((4, 3, 2, 2), (3, 1, 13, 1), (1, 1), (6, 0), 3),
         ],
     )
     def test_against_nested_loop_oracle(self, shape, kernel, stride, pad, groups):
@@ -111,11 +117,15 @@ class TestConv2d:
             ((2, 4, 6, 6), (4, 1, 3, 3), 1, 0, 4, "_general"),  # depthwise, output shrinks
             ((1, 6, 5, 5), (6, 3, 1, 1), 1, 0, 2, "_general"),  # grouped pointwise
             ((2, 3, 5, 5), (4, 3, 1, 1), 1, 1, 1, "_general"),  # padded 1x1
+            ((4, 3, 2, 2), (3, 1, 3, 3), 1, 1, 3, "_depthwise_unrolled"),  # h*w == n
+            ((3, 3, 2, 2), (3, 1, 3, 3), 1, 1, 3, "_depthwise"),  # h*w == n + 1
+            ((64, 4, 8, 8), (4, 1, 7, 7), 1, 3, 4, "_depthwise_unrolled"),
+            ((2, 4, 1, 1), (4, 1, 7, 7), 1, 3, 4, "_depthwise_unrolled"),
         ],
     )
     def test_kernel_routing(self, monkeypatch, shape, kernel, stride, pad, groups, path):
         used = []
-        for name in ("_pointwise", "_depthwise", "_general"):
+        for name in ("_pointwise", "_depthwise", "_depthwise_unrolled", "_general"):
             real = getattr(tensor, name)
             monkeypatch.setattr(tensor, name, lambda *a, _n=name, _f=real: used.append(_n) or _f(*a))
         out = conv2d(Tensor(np.ones(shape)), Tensor(np.ones(kernel)), stride=stride, pad=pad, groups=groups)
@@ -414,6 +424,28 @@ class TestBackward:
             denom = np.maximum(np.maximum(np.abs(t.grad), np.abs(num)), 1e-4)
             assert (np.abs(t.grad - num) / denom).max() < 1e-3
 
+    @pytest.mark.parametrize(
+        "shape,kernel,stride,pad,groups",
+        [
+            ((2, 4, 6, 6), (6, 4, 3, 3), 2, 1, 1),  # downsample
+            ((2, 3, 11, 11), (4, 3, 7, 7), 4, 2, 1),  # stem
+            ((2, 4, 7, 7), (6, 2, 3, 3), 2, 1, 2),  # grouped, strided
+        ],
+    )
+    def test_general_conv_grads_match_central_differences(self, shape, kernel, stride, pad, groups):
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, size=kernel), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, size=(1, kernel[0], 1, 1)), requires_grad=True)
+
+        def loss():
+            return tsum(square(conv2d(x, w, b, stride=stride, pad=pad, groups=groups)))
+
+        backward(loss())
+        for t in (x, w, b):
+            num = numeric_grad(lambda: loss().item(), t.data)
+            assert max_rel_err(t.grad, num) < 1e-3
+
 
 class TestGradEnabled:
     def leaf(self):
@@ -473,6 +505,11 @@ class TestConvFastPathGrads:
             ((2, 2, 4, 4), (2, 1, 9, 1), (4, 0), 2),
             ((2, 2, 4, 4), (2, 1, 1, 9), (0, 4), 2),
             ((3, 4, 2, 3), (5, 4, 1, 1), (0, 0), 1),
+            # n >= h*w: the unrolled map-matrix kernel
+            ((4, 3, 2, 2), (3, 1, 3, 3), (1, 1), 3),
+            ((16, 2, 4, 4), (2, 1, 7, 7), (3, 3), 2),
+            ((16, 2, 4, 4), (2, 1, 1, 27), (0, 13), 2),
+            ((3, 2, 1, 1), (2, 1, 7, 7), (3, 3), 2),
         ],
     )
     def test_grads_match_central_differences(self, shape, kernel, pad, groups):
@@ -495,6 +532,10 @@ class TestConvFastPathGrads:
             ((2, 3, 2, 2), (3, 1, 7, 7), (3, 3), slice(2, 5), slice(2, 5)),
             ((2, 3, 1, 1), (3, 1, 7, 7), (3, 3), slice(3, 4), slice(3, 4)),
             ((2, 3, 2, 2), (3, 1, 13, 1), (6, 0), slice(5, 8), slice(0, 1)),
+            # n >= h*w: the unrolled map-matrix kernel
+            ((4, 3, 2, 2), (3, 1, 7, 7), (3, 3), slice(2, 5), slice(2, 5)),
+            ((4, 3, 2, 2), (3, 1, 13, 1), (6, 0), slice(5, 8), slice(0, 1)),
+            ((16, 2, 4, 4), (2, 1, 27, 1), (13, 0), slice(10, 17), slice(0, 1)),
         ],
     )
     def test_dead_taps_get_exactly_zero_weight_grad(self, shape, kernel, pad, live_rows, live_cols):

@@ -133,6 +133,14 @@ image_size = 32
             TrainConfig(norm=norm, train_size=1)
         TrainConfig(norm="ln", batch_size=1)
 
+    def test_instance_norm_needs_two_positions_at_the_last_stage(self):
+        with pytest.raises(ConfigError, match="1x1 map at stage 4"):
+            TrainConfig(norm="in")  # 32x32 ends on a 1x1 map
+        with pytest.raises(ConfigError, match="1x1 map at stage 4"):
+            TrainConfig(norm="in", image_size=34)
+        TrainConfig(norm="in", image_size=35)  # ends on 2x2
+        TrainConfig(norm="ln")
+
     def test_empty_training_set_rejected(self):
         with pytest.raises(ConfigError, match="train_size"):
             TrainConfig(norm="ln", train_size=0)
