@@ -39,7 +39,6 @@ from .tensor import (
     global_avg_pool,
     grad_enabled,
     mean,
-    moments,
     tsum,
 )
 from .training import TrainConfig, ce_label_smoothing, evaluate, train_loop
@@ -83,7 +82,6 @@ __all__ = [
     "make_stage_spec",
     "mean",
     "model_config",
-    "moments",
     "normalize_image_grid",
     "run_checks",
     "standardize",

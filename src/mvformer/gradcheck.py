@@ -22,6 +22,7 @@ from .tensor import Tensor, backward, square, tsum
 DEFAULT_STEP = 1e-3
 DEFAULT_TOLERANCE = 1e-3
 _FLOOR = 1e-4
+_MIN_RADIUS = 1e-6  # float64 roundoff on an O(1) loss stays far below tolerance here
 
 
 def relative_error(analytic, numeric):
@@ -41,7 +42,10 @@ def check_gradients(
     An estimate landing in the ambiguous band (>= tolerance/2) is
     re-measured at half, then quarter, radius: squared-ReLU kinks inside
     the probe window contaminate any fixed-step stencil, and shrinking the
-    window sharpens the measurement.  Refinement converges the numeric
+    window sharpens the measurement.  Below a quarter, halving goes on, down
+    to a radius of 1e-6, only while the estimate stays ambiguous and the
+    one-sided slopes at the window's two ends disagree by as much, the
+    mark of a (ReLU) kink still inside it.  Refinement converges the numeric
     estimate toward the true derivative, so it cannot mask a wrong
     backward rule: a real defect fails at every radius.
     """
@@ -61,7 +65,10 @@ def check_gradients(
             values.append(loss_fn().item())
         flat[idx] = orig
         f_ph, f_ph2, f_mh2, f_mh = values
-        return (8.0 * (f_ph2 - f_mh2) - (f_ph - f_mh)) / (6.0 * radius)
+        estimate = (8.0 * (f_ph2 - f_mh2) - (f_ph - f_mh)) / (6.0 * radius)
+        right, left = (f_ph - f_ph2) * 2.0 / radius, (f_mh2 - f_mh) * 2.0 / radius
+        kinked = relative_error(right, left) >= tolerance / 2
+        return estimate, kinked
 
     errors = {}
     for name, t in named_tensors:
@@ -73,12 +80,13 @@ def check_gradients(
         worst = 0.0
         for idx in idxs:
             a = float(analytic.reshape(-1)[idx])
-            err = relative_error(a, probe(flat, idx, h))
-            if err >= tolerance / 2:
-                for radius in (h / 2, h / 4):
-                    err = relative_error(a, probe(flat, idx, radius))
-                    if err < tolerance / 2:
-                        break
+            estimate, kinked = probe(flat, idx, h)
+            err = relative_error(a, estimate)
+            radius = h
+            while err >= tolerance / 2 and radius / 2 >= _MIN_RADIUS and (radius > h / 4 or kinked):
+                radius /= 2
+                estimate, kinked = probe(flat, idx, radius)
+                err = relative_error(a, estimate)
             worst = max(worst, err)
         errors[name] = worst
     return errors

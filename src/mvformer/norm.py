@@ -39,7 +39,8 @@ def standardize(x, axes, eps):
 
     Returns ``(y, mu, var)``: the standardized tensor and the mean and
     population variance as plain keepdims arrays.  ``y`` is bitwise equal to
-    ``div(sub(x, mu), sqrt(add(var, eps)))`` over ``moments(x, axes)``.
+    ``div(sub(x, mu), sqrt(add(var, eps)))`` with ``mu = mean(x, axes)`` and
+    ``var = mean(square(sub(x, mu)), axes)``.
     """
     mu, var = variance(x, axes)
     return normalize(x, axes, mu, sqrt(add(var, eps))), mu, var.data

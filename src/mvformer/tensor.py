@@ -109,9 +109,6 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 def _as_tensor(value, like=None):
     """Wrap python scalars as constant (1,1,1,1) tensors, matching dtype."""
@@ -316,20 +313,6 @@ def mean(x, axes=None):
     return _node(data, (x,), bw)
 
 
-def moments(x, axes):
-    """Mean and population variance over `axes`, both on the tape.
-
-    Variance divides by the element count (no Bessel correction), matching
-    the normalization layers that consume it.
-    """
-    axes = _norm_axes(x, axes)
-    if axes == ():
-        raise ShapeError("moments needs at least one reduction axis")
-    mu = mean(x, axes)
-    var = mean(square(sub(x, mu)), axes)
-    return mu, var
-
-
 def _mean_keep(a, axes, count):
     """``a.mean(axis=axes, keepdims=True)``, bitwise, without numpy's Python wrapper."""
     out = np.add.reduce(a, axis=axes, keepdims=True)
@@ -345,7 +328,7 @@ def variance(x, axes):
     is `x`.  The mean carries no tape link: the variance's gradient does not
     depend on it (centred values sum to zero), and `normalize` folds the
     mean's gradient into its own backward.  ``var`` is bitwise equal to
-    ``moments(x, axes)[1]``.
+    ``mean(square(sub(x, mean(x, axes))), axes)``.
     """
     axes = _norm_axes(x, axes)
     if axes == ():
@@ -477,11 +460,15 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
       ``_depthwise_unrolled``, one (h*w, h*w) map matrix per channel and one
       batched matmul per pass.  The matrix is then no bigger than the
       channel's batch data, so building it pays back within the call;
-    - the same with h*w > n: ``_depthwise``, shift-and-accumulate over
-      slices of the unpadded input.  On an h-row map with pad p, kernel row
-      u reaches data only for u in [max(0, p-h+1), min(kh, p+h)), likewise
-      for columns; other taps are skipped, and on both depthwise kernels
-      their weight gradient is exactly zero;
+    - the same with h*w > n: ``_depthwise_banded``, each kernel row lowered
+      to a band matrix along the width.  Output tiles of t = min(8, w)
+      columns read windows of t + kw - 1 padded columns over every kernel
+      row, copied into one column matrix and multiplied by a
+      (rows * (t + kw - 1), t) band per channel in one batched matmul;
+      k x 1 filters run on a transposed view.  On an h-row map with pad p, kernel row u reaches
+      data only for u in [max(0, p-h+1), min(kh, p+h)), likewise for
+      columns; both depthwise kernels skip the other taps, and their weight
+      gradient is exactly zero;
     - everything else (stem, downsample, grouped, strided): ``_general``,
       im2col and one batched matmul.
 
@@ -514,7 +501,7 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     if unit_stride and groups == 1 and kh == kw == 1 and ph == pw == 0:
         out, grads = _pointwise(x.data, w.data)
     elif unit_stride and groups == cin == cout and (hout, wout) == (h, wd):
-        depthwise = _depthwise_unrolled if h * wd <= n else _depthwise
+        depthwise = _depthwise_unrolled if h * wd <= n else _depthwise_banded
         out, grads = depthwise(x.data, w.data, ph, pw)
     else:
         out, grads = _general(x.data, w.data, (sh, sw), (ph, pw), groups, (hout, wout))
@@ -555,37 +542,82 @@ def _pointwise(x, w):
     return out, grads
 
 
-def _live_taps(k, pad, size):
-    """Kernel offsets that can reach data, each with its (output, input) slices."""
-    taps = []
-    for u in range(max(0, pad - size + 1), min(k, pad + size)):
-        d = u - pad
-        taps.append((u, slice(max(0, -d), size - max(0, d)), slice(max(0, d), size - max(0, -d))))
+_BAND_TILE = 8
+
+
+@functools.lru_cache(maxsize=64)
+def _band_table(rows, kw, t):
+    """Read-only (rows * span, t) gather table of a banded kernel, span = t + kw - 1.
+
+    Entry ``[l * span + j, o]`` is the flat tap ``l * kw + j - o`` that
+    carries column j of a tile's input window to its output column o through
+    kernel row l, else ``rows * kw`` (a zero slot).
+    """
+    d = np.arange(t + kw - 1)[:, None] - np.arange(t)
+    taps = np.where((d >= 0) & (d < kw), np.arange(rows)[:, None, None] * kw + d, rows * kw)
+    taps = taps.reshape(-1, t)
+    taps.flags.writeable = False
     return taps
 
 
-def _depthwise(x, w, ph, pw):
-    c, _, kh, kw = w.shape
-    rows = _live_taps(kh, ph, x.shape[2])
-    cols = _live_taps(kw, pw, x.shape[3])
-    wt = w.reshape(c, kh, kw, 1, 1)
-    out = np.zeros(x.shape, np.result_type(x, w))
-    for u, oy, iy in rows:
-        for v, ox, ix in cols:
-            out[:, :, oy, ox] += wt[:, u, v] * x[:, :, iy, ix]
+def _depthwise_banded(x, w, ph, pw):
+    n, c = x.shape[:2]
+    w_shape = w.shape
+    transposed = w.shape[2] > w.shape[3]  # k x 1: band along the rows instead
+    if transposed:
+        x, w, ph, pw = x.transpose(0, 1, 3, 2), w.transpose(0, 1, 3, 2), pw, ph
+    hh, ww = x.shape[2:]
+    kh, kw = w.shape[2:]
+    # taps outside these ranges only ever read padding; the crop is symmetric,
+    # so the cropped kernel is again a same-size conv, with pads p and q
+    r0, c0 = max(0, ph - hh + 1), max(0, pw - ww + 1)
+    wc = w.reshape(c, kh, kw)[:, r0 : kh - r0, c0 : kw - c0]
+    kr, kc = wc.shape[1:]
+    p, q = ph - r0, pw - c0
+    t = min(_BAND_TILE, ww)
+    nt = -(-ww // t)
+    span = t + kc - 1
+    table = _band_table(kr, kc, t)
+    dtype = np.result_type(x, w)
+
+    def columns(a):
+        """(c, n*hh*nt, kr*span) windows of `a`, zero-padded, one row per output tile."""
+        buf = np.zeros((c, n, hh + kr - 1, nt * t + kc - 1), dtype)
+        buf[:, :, p : p + hh, q : q + ww] = a.transpose(1, 0, 2, 3)
+        sc, sn, sr, se = buf.strides
+        windows = np.lib.stride_tricks.as_strided(
+            buf, (c, n, hh, nt, kr, span), (sc, sn, sr, se * t, sr, se), writeable=False
+        )
+        return windows.reshape(c, n * hh * nt, kr * span)
+
+    def apply(a, kernel):
+        """`a` cross-correlated with the (c, kr, kc) `kernel`, as (n, c, h, wd)."""
+        wz = np.zeros((c, kr * kc + 1), kernel.dtype)
+        wz[:, :-1] = kernel.reshape(c, -1)
+        o = np.matmul(columns(a), wz[:, table]).reshape(c, n, hh, nt * t)[..., :ww]
+        return np.ascontiguousarray(o.transpose(1, 0, 3, 2) if transposed else o.transpose(1, 0, 2, 3))
 
     def grads(g, need_x, need_w):
-        gx = np.zeros(x.shape, g.dtype) if need_x else None
-        gw = np.zeros(w.shape, g.dtype) if need_w else None
-        for u, oy, iy in rows:
-            for v, ox, ix in cols:
-                if need_x:
-                    gx[:, :, iy, ix] += wt[:, u, v] * g[:, :, oy, ox]
-                if need_w:
-                    gw[:, 0, u, v] = np.einsum("nchw,nchw->c", g[:, :, oy, ox], x[:, :, iy, ix])
+        if transposed:
+            g = g.transpose(0, 1, 3, 2)
+        gx = gw = None
+        if need_x:
+            gx = apply(g, wc[:, ::-1, ::-1])
+        if need_w:
+            gp = np.zeros((c, n, hh, nt * t), g.dtype)
+            gp[..., :ww] = g.transpose(1, 0, 2, 3)
+            gband = np.matmul(columns(x).transpose(0, 2, 1), gp.reshape(c, -1, t))
+            # tap (l, v) is the sum over o of band entry (l * span + o + v, o)
+            s0, e = gband.strides[0], gband.itemsize
+            diag = np.lib.stride_tricks.as_strided(
+                gband, (c, kr, kc, t), (s0, span * t * e, t * e, (t + 1) * e), writeable=False
+            )
+            gw = np.zeros(w_shape, g.dtype)
+            frame = gw.transpose(0, 1, 3, 2) if transposed else gw
+            frame[:, 0, r0 : kh - r0, c0 : kw - c0] = diag.sum(axis=3)
         return gx, gw
 
-    return out, grads
+    return apply(x, wc), grads
 
 
 @functools.lru_cache(maxsize=64)

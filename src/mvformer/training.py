@@ -283,6 +283,8 @@ def parse_data_overrides(text):
 
 def _batches(indices, batch_size):
     """Chunks of `batch_size`; a size-1 remainder joins the chunk before it."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     indices = np.asarray(indices)
     count = len(indices)
     starts = list(range(0, count, batch_size))

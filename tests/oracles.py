@@ -6,6 +6,8 @@ the library's fast paths.
 
 import numpy as np
 
+from mvformer.tensor import ShapeError, mean, square, sub
+
 
 def conv2d_oracle(x, w, b=None, stride=(1, 1), pad=(0, 0), groups=1):
     """Direct nested-loop cross-correlation."""
@@ -46,6 +48,18 @@ def moments_oracle(x, axes):
     mu = x.sum(axis=axes, keepdims=True) / count
     var = ((x - mu) ** 2).sum(axis=axes, keepdims=True) / count
     return mu, var
+
+
+def moments(x, axes):
+    """Mean and population variance over `axes` as tensors, from plain tape ops.
+
+    The unfused composite that ``tensor.variance`` records as one node.
+    Variance divides by the element count (no Bessel correction).
+    """
+    if not axes:
+        raise ShapeError("moments needs at least one reduction axis")
+    mu = mean(x, axes)
+    return mu, mean(square(sub(x, mu)), axes)
 
 
 def standardize_oracle(x, axes, eps):

@@ -19,7 +19,7 @@ from mvformer.mixer import make_stage_spec
 from mvformer.model import build_model, model_config
 from mvformer.norm import MultiViewNorm, batch_norm, instance_norm, layer_norm
 from mvformer.optim import AdamW
-from mvformer.tensor import Tensor, moments
+from mvformer.tensor import Tensor
 from mvformer.training import (
     TrainConfig,
     evaluate,
@@ -27,6 +27,7 @@ from mvformer.training import (
     resolve_model_config,
     run_training,
 )
+from oracles import moments
 
 
 def report(num, passed, detail):

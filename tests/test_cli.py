@@ -127,6 +127,14 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert "val_size must be >= 1" in err
 
+    @pytest.mark.parametrize("batch_size", ["-1", "0"])
+    def test_eval_nonpositive_batch_size_is_input_error(self, trained_run, capsys, batch_size):
+        rc = main(["eval", "--checkpoint", str(trained_run / "last.ckpt"), "--batch-size", batch_size])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"batch_size must be >= 1, got {batch_size}" in captured.err
+        assert "val_acc" not in captured.out
+
     def test_dump_alphas_fresh_checkpoint(self, tmp_path, capsys):
         out = tmp_path / "fresh"
         assert main(["train", "--out", str(out), "--epochs", "0"]) == 0

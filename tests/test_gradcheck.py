@@ -27,6 +27,27 @@ class TestCheckGradients:
         errs = check_gradients(lambda: tsum(bad_square(x)), [("x", x)])
         assert errs["x"] > 0.1
 
+    @staticmethod
+    def kinked(x, slope_scale=1.0):
+        """5 relu(x) + x^2, with its backward scaled by `slope_scale`."""
+        data = 5.0 * np.maximum(x.data, 0.0) + x.data * x.data
+
+        def bw(g, acc):
+            acc(x, slope_scale * (5.0 * (x.data > 0) + 2.0 * x.data) * g)
+
+        return _node(data, (x,), bw)
+
+    def test_kink_inside_quarter_radius_passes(self):
+        # the kink at 0 lies 1e-4 from the probe, inside the h/4 = 2.5e-4 window
+        x = Tensor(np.full((1, 1, 1, 1), 1e-4), requires_grad=True)
+        errs = check_gradients(lambda: tsum(self.kinked(x)), [("x", x)])
+        assert errs["x"] < 1e-6
+
+    def test_wrong_backward_beside_kink_detected(self):
+        x = Tensor(np.full((1, 1, 1, 1), 1e-4), requires_grad=True)
+        errs = check_gradients(lambda: tsum(self.kinked(x, slope_scale=1.01)), [("x", x)])
+        assert errs["x"] > 5e-3
+
     def test_float32_rejected(self):
         x = Tensor(np.ones((1, 1, 1, 1), dtype=np.float32), requires_grad=True)
         with pytest.raises(ValueError, match="float64"):

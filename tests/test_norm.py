@@ -16,8 +16,8 @@ from mvformer.norm import (
     standardize,
 )
 from mvformer import norm, tensor
-from mvformer.tensor import Tensor, add, backward, div, moments, mul, sqrt, sub, tsum, square
-from oracles import max_rel_err, moments_oracle, numeric_grad, standardize_oracle
+from mvformer.tensor import Tensor, add, backward, div, mul, sqrt, sub, tsum, square
+from oracles import max_rel_err, moments, moments_oracle, numeric_grad, standardize_oracle
 
 EPS = 1e-5
 TWO_POINT = 1.0 / np.sqrt(1.0 + EPS)  # normalized value of {0, 2} data

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvformer.tensor as tensor
-from oracles import conv2d_oracle, max_rel_err, moments_oracle, numeric_grad
+from oracles import conv2d_oracle, max_rel_err, moments, moments_oracle, numeric_grad
 from mvformer.tensor import (
     GraphError,
     ShapeError,
@@ -20,7 +20,6 @@ from mvformer.tensor import (
     global_avg_pool,
     grad_enabled,
     mean,
-    moments,
     mul,
     normalize,
     relu,
@@ -88,6 +87,15 @@ class TestConv2d:
             ((16, 3, 4, 4), (3, 1, 27, 1), (1, 1), (13, 0), 3),
             ((16, 3, 4, 4), (3, 1, 1, 27), (1, 1), (0, 13), 3),
             ((4, 3, 2, 2), (3, 1, 13, 1), (1, 1), (6, 0), 3),
+            # batch 1 on the banded kernel: the xT maps, a width that is not a
+            # multiple of the 8-column tile, and the no-stage-split stage-1 filters
+            ((1, 2, 56, 56), (2, 1, 7, 7), (1, 1), (3, 3), 2),
+            ((1, 2, 56, 56), (2, 1, 3, 3), (1, 1), (1, 1), 2),
+            ((1, 3, 13, 13), (3, 1, 7, 7), (1, 1), (3, 3), 3),
+            ((1, 2, 28, 28), (2, 1, 27, 1), (1, 1), (13, 0), 2),
+            ((1, 2, 28, 28), (2, 1, 1, 27), (1, 1), (0, 13), 2),
+            ((1, 1, 56, 56), (1, 1, 55, 1), (1, 1), (27, 0), 1),
+            ((1, 1, 56, 56), (1, 1, 1, 55), (1, 1), (0, 27), 1),
         ],
     )
     def test_against_nested_loop_oracle(self, shape, kernel, stride, pad, groups):
@@ -110,22 +118,22 @@ class TestConv2d:
         "shape,kernel,stride,pad,groups,path",
         [
             ((3, 5, 4, 6), (7, 5, 1, 1), 1, 0, 1, "_pointwise"),
-            ((2, 4, 8, 8), (4, 1, 7, 7), 1, 3, 4, "_depthwise"),
-            ((2, 3, 4, 4), (3, 1, 27, 1), 1, (13, 0), 3, "_depthwise"),
+            ((2, 4, 8, 8), (4, 1, 7, 7), 1, 3, 4, "_depthwise_banded"),
+            ((2, 3, 4, 4), (3, 1, 27, 1), 1, (13, 0), 3, "_depthwise_banded"),
             ((2, 3, 8, 8), (4, 3, 3, 3), 2, 1, 1, "_general"),  # downsample
             ((2, 4, 7, 7), (4, 1, 3, 3), 2, 1, 4, "_general"),  # strided depthwise
             ((2, 4, 6, 6), (4, 1, 3, 3), 1, 0, 4, "_general"),  # depthwise, output shrinks
             ((1, 6, 5, 5), (6, 3, 1, 1), 1, 0, 2, "_general"),  # grouped pointwise
             ((2, 3, 5, 5), (4, 3, 1, 1), 1, 1, 1, "_general"),  # padded 1x1
             ((4, 3, 2, 2), (3, 1, 3, 3), 1, 1, 3, "_depthwise_unrolled"),  # h*w == n
-            ((3, 3, 2, 2), (3, 1, 3, 3), 1, 1, 3, "_depthwise"),  # h*w == n + 1
+            ((3, 3, 2, 2), (3, 1, 3, 3), 1, 1, 3, "_depthwise_banded"),  # h*w == n + 1
             ((64, 4, 8, 8), (4, 1, 7, 7), 1, 3, 4, "_depthwise_unrolled"),
             ((2, 4, 1, 1), (4, 1, 7, 7), 1, 3, 4, "_depthwise_unrolled"),
         ],
     )
     def test_kernel_routing(self, monkeypatch, shape, kernel, stride, pad, groups, path):
         used = []
-        for name in ("_pointwise", "_depthwise", "_depthwise_unrolled", "_general"):
+        for name in ("_pointwise", "_depthwise_banded", "_depthwise_unrolled", "_general"):
             real = getattr(tensor, name)
             monkeypatch.setattr(tensor, name, lambda *a, _n=name, _f=real: used.append(_n) or _f(*a))
         out = conv2d(Tensor(np.ones(shape)), Tensor(np.ones(kernel)), stride=stride, pad=pad, groups=groups)
@@ -510,6 +518,10 @@ class TestConvFastPathGrads:
             ((16, 2, 4, 4), (2, 1, 7, 7), (3, 3), 2),
             ((16, 2, 4, 4), (2, 1, 1, 27), (0, 13), 2),
             ((3, 2, 1, 1), (2, 1, 7, 7), (3, 3), 2),
+            # n < h*w: the banded kernel, with two column tiles and on a k x 1 filter
+            ((1, 2, 9, 11), (2, 1, 7, 7), (3, 3), 2),
+            ((1, 2, 10, 5), (2, 1, 5, 1), (2, 0), 2),
+            ((2, 2, 6, 3), (2, 1, 13, 1), (6, 0), 2),
         ],
     )
     def test_grads_match_central_differences(self, shape, kernel, pad, groups):
@@ -536,6 +548,10 @@ class TestConvFastPathGrads:
             ((4, 3, 2, 2), (3, 1, 7, 7), (3, 3), slice(2, 5), slice(2, 5)),
             ((4, 3, 2, 2), (3, 1, 13, 1), (6, 0), slice(5, 8), slice(0, 1)),
             ((16, 2, 4, 4), (2, 1, 27, 1), (13, 0), slice(10, 17), slice(0, 1)),
+            # n < h*w: the banded kernel
+            ((1, 3, 2, 2), (3, 1, 7, 7), (3, 3), slice(2, 5), slice(2, 5)),
+            ((1, 3, 2, 2), (3, 1, 13, 1), (6, 0), slice(5, 8), slice(0, 1)),
+            ((1, 3, 3, 2), (3, 1, 1, 9), (0, 4), slice(0, 1), slice(3, 6)),
         ],
     )
     def test_dead_taps_get_exactly_zero_weight_grad(self, shape, kernel, pad, live_rows, live_cols):
