@@ -1,22 +1,25 @@
 """Batch, layer, and instance normalization, and their learnable fusion.
 
-All three normalizations share one stats path, `standardize`: the
-population variance over a reduction-axis set as one tape node
-(``tensor.variance``), ``sqrt(var + eps)`` from the ordinary ops, and the
-centre-and-divide as one node (``tensor.normalize``) whose backward folds
-in the mean's gradient.  The square root stays an ordinary op of this
-module, so the gradient along the std path is checked like any other (the
-benchmark's smoke test breaks ``norm.sqrt`` and expects the float64
-gradient check to notice).  Sharing the path means a one-hot fusion
-weight reproduces the corresponding single normalization bitwise.  The
-fused layer keeps three per-channel weight vectors (one per normalization
-view, initialized to ones) and applies a single channelwise affine after
-the weighted sum.
+Every view has the same stats path: the population variance over a
+reduction-axis set as one tape node (``tensor.variance``), then
+``sqrt(var + eps)`` from the ordinary ops.  The square root stays an
+ordinary op of this module, so the gradient along the std path is checked
+like any other (the benchmark's smoke test breaks ``norm.sqrt`` and expects
+the float64 gradient check to notice).  The centre-and-divide is
+``tensor.normalize``, one tape node whose backward folds in each mean's
+gradient: `standardize` passes it one view, and the fused layer passes it
+all three with their per-channel weights (initialized to ones) and the
+single channelwise affine applied after the weighted sum.  A training
+``MultiViewNorm`` therefore records 10 tape nodes: three variances, three
+``add``/``sqrt`` pairs and the one ``normalize``.  Each element is computed
+in the order of the unfused ops, so a one-hot fusion weight reproduces the
+corresponding single normalization bitwise.
 
 Batch normalization is the only statful view: training mode normalizes
 with batch statistics and updates per-channel running mean/variance;
-inference mode normalizes with the frozen running values.  Running
-variance is stored biased (divide by count), like the batch statistic.
+inference mode normalizes with the frozen running values, which
+``normalize`` takes as constants (``axes=()``).  Running variance is
+stored biased (divide by count), like the batch statistic.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .module import Module
-from .tensor import Tensor, add, div, mul, normalize, sqrt, sub, variance
+from .tensor import Tensor, add, mul, normalize, sqrt, variance
 
 DEFAULT_EPS = 1e-5
 DEFAULT_MOMENTUM = 0.1
@@ -32,6 +35,12 @@ DEFAULT_MOMENTUM = 0.1
 
 class DegenerateInputError(ValueError):
     """Normalization over a reduction extent too small to carry statistics."""
+
+
+def _stats(x, axes, eps):
+    """``(mu, var, std)`` over `axes`: mean and variance as plain keepdims arrays, std on the tape."""
+    mu, var = variance(x, axes)
+    return mu, var.data, sqrt(add(var, eps))
 
 
 def standardize(x, axes, eps):
@@ -42,8 +51,25 @@ def standardize(x, axes, eps):
     ``div(sub(x, mu), sqrt(add(var, eps)))`` with ``mu = mean(x, axes)`` and
     ``var = mean(square(sub(x, mu)), axes)``.
     """
-    mu, var = variance(x, axes)
-    return normalize(x, axes, mu, sqrt(add(var, eps))), mu, var.data
+    mu, var, std = _stats(x, axes, eps)
+    return normalize(x, [(axes, mu, std, None)]), mu, var
+
+
+def _batch_view(x, state, training):
+    """``(axes, mu, std)`` of `batch_norm` for `normalize`; running values have ``axes=()``."""
+    n, c, h, w = x.shape
+    if not training:
+        rv = Tensor(state.run_var.reshape(1, c, 1, 1))
+        return (), state.run_mean.reshape(1, c, 1, 1), sqrt(add(rv, state.eps))
+    if n * h * w < 2:
+        raise DegenerateInputError(
+            f"batch_norm: batch statistics need n*h*w >= 2 per channel, got {n}*{h}*{w}"
+        )
+    mu, var, std = _stats(x, (0, 2, 3), state.eps)
+    m = state.momentum
+    state.set_buffer("run_mean", (1.0 - m) * state.run_mean + m * mu.reshape(c))
+    state.set_buffer("run_var", (1.0 - m) * state.run_var + m * var.reshape(c))
+    return (0, 2, 3), mu, std
 
 
 def batch_norm(x, state, training):
@@ -54,26 +80,17 @@ def batch_norm(x, state, training):
     statistics over (n, h, w) per channel and folds them into the running
     values; inference mode uses the running values as constants.
     """
-    n, c, h, w = x.shape
-    if training:
-        if n * h * w < 2:
-            raise DegenerateInputError(
-                f"batch_norm: batch statistics need n*h*w >= 2 per channel, got {n}*{h}*{w}"
-            )
-        out, mu, var = standardize(x, (0, 2, 3), state.eps)
-        m = state.momentum
-        state.set_buffer("run_mean", (1.0 - m) * state.run_mean + m * mu.reshape(c))
-        state.set_buffer("run_var", (1.0 - m) * state.run_var + m * var.reshape(c))
-        return out
-    rm = Tensor(state.run_mean.reshape(1, c, 1, 1))
-    rv = Tensor(state.run_var.reshape(1, c, 1, 1))
-    return div(sub(x, rm), sqrt(add(rv, state.eps)))
+    return normalize(x, [(*_batch_view(x, state, training), None)])
+
+
+def _require_channels(x):
+    if x.shape[1] < 2:
+        raise DegenerateInputError(f"layer_norm: needs C >= 2 channels, got {x.shape[1]}")
 
 
 def layer_norm(x, eps=DEFAULT_EPS):
     """Per-pixel standardization across channels (pre-affine)."""
-    if x.shape[1] < 2:
-        raise DegenerateInputError(f"layer_norm: needs C >= 2 channels, got {x.shape[1]}")
+    _require_channels(x)
     return standardize(x, (1,), eps)[0]
 
 
@@ -140,7 +157,8 @@ class MultiViewNorm(Module):
 
     y = gamma * (w_bn * x_bn + w_ln * x_ln + w_in * x_in) + beta, with all
     three view weights initialized to one and unconstrained during training
-    (they may go negative).  The affine is applied once, after the sum.
+    (they may go negative).  The affine is applied once, after the sum, and
+    the whole sum is one ``normalize`` node.
 
     The instance view degrades gracefully on 1x1 feature maps: its centered
     numerator is exactly zero there, so it contributes nothing rather than
@@ -171,11 +189,13 @@ class MultiViewNorm(Module):
     def forward(self, x, training=False):
         if x.shape[1] != self.channels:
             raise ValueError(f"norm built for {self.channels} channels, input has {x.shape[1]}")
-        x_bn = batch_norm(x, self, training)
-        x_ln = layer_norm(x, self.eps)
-        x_in = standardize(x, (2, 3), self.eps)[0]  # unguarded: zero contribution at 1x1
-        mixed = add(add(mul(x_bn, self.alpha_bn), mul(x_ln, self.alpha_ln)), mul(x_in, self.alpha_in))
-        return apply_affine(mixed, self.gamma, self.beta)
+        views = [(*_batch_view(x, self, training), self.alpha_bn)]
+        _require_channels(x)
+        # the instance view is unguarded: zero contribution at 1x1
+        for axes, alpha in (((1,), self.alpha_ln), ((2, 3), self.alpha_in)):
+            mu, _, std = _stats(x, axes, self.eps)
+            views.append((axes, mu, std, alpha))
+        return normalize(x, views, self.gamma, self.beta)
 
 
 def make_norm(kind, channels, eps=DEFAULT_EPS, momentum=DEFAULT_MOMENTUM):

@@ -5,7 +5,8 @@ height, width) float array with an optional gradient slot.  Scalars are
 shape ``(1, 1, 1, 1)``, per-channel vectors ``(1, C, 1, 1)``, convolution
 kernels ``(c_out, c_in/groups, kh, kw)``.  Ops record their inputs and a
 backward rule on the produced tensor; ``backward(loss)`` materializes the
-tape in topological order and accumulates gradients into the leaves.
+tape in topological order, accumulates gradients into the leaves and
+consumes the tape as it goes.
 Inside ``with grad_enabled(False):`` ops compute the same arrays but link
 no tape, so their outputs hold no parents and no backward closures.
 
@@ -27,7 +28,7 @@ class ShapeError(ValueError):
 
 
 class GraphError(RuntimeError):
-    """Backward called on a non-scalar loss or a detached graph."""
+    """Backward called on a non-scalar loss, a detached graph or a consumed one."""
 
 
 _FLOAT_DTYPES = (np.float32, np.float64)
@@ -118,7 +119,7 @@ def _as_tensor(value, like=None):
     return Tensor.scalar(value, dtype=dtype)
 
 
-_grad_on = True  # read by _node; set only through grad_enabled
+_grad_on = True  # read by _node and normalize; set only through grad_enabled
 
 
 @contextlib.contextmanager
@@ -161,7 +162,40 @@ def _unbroadcast(grad, shape):
     if grad.shape == shape:
         return grad
     axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
-    return grad.sum(axis=axes, keepdims=True)
+    return _sum_keep(grad, axes)
+
+
+@functools.lru_cache(maxsize=64)
+def _ones(n, dtype):
+    """Read-only vector of `n` ones: the summing operand of `_sum_keep`'s products."""
+    v = np.ones(n, dtype)
+    v.flags.writeable = False
+    return v
+
+
+def _sum_keep(a, axes):
+    """``np.add.reduce(a, axis=axes, keepdims=True)`` of a rank-4 array, as a fresh array.
+
+    Every keepdims sum in this module goes through here, so an op and the
+    composite of ops it fuses sum alike.  On a non-empty C-contiguous `a`,
+    the four patterns the model uses, (2, 3), (1,), (0, 2, 3) and (0,), are
+    BLAS matrix-vector products with a vector of ones, several times faster
+    than numpy's multi-axis reduce at the model's shapes; summing over an
+    extent of one is a copy.  Every other case is ``np.add.reduce``.
+    """
+    if not a.size or not a.flags.c_contiguous or axes not in ((2, 3), (1,), (0, 2, 3), (0,)):
+        return np.add.reduce(a, axis=axes, keepdims=True)
+    n, c, h, w = a.shape
+    keep = tuple(1 if i in axes else d for i, d in enumerate(a.shape))
+    if axes == (1,):
+        out = a.copy() if c == 1 else np.matmul(_ones(c, a.dtype), a.reshape(n, c, h * w))
+        return out.reshape(keep)
+    if axes != (0,):  # (2, 3) or (0, 2, 3): sum each map first
+        a = a.copy() if h * w == 1 else np.matmul(a.reshape(n * c, h * w), _ones(h * w, a.dtype))
+        if axes == (2, 3):
+            return a.reshape(keep)
+    out = a.copy() if n == 1 else np.matmul(_ones(n, a.dtype), a.reshape(n, -1))
+    return out.reshape(keep)
 
 
 # -- elementwise ops ---------------------------------------------------------
@@ -174,8 +208,10 @@ def add(a, b):
     data = a.data + b.data
 
     def bw(g, acc):
-        acc(a, _unbroadcast(g, a.shape))
-        acc(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            acc(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            acc(b, _unbroadcast(g, b.shape))
 
     return _node(data, (a, b), bw)
 
@@ -187,8 +223,10 @@ def sub(a, b):
     data = a.data - b.data
 
     def bw(g, acc):
-        acc(a, _unbroadcast(g, a.shape))
-        acc(b, _unbroadcast(-g, b.shape))
+        if a.requires_grad:
+            acc(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            acc(b, _unbroadcast(-g, b.shape))
 
     return _node(data, (a, b), bw)
 
@@ -284,7 +322,7 @@ def _norm_axes(x, axes):
 def tsum(x, axes=None):
     """Sum over `axes` (all by default); result keeps rank 4."""
     axes = _norm_axes(x, axes)
-    data = x.data.sum(axis=axes, keepdims=True)
+    data = _sum_keep(x.data, axes)
 
     def bw(g, acc):
         acc(x, np.broadcast_to(g, x.shape))
@@ -305,7 +343,7 @@ def mean(x, axes=None):
     count = _count(x.shape, axes)
     if count == 0:
         raise ShapeError(f"mean over empty extent (axes {axes} of shape {x.shape})")
-    data = x.data.mean(axis=axes, keepdims=True)
+    data = _mean_keep(x.data, axes, count)
 
     def bw(g, acc):
         acc(x, np.broadcast_to(g / count, x.shape))
@@ -314,8 +352,8 @@ def mean(x, axes=None):
 
 
 def _mean_keep(a, axes, count):
-    """``a.mean(axis=axes, keepdims=True)``, bitwise, without numpy's Python wrapper."""
-    out = np.add.reduce(a, axis=axes, keepdims=True)
+    """Keepdims mean of `a` over `axes` (`count` elements each), by `_sum_keep`."""
+    out = _sum_keep(a, axes)
     out /= count
     return out
 
@@ -349,31 +387,88 @@ def variance(x, axes):
     return mu, _node(data, (x,), bw)
 
 
-def normalize(x, axes, mu, std):
-    """(x - mu) / std, recorded as one tape node on `x` and `std`.
+def normalize(x, views, gamma=None, beta=None):
+    """``gamma * sum_v weight_v * (x - mu_v) / std_v + beta``, recorded as one tape node.
 
-    `mu` is the mean of `x` over `axes` as a plain keepdims array (as
-    `variance` returns it) and `std` a keepdims tensor.  The backward folds
-    the mean's gradient in: `x` receives ``(g - mean(g)) / std`` and `std`
-    receives ``-sum(g * y) / std``, both over `axes`; only the output ``y``
-    and ``std`` are kept, not `x`.  ``y`` is bitwise equal to
-    ``div(sub(x, mu), std)``.
+    Each view is ``(axes, mu, std, weight)``: `mu` is the mean of `x` over
+    `axes` as a plain keepdims array (as `variance` returns it), `std` a
+    keepdims tensor and `weight` a tensor or None.  ``axes=()`` marks
+    constant statistics (batch norm's running values at inference): `mu` is
+    then any broadcastable array.  `gamma` and `beta` are optional tensors.
+
+    Each element is computed as subtract, divide, times the weight, summed
+    over the views left to right, then times gamma plus beta, so one view
+    without weight or affine is bitwise ``div(sub(x, mu), std)``.  The
+    backward folds each mean's gradient in: with ``d_v = g * gamma *
+    weight_v``, `x` receives ``sum_v (d_v - mean(d_v)) / std_v`` (means over
+    the view's axes, none for ``axes=()``), ``std_v`` receives
+    ``-sum(d_v * y_v) / std_v`` with ``y_v = (x - mu_v) / std_v``, and the
+    weights, gamma and beta their product-rule sums.  Each ``y_v`` and the
+    weighted sum are kept, not `x`.  Without a tape the views go through one
+    scratch buffer into the output and nothing is kept.
     """
-    axes = _norm_axes(x, axes)
-    count = _count(x.shape, axes)
-    s = std.data
-    y = x.data - mu
-    y /= s
+    views = [(_norm_axes(x, axes), mu, std, w) for axes, mu, std, w in views]
+    parents = [x] + [t for _, _, std, w in views for t in (std, w) if t is not None]
+    parents += [t for t in (gamma, beta) if t is not None]
+    tape = _grad_on and any(p.requires_grad for p in parents)
+    s = scratch = None
+    ys = []
+    for axes, mu, std, w in views:
+        if tape or s is None:
+            y = x.data - mu
+        else:
+            if scratch is None:
+                scratch = np.empty_like(s)
+            y = np.subtract(x.data, mu, out=scratch)
+        y /= std.data
+        if tape:
+            ys.append(y)
+            t = y if w is None else y * w.data
+        else:
+            t = y if w is None else np.multiply(y, w.data, out=y)
+        if s is None:  # a kept, unweighted y must not become the running sum
+            s = t.copy() if t is y and tape and len(views) > 1 else t
+        else:
+            s += t
+    out = s
+    if gamma is not None:
+        out = out * gamma.data if tape else np.multiply(out, gamma.data, out=out)
+    if beta is not None:
+        out = out + beta.data if tape and out is s else np.add(out, beta.data, out=out)
 
     def bw(g, acc):
-        gx = g - _mean_keep(g, axes, count)
-        gx /= s
-        acc(x, gx)
-        gs = np.add.reduce(g * y, axis=axes, keepdims=True)
-        gs /= s
-        acc(std, -gs)
+        if beta is not None and beta.requires_grad:
+            acc(beta, _unbroadcast(g, beta.shape))
+        if gamma is not None:
+            if gamma.requires_grad:
+                acc(gamma, _unbroadcast(g * s, gamma.shape))
+            g = g * gamma.data
+        gx = None
+        for (axes, _, std, w), y in zip(views, ys):
+            if w is None:
+                d = g
+            else:
+                if w.requires_grad:
+                    acc(w, _unbroadcast(g * y, w.shape))
+                d = g * w.data
+            if std.requires_grad:
+                gs = _unbroadcast(d * y, std.shape)
+                gs /= std.data
+                acc(std, np.negative(gs, out=gs))
+            if x.requires_grad:
+                if axes:
+                    d = d - _mean_keep(d, axes, _count(x.shape, axes))
+                    d /= std.data
+                else:
+                    d = d / std.data
+                if gx is None:
+                    gx = d
+                else:
+                    gx += d
+        if gx is not None:
+            acc(x, gx)
 
-    return _node(y, (x, std), bw)
+    return _node(out, parents, bw)
 
 
 def global_avg_pool(x):
@@ -512,7 +607,7 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
 
     def bw(g, acc):
         if b is not None and b.requires_grad:
-            acc(b, g.sum(axis=(0, 2, 3), keepdims=True))
+            acc(b, _sum_keep(g, (0, 2, 3)))
         gx, gw = grads(g, x.requires_grad, w.requires_grad)
         if gw is not None:
             acc(w, gw)
@@ -745,12 +840,19 @@ def _topo_order(root):
     return order
 
 
+def _consumed(g, acc):
+    raise GraphError("graph already consumed: backward has run through this node")
+
+
 def backward(loss):
     """Populate gradients of every reachable leaf with d(loss)/d(leaf).
 
     `loss` must be a scalar on the tape.  Leaf gradients accumulate across
     calls; intermediate gradients are dropped.
-    Gradient arrays are never mutated in place.
+    Gradient arrays are never mutated in place.  The tape is consumed: once
+    a node's backward rule has run, the node drops its inputs and rule, so
+    the arrays they held are freed as the pass proceeds, and a second
+    backward through that node raises ``GraphError``.
     """
     if loss.size != 1:
         raise GraphError(f"backward needs a scalar loss; got shape {loss.shape}")
@@ -774,5 +876,7 @@ def backward(loss):
             raise GraphError("tape node visited without a gradient (graph inconsistency)")
         if node._backward is not None:
             node._backward(g, acc)
+            node._parents = ()
+            node._backward = _consumed
         else:
             node.grad = g if node.grad is None else node.grad + g

@@ -373,12 +373,14 @@ def train_loop(model, dataset, cfg, out_dir):
                     raise NumericsError(
                         f"non-finite loss at epoch {epoch}; last checkpoint kept at {last_path}"
                     )
+                pred = np.argmax(logits.data, axis=1).reshape(-1)
+                del logits  # nothing may hold this step's tape into the next forward
                 backward(loss)
+                del loss
                 lr = cosine_lr(step, total_steps, warmup_steps, cfg.base_lr)
                 opt.step(lr)
                 step += 1
                 loss_sum += loss_value * len(chunk)
-                pred = np.argmax(logits.data, axis=1).reshape(-1)
                 correct += int((pred == labels).sum())
                 seen += len(chunk)
             val_acc = evaluate(model, dataset, dataset.val_indices, cfg.batch_size)

@@ -6,7 +6,8 @@ the library's fast paths.
 
 import numpy as np
 
-from mvformer.tensor import ShapeError, mean, square, sub
+from mvformer.norm import apply_affine
+from mvformer.tensor import ShapeError, Tensor, add, div, mean, mul, sqrt, square, sub
 
 
 def conv2d_oracle(x, w, b=None, stride=(1, 1), pad=(0, 0), groups=1):
@@ -60,6 +61,28 @@ def moments(x, axes):
         raise ShapeError("moments needs at least one reduction axis")
     mu = mean(x, axes)
     return mu, mean(square(sub(x, mu)), axes)
+
+
+def mvn_oracle(layer, x, training):
+    """`MultiViewNorm.forward` as a composite of plain tape ops, one node per op.
+
+    Each view is ``div(sub(x, mu), sqrt(add(var, eps)))`` with `moments`
+    statistics (batch norm at inference uses the running values), the views
+    are weighted by `mul` and summed by `add` left to right, and
+    `apply_affine` follows: the unfused form of the one `normalize` node
+    the layer records.  It reads the layer's parameters and buffers and
+    updates nothing.  The instance view is unguarded, as in the layer.
+    """
+    c = x.shape[1]
+    if training:
+        mu, var = moments(x, (0, 2, 3))
+    else:
+        mu, var = Tensor(layer.run_mean.reshape(1, c, 1, 1)), Tensor(layer.run_var.reshape(1, c, 1, 1))
+    mixed = mul(div(sub(x, mu), sqrt(add(var, layer.eps))), layer.alpha_bn)
+    for axes, alpha in (((1,), layer.alpha_ln), ((2, 3), layer.alpha_in)):
+        mu, var = moments(x, axes)
+        mixed = add(mixed, mul(div(sub(x, mu), sqrt(add(var, layer.eps))), alpha))
+    return apply_affine(mixed, layer.gamma, layer.beta)
 
 
 def standardize_oracle(x, axes, eps):

@@ -16,8 +16,8 @@ from mvformer.norm import (
     standardize,
 )
 from mvformer import norm, tensor
-from mvformer.tensor import Tensor, add, backward, div, mul, sqrt, sub, tsum, square
-from oracles import max_rel_err, moments, moments_oracle, numeric_grad, standardize_oracle
+from mvformer.tensor import Tensor, add, backward, div, grad_enabled, mul, sqrt, sub, tsum, square
+from oracles import max_rel_err, moments, moments_oracle, mvn_oracle, numeric_grad, standardize_oracle
 
 EPS = 1e-5
 TWO_POINT = 1.0 / np.sqrt(1.0 + EPS)  # normalized value of {0, 2} data
@@ -227,6 +227,55 @@ class TestApplyAffine:
             )
 
 
+MVN_PARAMS = ("alpha_bn", "alpha_ln", "alpha_in", "gamma", "beta")
+
+
+def random_mvn(c, dtype, rng):
+    """An MVN layer with random weights, affine and running statistics."""
+    layer = MultiViewNorm(c).cast_(dtype)
+    for name in MVN_PARAMS:
+        getattr(layer, name).data = rng.normal(size=(1, c, 1, 1)).astype(dtype)
+    layer.set_buffer("run_mean", rng.normal(size=c))
+    layer.set_buffer("run_var", rng.uniform(0.5, 2.0, size=c))
+    return layer
+
+
+class TestMultiViewNormOracle:
+    SHAPES = [(3, 5, 4, 6), (4, 6, 1, 1)]  # on 1x1 maps the instance view contributes zero
+
+    @pytest.mark.parametrize("tape", [True, False])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_forward_bitwise_equals_oracle(self, shape, dtype, training, tape):
+        rng = np.random.default_rng(41)
+        layer = random_mvn(shape[1], dtype, rng)
+        x = Tensor(rng.normal(1.0, 2.0, size=shape).astype(dtype), requires_grad=True)
+        want = mvn_oracle(layer, x, training).data
+        with grad_enabled(tape):
+            got = layer.forward(x, training=training)
+        assert got.requires_grad == tape
+        assert got.dtype == dtype and np.array_equal(got.data, want)
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_grads_match_oracle_tape(self, shape, training):
+        rng = np.random.default_rng(42)
+        layer = random_mvn(shape[1], np.float64, rng)
+        data, w = rng.normal(size=shape), Tensor(rng.normal(size=shape))
+
+        def grads(forward):
+            layer.zero_grad()
+            x = Tensor(data.copy(), requires_grad=True)
+            backward(tsum(mul(forward(x), w)))
+            return [x.grad] + [getattr(layer, name).grad for name in MVN_PARAMS]
+
+        got = grads(lambda x: layer.forward(x, training=training))
+        want = grads(lambda x: mvn_oracle(layer, x, training))
+        for name, a, b in zip(("x",) + MVN_PARAMS, got, want):
+            assert max_rel_err(a, b, floor=1e-12) < 1e-9, name
+
+
 def one_hot_mvn(c, which):
     layer = MultiViewNorm(c)
     for name in ("alpha_bn", "alpha_ln", "alpha_in"):
@@ -323,7 +372,7 @@ class TestMultiViewNorm:
             out.data, only_bn_ln.forward(x, training=True).data, rtol=1e-6, atol=1e-6
         )
 
-    def test_training_tape_has_nineteen_op_nodes(self):
+    def test_training_tape_has_ten_op_nodes(self):
         rng = np.random.default_rng(15)
         x = Tensor(rng.normal(size=(2, 4, 3, 3)).astype(np.float32), requires_grad=True)
         out = MultiViewNorm(4).forward(x, training=True)
@@ -336,9 +385,24 @@ class TestMultiViewNorm:
             if t._parents:
                 ops.append(t)
             stack.extend(t._parents)
-        # 3 views of variance, add eps, sqrt, normalize; 3 alpha muls, 2 adds, the affine mul + add
-        assert len(ops) == 19
-        assert sum(t._parents[0] is x for t in ops) == 6  # the only full-size reads of x
+        # 3 views of variance, add eps, sqrt; one normalize for the weighted sum and the affine
+        assert len(ops) == 10
+        assert sum(t._parents[0] is x for t in ops) == 4  # the only full-size reads of x
+
+    def test_inference_gradients_match_finite_differences(self):
+        """Frozen batch statistics are constants: x gets no mean fold through that view."""
+        rng = np.random.default_rng(16)
+        layer = random_mvn(4, np.float64, rng)
+        x = Tensor(rng.uniform(-1, 1, size=(2, 4, 3, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=x.shape))
+
+        def loss():
+            return tsum(mul(layer.forward(x, training=False), w))
+
+        backward(loss())
+        for name in ("x",) + MVN_PARAMS:
+            t = x if name == "x" else getattr(layer, name)
+            assert max_rel_err(t.grad, numeric_grad(lambda: loss().item(), t.data, h=1e-5)) < 1e-6, name
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="channels"):

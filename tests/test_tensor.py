@@ -205,7 +205,7 @@ class TestVarianceNormalize:
         mu, var = variance(x, axes)
         assert np.array_equal(mu, mu_t.data) and np.array_equal(var.data, var_t.data)
         std = sqrt(add(var, 1e-5))
-        y = normalize(x, axes, mu, std)
+        y = normalize(x, [(axes, mu, std, None)])
         assert y.dtype == dtype
         assert np.array_equal(y.data, div(sub(x, mu_t), std).data)
 
@@ -226,7 +226,7 @@ class TestVarianceNormalize:
         std = Tensor(rng.uniform(0.5, 2.0, size=s_shape), requires_grad=True)
 
         def norm_loss():  # the mean is recomputed, as `normalize` requires
-            return tsum(mul(normalize(x, axes, x.data.mean(axis=axes, keepdims=True), std), w))
+            return tsum(mul(normalize(x, [(axes, x.data.mean(axis=axes, keepdims=True), std, None)]), w))
 
         def var_loss():
             return tsum(mul(variance(x, axes)[1], std))
@@ -242,7 +242,7 @@ class TestVarianceNormalize:
         x = Tensor(np.arange(24.0).reshape(2, 3, 2, 2), requires_grad=True)
         mu, var = variance(x, (1,))
         std = sqrt(add(var, 1e-5))
-        y = normalize(x, (1,), mu, std)
+        y = normalize(x, [((1,), mu, std, None)])
         assert isinstance(mu, np.ndarray) and var._parents == (x,)
         assert y._parents == (x, std)
 
@@ -254,6 +254,30 @@ class TestVarianceNormalize:
     def test_empty_axes_rejected(self):
         with pytest.raises(ShapeError, match="at least one"):
             variance(Tensor(np.ones((1, 2, 3, 3))), ())
+
+
+class TestSumKeep:
+    AXES = [(2, 3), (1,), (0, 2, 3), (0,), (0, 1, 2, 3), (1, 2), (3,), ()]
+    SHAPES = [(4, 5, 3, 6), (1, 5, 3, 6), (4, 5, 1, 1), (1, 1, 1, 1)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("axes", AXES)
+    def test_matches_add_reduce(self, axes, shape, dtype):
+        rng = np.random.default_rng(31)
+        n, c, h, w = shape
+        inputs = {
+            "contiguous": rng.normal(size=shape).astype(dtype),
+            "broadcast": np.broadcast_to(rng.normal(size=(1, c, h, w)).astype(dtype), shape),
+            "transposed": rng.normal(size=(n, c, w, h)).astype(dtype).transpose(0, 1, 3, 2),
+        }
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        for kind, a in inputs.items():
+            got = tensor._sum_keep(a, axes)
+            want = np.add.reduce(a, axis=axes, keepdims=True)
+            assert got.shape == want.shape and got.dtype == dtype, kind
+            assert (np.abs(got - want) <= tol * np.add.reduce(np.abs(a), axis=axes, keepdims=True)).all(), kind
+            assert got.flags.writeable and not np.shares_memory(got, a), kind
 
 
 class TestSplitConcat:
@@ -395,6 +419,18 @@ class TestBackward:
         x = Tensor(np.ones((1, 1, 1, 1)))
         with pytest.raises(GraphError, match="detached"):
             backward(tsum(x))
+
+    def test_second_backward_on_consumed_graph_raises(self):
+        x = Tensor(np.full((1, 1, 2, 2), 2.0), requires_grad=True)
+        y = square(x)
+        loss = tsum(y)
+        backward(loss)
+        assert loss._parents == () and y._parents == ()  # the tape is freed
+        with pytest.raises(GraphError, match="consumed"):
+            backward(loss)
+        with pytest.raises(GraphError, match="consumed"):
+            backward(tsum(y))  # a fresh loss over a consumed node
+        assert np.array_equal(x.grad, np.full((1, 1, 2, 2), 4.0))  # from the first pass only
 
     @pytest.mark.parametrize(
         "build",
