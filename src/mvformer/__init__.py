@@ -23,7 +23,6 @@ from .module import Module, Param
 from .norm import (
     MultiViewNorm,
     PlainNorm,
-    apply_affine,
     batch_norm,
     instance_norm,
     layer_norm,
@@ -60,7 +59,6 @@ __all__ = [
     "TokenMixer",
     "TrainConfig",
     "ablate_spec",
-    "apply_affine",
     "backward",
     "batch_norm",
     "build_model",

@@ -11,6 +11,7 @@ construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ class SyntheticSpec:
             raise ValueError(f"train_size must be >= 0, got {self.train_size}")
         if self.val_size < 1:
             raise ValueError(f"val_size must be >= 1, got {self.val_size}")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
 
 
 def _stripes(rng, yy, xx, band, horizontal):

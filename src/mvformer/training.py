@@ -23,7 +23,7 @@ from .optim import AdamW, NumericsError, cosine_lr
 from .tensor import Tensor, backward, exp, log, mul, sub, tsum
 
 
-# -- loss / metrics -----------------------------------------------------------
+# -- loss -----------------------------------------------------------
 
 
 def ce_label_smoothing(logits, targets, smoothing=0.0):
@@ -48,11 +48,6 @@ def ce_label_smoothing(logits, targets, smoothing=0.0):
     shifted = sub(logits, Tensor(shift))
     logp = sub(shifted, log(tsum(exp(shifted), (1,))))
     return mul(tsum(mul(Tensor(q), logp)), -1.0 / n)
-
-
-def accuracy(logits, targets):
-    pred = np.argmax(logits.data if isinstance(logits, Tensor) else logits, axis=1).reshape(-1)
-    return float((pred == np.asarray(targets)).mean())
 
 
 # -- configuration ----------------------------------------------------------------
@@ -107,6 +102,10 @@ class TrainConfig:
             raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.batch_size < 1 or self.epochs < 0 or self.train_size < 1:
             raise ConfigError("batch_size and train_size must be >= 1 and epochs >= 0")
+        for name in ("base_lr", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if self.norm in ("mvn", "bn") and min(self.batch_size, self.train_size) < 2:
             raise ConfigError(
                 f"norm {self.norm!r} draws batch statistics: batch_size ({self.batch_size}) "

@@ -6,7 +6,6 @@ the library's fast paths.
 
 import numpy as np
 
-from mvformer.norm import apply_affine
 from mvformer.tensor import ShapeError, Tensor, add, div, mean, mul, sqrt, square, sub
 
 
@@ -61,6 +60,16 @@ def moments(x, axes):
         raise ShapeError("moments needs at least one reduction axis")
     mu = mean(x, axes)
     return mu, mean(square(sub(x, mu)), axes)
+
+
+def apply_affine(x, gamma, beta):
+    """Per-channel ``add(mul(x, gamma), beta)``: the unfused affine of the norm layers."""
+    if gamma.shape[1] != x.shape[1] or beta.shape[1] != x.shape[1]:
+        raise ValueError(
+            f"affine length mismatch: gamma {gamma.shape[1]}, beta {beta.shape[1]}, "
+            f"input channels {x.shape[1]}"
+        )
+    return add(mul(x, gamma), beta)
 
 
 def mvn_oracle(layer, x, training):

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mvformer.checkpoint import (
     CheckpointFormatError,
@@ -18,6 +20,7 @@ from mvformer.data import SyntheticDataset, SyntheticSpec
 from mvformer.model import build_model, model_config
 from mvformer.optim import AdamW
 from mvformer.tensor import Tensor
+from mutations import byte_mutations
 
 
 def trained_pair(seed=0):
@@ -199,3 +202,35 @@ class TestAtomicWrite:
         assert read_meta(path) == {"train.epoch": "1"}
         load_checkpoint(path, build_model(model_config("micro", num_classes=4), seed=3), opt2)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["last.ckpt"]
+
+
+class TestFuzz:
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        """A small valid file: every dtype code, ranks 0, 1, 2 and 4, and a meta block."""
+        path = tmp_path_factory.mktemp("fuzz") / "valid.ckpt"
+        write_arrays(path, {
+            "param/w": np.arange(6, dtype=np.float32).reshape(2, 3),
+            "buffer/b": np.linspace(-1.0, 1.0, 4),
+            "opt/step": np.asarray([3], dtype=np.int64),
+            "scalar": np.float32(2.5).reshape(()),
+            "param/k": np.ones((1, 2, 1, 2), dtype=np.float32),
+            "meta": np.frombuffer(b"model.norm=mvn\ndata.seed=0\n", dtype=np.uint8).copy(),
+        })
+        return path.read_bytes()
+
+    def test_valid_file_reads(self, valid, tmp_path):
+        path = tmp_path / "v.ckpt"
+        path.write_bytes(valid)
+        assert read_meta(path) == {"model.norm": "mvn", "data.seed": "0"}
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_file_raises_only_named_errors(self, valid, tmp_path, data):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(data.draw(byte_mutations(valid)))
+        try:
+            read_arrays(path)
+            read_meta(path)
+        except (CheckpointFormatError, CheckpointIntegrityError):
+            pass

@@ -121,6 +121,32 @@ class TestTrainEval:
         assert "1x1 map at stage 4" in capsys.readouterr().err
         assert not list(out.glob("*.ckpt")) and not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize(
+        "section,line,message",
+        [
+            ("data", "noise = -0.1", "noise must be finite and >= 0, got -0.1"),
+            ("data", "noise = nan", "noise must be finite and >= 0, got nan"),
+            ("train", "base_lr = nan", "base_lr must be finite and >= 0, got nan"),
+            ("train", "base_lr = -1", "base_lr must be finite and >= 0, got -1.0"),
+            ("train", "weight_decay = nan", "weight_decay must be finite and >= 0, got nan"),
+        ],
+    )
+    def test_train_bad_value_writes_nothing(self, tmp_path, capsys, section, line, message):
+        cfg = tmp_path / "bad.cfg"
+        base = "[train]\nepochs = 2\nwarmup_epochs = 1\n[data]\ntrain_size = 64\nval_size = 32\n"
+        cfg.write_text(f"{base}[{section}]\n{line}\n")
+        out = tmp_path / "bad_run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(out.glob("*.ckpt")) and not (out / "metrics.csv").exists()
+
+    def test_eval_negative_noise_is_input_error(self, trained_run, capsys):
+        rc = main(["eval", "--checkpoint", str(trained_run / "last.ckpt"), "--data", "noise=-1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "noise must be finite and >= 0, got -1.0" in captured.err
+        assert "val_acc" not in captured.out
+
     def test_eval_empty_validation_split_is_input_error(self, trained_run, capsys):
         rc = main(["eval", "--checkpoint", str(trained_run / "last.ckpt"), "--data", "val_size=-5"])
         assert rc == 2

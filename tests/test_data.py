@@ -91,6 +91,12 @@ class TestShapesAndRanges:
             SyntheticSpec(train_size=-3)
         assert list(make_ds(train_size=0, val_size=2).train_indices) == []
 
+    @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf")])
+    def test_bad_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise must be finite and >= 0"):
+            SyntheticSpec(noise=noise)
+        SyntheticSpec(noise=0.0)
+
     @pytest.mark.parametrize("val_size", [0, -5])
     def test_empty_validation_split_rejected(self, val_size):
         with pytest.raises(ValueError, match="val_size must be >= 1"):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mvformer.imageio import ImageFormatError, read_pgm, read_ppm, write_pgm, write_ppm
+from mutations import byte_mutations
 
 
 class TestRoundTrips:
@@ -69,3 +72,23 @@ class TestGuards:
             write_ppm(tmp_path / "x.ppm", np.zeros((4, 4), dtype=np.uint8))
         with pytest.raises(ImageFormatError, match="h, w"):
             write_pgm(tmp_path / "x.pgm", np.zeros((4, 4, 3), dtype=np.uint8))
+
+
+VALID_PPM = b"P6\n# a comment\n4 3\n255\n" + bytes(range(36))
+
+
+class TestFuzz:
+    def test_valid_file_reads(self, tmp_path):
+        path = tmp_path / "v.ppm"
+        path.write_bytes(VALID_PPM)
+        assert read_ppm(path).shape == (3, 4, 3)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_file_raises_only_named_errors(self, tmp_path, data):
+        path = tmp_path / "m.ppm"
+        path.write_bytes(data.draw(byte_mutations(VALID_PPM)))
+        try:
+            read_ppm(path)
+        except ImageFormatError:
+            pass

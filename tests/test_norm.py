@@ -9,7 +9,6 @@ from mvformer.norm import (
     DegenerateInputError,
     MultiViewNorm,
     PlainNorm,
-    apply_affine,
     batch_norm,
     instance_norm,
     layer_norm,
@@ -17,7 +16,7 @@ from mvformer.norm import (
 )
 from mvformer import norm, tensor
 from mvformer.tensor import Tensor, add, backward, div, grad_enabled, mul, sqrt, sub, tsum, square
-from oracles import max_rel_err, moments, moments_oracle, mvn_oracle, numeric_grad, standardize_oracle
+from oracles import apply_affine, max_rel_err, moments, moments_oracle, mvn_oracle, numeric_grad, standardize_oracle
 
 EPS = 1e-5
 TWO_POINT = 1.0 / np.sqrt(1.0 + EPS)  # normalized value of {0, 2} data
@@ -25,6 +24,20 @@ TWO_POINT = 1.0 / np.sqrt(1.0 + EPS)  # normalized value of {0, 2} data
 
 def bn_state(c):
     return PlainNorm(c, "bn")
+
+
+def op_nodes(out):
+    """Grad-requiring tape nodes reachable from `out` that have parents (the recorded ops)."""
+    seen, stack, ops = set(), [out], []
+    while stack:
+        t = stack.pop()
+        if id(t) in seen or not t.requires_grad:
+            continue
+        seen.add(id(t))
+        if t._parents:
+            ops.append(t)
+        stack.extend(t._parents)
+    return ops
 
 
 class TestStandardize:
@@ -227,6 +240,97 @@ class TestApplyAffine:
             )
 
 
+def random_plain(kind, c, dtype, rng):
+    """A plain norm layer with random affine and, for bn, random running statistics."""
+    layer = PlainNorm(c, kind).cast_(dtype)
+    for name in ("gamma", "beta"):
+        getattr(layer, name).data = rng.normal(size=(1, c, 1, 1)).astype(dtype)
+    if kind == "bn":
+        layer.set_buffer("run_mean", rng.normal(size=c))
+        layer.set_buffer("run_var", rng.uniform(0.5, 2.0, size=c))
+    return layer
+
+
+def plain_composite(layer, x, training):
+    """The functional norm of the layer's kind, then the unfused oracle affine."""
+    if layer.kind == "bn":
+        y = batch_norm(x, layer, training)
+    else:
+        y = (layer_norm if layer.kind == "ln" else instance_norm)(x, layer.eps)
+    return apply_affine(y, layer.gamma, layer.beta)
+
+
+class TestPlainNorm:
+    KINDS = ("bn", "ln", "in")
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_forward_bitwise_equals_composite(self, kind, dtype, training):
+        data = np.random.default_rng(31).normal(1.0, 2.0, size=(3, 5, 4, 6)).astype(dtype)
+        layer, twin = (random_plain(kind, 5, dtype, np.random.default_rng(32)) for _ in range(2))
+        got = layer.forward(Tensor(data, requires_grad=True), training=training)
+        want = plain_composite(twin, Tensor(data, requires_grad=True), training)
+        assert got.dtype == dtype and np.array_equal(got.data, want.data)
+        for (name, a), (_, b) in zip(layer.named_buffers(), twin.named_buffers()):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_grads_match_composite_tape(self, kind, training):
+        rng = np.random.default_rng(33)
+        layer = random_plain(kind, 5, np.float64, rng)
+        data, w = rng.normal(size=(3, 5, 4, 6)), Tensor(rng.normal(size=(3, 5, 4, 6)))
+
+        def grads(forward):
+            layer.zero_grad()
+            x = Tensor(data.copy(), requires_grad=True)
+            backward(tsum(mul(forward(x), w)))
+            return x.grad, layer.gamma.grad, layer.beta.grad
+
+        got = grads(lambda x: layer.forward(x, training=training))
+        want = grads(lambda x: plain_composite(layer, x, training))
+        for name, a, b in zip(("x", "gamma", "beta"), got, want):
+            assert max_rel_err(a, b, floor=1e-12) < 1e-9, name
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_training_tape_has_four_op_nodes(self, kind):
+        x = Tensor(np.random.default_rng(34).normal(size=(2, 4, 3, 3)).astype(np.float32), requires_grad=True)
+        ops = op_nodes(PlainNorm(4, kind).forward(x, training=True))
+        # variance, add eps, sqrt, and one normalize carrying the affine
+        assert len(ops) == 4
+        assert sum(t._parents[0] is x for t in ops) == 2  # variance and normalize
+
+    @pytest.mark.parametrize(
+        "make,params,buffers",
+        [
+            (lambda: MultiViewNorm(4), ["alpha_bn", "alpha_ln", "alpha_in", "gamma", "beta"], ["run_mean", "run_var"]),
+            (lambda: PlainNorm(4, "bn"), ["gamma", "beta"], ["run_mean", "run_var"]),
+            (lambda: PlainNorm(4, "ln"), ["gamma", "beta"], []),
+            (lambda: PlainNorm(4, "in"), ["gamma", "beta"], []),
+        ],
+        ids=["mvn", "bn", "ln", "in"],
+    )
+    def test_registered_names_in_order(self, make, params, buffers):
+        """Checkpoints key on these names, in this order."""
+        layer = make()
+        assert [name for name, _ in layer.named_parameters()] == params
+        assert [name for name, _ in layer.named_buffers()] == buffers
+
+    @pytest.mark.parametrize(
+        "kind,shape,match",
+        [("bn", (1, 3, 1, 1), "n\\*h\\*w"), ("ln", (2, 1, 3, 3), "C >= 2"), ("in", (2, 3, 1, 1), "h\\*w")],
+    )
+    def test_degenerate_extent_rejected(self, kind, shape, match):
+        layer = PlainNorm(shape[1], kind)
+        with pytest.raises(DegenerateInputError, match=match):
+            layer.forward(Tensor(np.ones(shape, dtype=np.float32)), training=True)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown norm kind"):
+            PlainNorm(4, "gn")
+
+
 MVN_PARAMS = ("alpha_bn", "alpha_ln", "alpha_in", "gamma", "beta")
 
 
@@ -375,16 +479,7 @@ class TestMultiViewNorm:
     def test_training_tape_has_ten_op_nodes(self):
         rng = np.random.default_rng(15)
         x = Tensor(rng.normal(size=(2, 4, 3, 3)).astype(np.float32), requires_grad=True)
-        out = MultiViewNorm(4).forward(x, training=True)
-        seen, stack, ops = set(), [out], []
-        while stack:
-            t = stack.pop()
-            if id(t) in seen or not t.requires_grad:
-                continue
-            seen.add(id(t))
-            if t._parents:
-                ops.append(t)
-            stack.extend(t._parents)
+        ops = op_nodes(MultiViewNorm(4).forward(x, training=True))
         # 3 views of variance, add eps, sqrt; one normalize for the weighted sum and the affine
         assert len(ops) == 10
         assert sum(t._parents[0] is x for t in ops) == 4  # the only full-size reads of x
@@ -403,6 +498,13 @@ class TestMultiViewNorm:
         for name in ("x",) + MVN_PARAMS:
             t = x if name == "x" else getattr(layer, name)
             assert max_rel_err(t.grad, numeric_grad(lambda: loss().item(), t.data, h=1e-5)) < 1e-6, name
+
+    def test_single_channel_rejected_after_batch_view(self):
+        """The layer view's guard fires after the batch view has folded in its statistics."""
+        layer = MultiViewNorm(1)
+        with pytest.raises(DegenerateInputError, match="C >= 2"):
+            layer.forward(Tensor(np.arange(18, dtype=np.float32).reshape(2, 1, 3, 3)), training=True)
+        np.testing.assert_allclose(layer.run_mean, [0.1 * 8.5], rtol=1e-6)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="channels"):

@@ -141,6 +141,13 @@ image_size = 32
         TrainConfig(norm="in", image_size=35)  # ends on 2x2
         TrainConfig(norm="ln")
 
+    @pytest.mark.parametrize("field", ["base_lr", "weight_decay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_optimizer_rates_finite_and_nonnegative(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite and >= 0"):
+            TrainConfig(**{field: value})
+        TrainConfig(**{field: 0.0})
+
     def test_empty_training_set_rejected(self):
         with pytest.raises(ConfigError, match="train_size"):
             TrainConfig(norm="ln", train_size=0)
