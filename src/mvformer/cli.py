@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -72,17 +73,8 @@ def _cmd_ablate_count(args):
 
 def _cmd_train(args):
     cfg = parse_config(args.config) if args.config else TrainConfig()
-    overrides = {}
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.preset is not None:
-        overrides["preset"] = args.preset
-    if overrides:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, **overrides)
+    flags = {name: getattr(args, name) for name in ("epochs", "seed", "preset")}
+    cfg = replace(cfg, **{name: value for name, value in flags.items() if value is not None})
     print(f"seed: {cfg.seed}")
     history = run_training(cfg, args.out)
     if history:

@@ -92,27 +92,23 @@ def check_gradients(
     return errors
 
 
-def _randomize(module, rng, scale=0.3):
-    """Replace parameter values with healthy-scale noise for conditioning."""
-    for _, p in module.named_parameters():
+def _check_layer(layer, rng, scale, samples_per_param, **forward_kwargs):
+    """Check `layer` in float64 under a sum-of-squares loss on a (2, 8, 5, 5) input
+    named ``x``; its parameters are redrawn at a healthy `scale` for conditioning."""
+    for _, p in layer.cast_(np.float64).named_parameters():
         p.tensor.data = rng.normal(0.0, scale, p.tensor.shape)
-
-
-def _sum_squares(out):
-    return tsum(square(out))
+    x = Tensor(rng.uniform(-1.0, 1.0, (2, 8, 5, 5)), requires_grad=True)
+    named = [("x", x)] + [(n, p.tensor) for n, p in layer.named_parameters()]
+    return check_gradients(
+        lambda: tsum(square(layer.forward(x, **forward_kwargs))), named,
+        samples_per_param=samples_per_param, rng=rng,
+    )
 
 
 def check_mvn(seed=0, samples_per_param=4):
     """Gradients of the multi-view norm (training-mode batch statistics)."""
     rng = np.random.default_rng(seed)
-    layer = MultiViewNorm(8).cast_(np.float64)
-    _randomize(layer, rng, scale=0.5)
-    x = Tensor(rng.uniform(-1.0, 1.0, (2, 8, 5, 5)), requires_grad=True)
-    named = [("x", x)] + [(n, p.tensor) for n, p in layer.named_parameters()]
-    return check_gradients(
-        lambda: _sum_squares(layer.forward(x, training=True)), named,
-        samples_per_param=samples_per_param, rng=rng,
-    )
+    return _check_layer(MultiViewNorm(8), rng, 0.5, samples_per_param, training=True)
 
 
 def check_mvtm(seed=0, samples_per_param=4):
@@ -120,15 +116,8 @@ def check_mvtm(seed=0, samples_per_param=4):
     rng = np.random.default_rng(seed)
     errors = {}
     for stage in (1, 2, 3, 4):
-        mixer = TokenMixer(make_stage_spec(stage, 8), rng).cast_(np.float64)
-        _randomize(mixer, rng, scale=0.3)
-        x = Tensor(rng.uniform(-1.0, 1.0, (2, 8, 5, 5)), requires_grad=True)
-        named = [("x", x)] + [(n, p.tensor) for n, p in mixer.named_parameters()]
-        errs = check_gradients(
-            lambda: _sum_squares(mixer.forward(x)), named,
-            samples_per_param=samples_per_param, rng=rng,
-        )
-        for name, err in errs.items():
+        mixer = TokenMixer(make_stage_spec(stage, 8), rng)
+        for name, err in _check_layer(mixer, rng, 0.3, samples_per_param).items():
             errors[f"stage{stage}.{name}"] = err
     return errors
 
@@ -136,16 +125,8 @@ def check_mvtm(seed=0, samples_per_param=4):
 def check_block(seed=0, samples_per_param=4):
     """Gradients of a full residual block (stage-3 geometry, res-scaled)."""
     rng = np.random.default_rng(seed)
-    blk = Block(
-        make_stage_spec(3, 8), "mvn", mlp_ratio=2, use_res_scale=True, drop_prob=0.0, rng=rng
-    ).cast_(np.float64)
-    _randomize(blk, rng, scale=0.3)
-    x = Tensor(rng.uniform(-1.0, 1.0, (2, 8, 5, 5)), requires_grad=True)
-    named = [("x", x)] + [(n, p.tensor) for n, p in blk.named_parameters()]
-    return check_gradients(
-        lambda: _sum_squares(blk.forward(x, training=True)), named,
-        samples_per_param=samples_per_param, rng=rng,
-    )
+    blk = Block(make_stage_spec(3, 8), "mvn", mlp_ratio=2, use_res_scale=True, drop_prob=0.0, rng=rng)
+    return _check_layer(blk, rng, 0.3, samples_per_param, training=True)
 
 
 def check_model(seed=0, samples_per_param=2):

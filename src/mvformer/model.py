@@ -86,6 +86,8 @@ class ModelConfig:
         if len(self.embed_dims) != 4 or len(self.depths) != 4:
             raise ConfigError("embed_dims and depths must have one entry per stage (4)")
         for d in self.embed_dims:
+            if d < 2:
+                raise ConfigError(f"embed dims must be >= 2, got {d}")
             if d % 2:
                 raise ConfigError(f"embed dims must be even for the channel split, got {d}")
         for d in self.depths:

@@ -94,6 +94,8 @@ class TrainConfig:
     noise: float = 0.05
 
     def __post_init__(self):
+        if self.warmup_epochs < 0:
+            raise ConfigError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
         if self.epochs > 0 and self.warmup_epochs >= self.epochs:
             raise ConfigError(
                 f"warmup_epochs ({self.warmup_epochs}) must be < epochs ({self.epochs})"
@@ -178,102 +180,80 @@ def parse_config(path):
         return parse_config_text(f.read())
 
 
+# Every config key's parser, whatever its section (the data spec's seed is [train] seed).
+_PARSERS = {key: parse for section in _SCHEMA.values() for key, parse in section.items()}
+
+# The SyntheticSpec fields a run sets, in metadata order; all are TrainConfig fields too.
+_DATA_KEYS = ("classes", "image_size", "noise", "seed", "train_size", "val_size")
+
+# (metadata key, ModelConfig field, parser), in metadata order.  Every key is
+# required but model.ablation, which is written only when set.
+_MODEL_META = (
+    ("model.embed_dims", "embed_dims", _int_tuple),
+    ("model.depths", "depths", _int_tuple),
+    ("model.mlp_ratio", "mlp_ratio", int),
+    ("model.num_classes", "num_classes", int),
+    ("model.norm", "block_norm", str),
+    ("model.drop_path_rate", "drop_path_rate", float),
+    ("model.ablation", "ablation", str),
+)
+
+
 def resolve_model_config(cfg):
-    overrides = {"num_classes": cfg.classes, "block_norm": cfg.norm}
-    if cfg.drop_path_rate is not None:
-        overrides["drop_path_rate"] = cfg.drop_path_rate
-    if cfg.embed_dims is not None:
-        overrides["embed_dims"] = cfg.embed_dims
-    if cfg.depths is not None:
-        overrides["depths"] = cfg.depths
-    return model_config(cfg.preset, **overrides)
+    overrides = {
+        name: getattr(cfg, name)
+        for name in ("drop_path_rate", "embed_dims", "depths")
+        if getattr(cfg, name) is not None
+    }
+    return model_config(cfg.preset, num_classes=cfg.classes, block_norm=cfg.norm, **overrides)
 
 
 def resolve_data_spec(cfg):
-    return SyntheticSpec(
-        classes=cfg.classes,
-        image_size=cfg.image_size,
-        noise=cfg.noise,
-        seed=cfg.seed,
-        train_size=cfg.train_size,
-        val_size=cfg.val_size,
-    )
+    return SyntheticSpec(**{key: getattr(cfg, key) for key in _DATA_KEYS})
 
 
 # -- checkpoint metadata ----------------------------------------------------------
 
 
 def model_meta(mc):
-    meta = {
-        "model.embed_dims": ",".join(str(d) for d in mc.embed_dims),
-        "model.depths": ",".join(str(d) for d in mc.depths),
-        "model.mlp_ratio": str(mc.mlp_ratio),
-        "model.num_classes": str(mc.num_classes),
-        "model.norm": mc.block_norm,
-        "model.drop_path_rate": repr(mc.drop_path_rate),
-    }
-    if mc.ablation:
-        meta["model.ablation"] = mc.ablation
+    meta = {}
+    for key, field, parse in _MODEL_META:
+        value = getattr(mc, field)
+        if value is not None:
+            meta[key] = ",".join(map(str, value)) if parse is _int_tuple else str(value)
     return meta
 
 
 def model_from_meta(meta):
-    return ModelConfig(
-        embed_dims=_int_tuple(meta["model.embed_dims"]),
-        depths=_int_tuple(meta["model.depths"]),
-        mlp_ratio=int(meta["model.mlp_ratio"]),
-        num_classes=int(meta["model.num_classes"]),
-        block_norm=meta["model.norm"],
-        drop_path_rate=float(meta["model.drop_path_rate"]),
-        ablation=meta.get("model.ablation"),
-    )
+    """ModelConfig from checkpoint metadata; a missing required key raises KeyError."""
+    return ModelConfig(**{
+        field: parse(meta[key])
+        for key, field, parse in _MODEL_META
+        if key in meta or key != "model.ablation"
+    })
 
 
 def data_meta(spec):
-    return {
-        "data.classes": str(spec.classes),
-        "data.image_size": str(spec.image_size),
-        "data.noise": repr(spec.noise),
-        "data.seed": str(spec.seed),
-        "data.train_size": str(spec.train_size),
-        "data.val_size": str(spec.val_size),
-    }
+    return {f"data.{key}": str(getattr(spec, key)) for key in _DATA_KEYS}
 
 
 def data_from_meta(meta, overrides=None):
+    """SyntheticSpec from metadata; a missing key takes the spec's default."""
     fields = {
-        "classes": int(meta.get("data.classes", 4)),
-        "image_size": int(meta.get("data.image_size", 32)),
-        "noise": float(meta.get("data.noise", 0.05)),
-        "seed": int(meta.get("data.seed", 0)),
-        "train_size": int(meta.get("data.train_size", 512)),
-        "val_size": int(meta.get("data.val_size", 256)),
+        key: _PARSERS[key](meta[f"data.{key}"]) for key in _DATA_KEYS if f"data.{key}" in meta
     }
-    if overrides:
-        fields.update(overrides)
-    return SyntheticSpec(**fields)
+    return SyntheticSpec(**{**fields, **(overrides or {})})
 
 
 def parse_data_overrides(text):
     """'classes=4,image_size=32' -> typed override dict for SyntheticSpec."""
-    types = {
-        "classes": int,
-        "image_size": int,
-        "noise": float,
-        "seed": int,
-        "train_size": int,
-        "val_size": int,
-    }
     out = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
+    for item in filter(None, (part.strip() for part in text.split(","))):
         key, eq, value = item.partition("=")
         key = key.strip()
-        if not eq or key not in types:
-            raise ConfigError(f"bad data spec item {item!r}; keys: {sorted(types)}")
-        out[key] = types[key](value.strip())
+        if not eq or key not in _DATA_KEYS:
+            raise ConfigError(f"bad data spec item {item!r}; keys: {list(_DATA_KEYS)}")
+        out[key] = _PARSERS[key](value.strip())
     return out
 
 

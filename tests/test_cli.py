@@ -129,6 +129,9 @@ class TestTrainEval:
             ("train", "base_lr = nan", "base_lr must be finite and >= 0, got nan"),
             ("train", "base_lr = -1", "base_lr must be finite and >= 0, got -1.0"),
             ("train", "weight_decay = nan", "weight_decay must be finite and >= 0, got nan"),
+            ("train", "warmup_epochs = -1", "warmup_epochs must be >= 0, got -1"),
+            ("model", "embed_dims = 0,8,16,32", "embed dims must be >= 2, got 0"),
+            ("model", "embed_dims = -2,8,16,32", "embed dims must be >= 2, got -2"),
         ],
     )
     def test_train_bad_value_writes_nothing(self, tmp_path, capsys, section, line, message):
@@ -152,6 +155,26 @@ class TestTrainEval:
         assert rc == 2
         err = capsys.readouterr().err
         assert "val_size must be >= 1" in err
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (
+                "classes=4,colour=red",
+                "bad data spec item 'colour=red'; keys: "
+                "['classes', 'image_size', 'noise', 'seed', 'train_size', 'val_size']",
+            ),
+            ("val_size", "bad data spec item 'val_size'; keys: ['classes'"),
+            ("classes=four", "invalid literal for int() with base 10: 'four'"),
+            ("noise=lots", "could not convert string to float: 'lots'"),
+        ],
+    )
+    def test_eval_bad_data_item_is_input_error(self, trained_run, capsys, data, message):
+        rc = main(["eval", "--checkpoint", str(trained_run / "last.ckpt"), "--data", data])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "val_acc" not in captured.out
 
     @pytest.mark.parametrize("batch_size", ["-1", "0"])
     def test_eval_nonpositive_batch_size_is_input_error(self, trained_run, capsys, batch_size):

@@ -7,17 +7,22 @@ import pytest
 
 import mvformer.training as training
 from oracles import numeric_grad
-from mvformer.checkpoint import load_checkpoint
-from mvformer.data import SyntheticDataset
-from mvformer.mixer import ConfigError
-from mvformer.model import build_model, model_config
+from mvformer.checkpoint import load_checkpoint, read_arrays
+from mvformer.data import SyntheticDataset, SyntheticSpec
+from mvformer.mixer import ABLATION_MODES, ConfigError
+from mvformer.model import NORM_KINDS, PRESETS, build_model, model_config
 from mvformer.optim import NumericsError
 from mvformer.tensor import Tensor, backward
 from mvformer.training import (
     TrainConfig,
     ce_label_smoothing,
+    data_from_meta,
+    data_meta,
     evaluate,
+    model_from_meta,
+    model_meta,
     parse_config_text,
+    parse_data_overrides,
     resolve_data_spec,
     resolve_model_config,
     run_training,
@@ -156,6 +161,78 @@ image_size = 32
         cfg = parse_config_text("[model]\npreset = micro\nembed_dims = 4,8,16,32\ndepths = 1,1,1,1\n")
         mc = resolve_model_config(cfg)
         assert mc.embed_dims == (4, 8, 16, 32) and mc.depths == (1, 1, 1, 1)
+
+
+PLAIN_META = (
+    "model.embed_dims=8,16,32,64\nmodel.depths=1,1,2,1\nmodel.mlp_ratio=4\nmodel.num_classes=4\n"
+    "model.norm=mvn\nmodel.drop_path_rate=0.0\n"
+    "data.classes=4\ndata.image_size=32\ndata.noise=0.05\ndata.seed=7\n"
+    "data.train_size=32\ndata.val_size=16\ntrain.seed=7\ntrain.epoch=0\n"
+)
+ABLATED_META = (
+    "model.embed_dims=8,16,32,64\nmodel.depths=1,1,2,1\nmodel.mlp_ratio=4\nmodel.num_classes=3\n"
+    "model.norm=ln\nmodel.drop_path_rate=0.1\nmodel.ablation=drop-global\n"
+    "data.classes=3\ndata.image_size=40\ndata.noise=0.125\ndata.seed=7\n"
+    "data.train_size=32\ndata.val_size=16\ntrain.seed=7\ntrain.epoch=0\n"
+)
+
+
+class TestRunMetadata:
+    """The checkpoint's ``meta`` entry is what eval and dump-alphas rebuild a run from."""
+
+    CFG = TrainConfig(epochs=0, warmup_epochs=0, train_size=32, val_size=16, seed=7)
+
+    @pytest.mark.parametrize(
+        "mc,spec,expected",
+        [
+            (resolve_model_config(CFG), resolve_data_spec(CFG), PLAIN_META),
+            (
+                model_config(
+                    "micro", num_classes=3, block_norm="ln", drop_path_rate=0.1,
+                    ablation="drop-global",
+                ),
+                SyntheticSpec(classes=3, image_size=40, noise=0.125, seed=7, train_size=32, val_size=16),
+                ABLATED_META,
+            ),
+        ],
+        ids=["plain", "ablated"],
+    )
+    def test_checkpoint_meta_bytes(self, tmp_path, mc, spec, expected):
+        train_loop(build_model(mc, seed=7), SyntheticDataset(spec), self.CFG, tmp_path)
+        for name in ("last.ckpt", "best.ckpt"):
+            assert read_arrays(tmp_path / name)["meta"].tobytes() == expected.encode()
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_model_meta_round_trip(self, preset):
+        for norm in NORM_KINDS:
+            for ablation in (None,) + ABLATION_MODES:
+                mc = model_config(preset, block_norm=norm, ablation=ablation)
+                assert model_from_meta(model_meta(mc)) == mc
+
+    def test_missing_required_model_key_is_key_error(self):
+        meta = model_meta(model_config("micro"))
+        del meta["model.mlp_ratio"]
+        with pytest.raises(KeyError, match="model.mlp_ratio"):
+            model_from_meta(meta)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [SyntheticSpec(), SyntheticSpec(classes=7, image_size=48, noise=0.1, seed=3, train_size=0, val_size=9)],
+    )
+    def test_data_meta_round_trip(self, spec):
+        assert data_from_meta(data_meta(spec)) == spec
+
+    def test_missing_data_keys_take_spec_defaults(self):
+        assert data_from_meta({}) == SyntheticSpec()
+        assert data_from_meta({"data.seed": "4"}) == SyntheticSpec(seed=4)
+        assert data_from_meta({"data.seed": "4"}, {"seed": 5, "noise": 0.5}) == SyntheticSpec(
+            seed=5, noise=0.5
+        )
+
+    def test_data_overrides_are_typed(self):
+        assert parse_data_overrides(" classes=6, noise=0.25,,seed = 2") == {
+            "classes": 6, "noise": 0.25, "seed": 2
+        }
 
 
 class TestTrainLoop:
