@@ -173,36 +173,52 @@ def read_meta(path):
 
 
 def load_checkpoint(path, model, opt=None):
-    """Restore parameters, buffers, and optimizer state in place; returns meta."""
+    """Restore parameters, buffers, and optimizer state in place; returns meta.
+
+    Every entry is checked before anything is written, so a rejected file
+    leaves the model and the optimizer as they were.  Optimizer moments are
+    copied into the optimizer's own arrays (``opt.m[name]`` and
+    ``opt.v[name]`` are views into its flat store).
+    """
     arrays = read_arrays(path)
-    for name, p in model.named_parameters():
-        key = f"param/{name}"
-        if key not in arrays:
-            raise CheckpointFormatError(f"checkpoint lacks parameter {name!r}")
-        stored = arrays[key]
-        if stored.shape != p.data.shape:
-            raise CheckpointFormatError(
-                f"parameter {name!r}: checkpoint shape {stored.shape} != model shape {p.data.shape}"
-            )
+    params = [
+        (p, _entry(arrays, f"param/{name}", f"parameter {name!r}", p.data.shape))
+        for name, p in model.named_parameters()
+    ]
+    buffers = [
+        (name, _entry(arrays, f"buffer/{name}", f"buffer {name!r}", buf.shape))
+        for name, buf in model.named_buffers()
+    ]
+    moments = []
+    if opt is not None:
+        step = _entry(arrays, "opt/step", "optimizer step count", (1,))
+        for kind, store in (("m", opt.m), ("v", opt.v)):
+            for name, _ in opt.named_params:
+                key, view = f"opt/{kind}/{name}", store[name]
+                moments.append((view, _entry(arrays, key, f"entry {key!r}", view.shape)))
+        opt.check_params()
+    for p, stored in params:
         p.tensor.data = stored.astype(p.data.dtype, copy=False)
         p.tensor.grad = None
-    for name, buf in model.named_buffers():
-        key = f"buffer/{name}"
-        if key not in arrays:
-            raise CheckpointFormatError(f"checkpoint lacks buffer {name!r}")
-        stored = arrays[key]
-        if stored.shape != buf.shape:
-            raise CheckpointFormatError(
-                f"buffer {name!r}: checkpoint shape {stored.shape} != model shape {buf.shape}"
-            )
+    for name, stored in buffers:
         owner, leaf = _resolve_buffer(model, name)
         owner.set_buffer(leaf, stored)
     if opt is not None:
-        opt.step_count = int(arrays["opt/step"][0])
-        for name, _ in opt.named_params:
-            opt.m[name] = arrays[f"opt/m/{name}"].copy()
-            opt.v[name] = arrays[f"opt/v/{name}"].copy()
+        opt.step_count = int(step[0])
+        for view, stored in moments:
+            np.copyto(view, stored)
     return _meta_from_bytes(arrays["meta"]) if "meta" in arrays else {}
+
+
+def _entry(arrays, key, label, shape):
+    if key not in arrays:
+        raise CheckpointFormatError(f"checkpoint lacks {label}")
+    stored = arrays[key]
+    if stored.shape != shape:
+        raise CheckpointFormatError(
+            f"{label}: checkpoint shape {stored.shape} != model shape {shape}"
+        )
+    return stored
 
 
 def _resolve_buffer(module, qualified):

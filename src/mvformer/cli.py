@@ -95,6 +95,7 @@ def _cmd_eval(args):
             args.preset,
             num_classes=int(meta["model.num_classes"]),
             block_norm=meta.get("model.norm", "mvn"),
+            ablation=meta.get("model.ablation"),
         )
     else:
         mc = model_from_meta(meta)

@@ -250,10 +250,13 @@ def parse_data_overrides(text):
     out = {}
     for item in filter(None, (part.strip() for part in text.split(","))):
         key, eq, value = item.partition("=")
-        key = key.strip()
+        key, value = key.strip(), value.strip()
         if not eq or key not in _DATA_KEYS:
             raise ConfigError(f"bad data spec item {item!r}; keys: {list(_DATA_KEYS)}")
-        out[key] = _PARSERS[key](value.strip())
+        try:
+            out[key] = _PARSERS[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for --data key {key!r}: {value!r}") from exc
     return out
 
 

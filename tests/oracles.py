@@ -6,6 +6,7 @@ the library's fast paths.
 
 import numpy as np
 
+from mvformer.optim import NumericsError
 from mvformer.tensor import ShapeError, Tensor, add, div, mean, mul, sqrt, square, sub
 
 
@@ -98,6 +99,31 @@ def standardize_oracle(x, axes, eps):
     """(x - mean) / sqrt(var + eps) from the two-pass moments."""
     mu, var = moments_oracle(x, axes)
     return (x - mu) / np.sqrt(var + eps)
+
+
+def adamw_oracle(opt, lr=None):
+    """The reference for ``AdamW.step``: the same expressions, one parameter at a time.
+
+    Reads an ``AdamW``'s hyperparameters and state and rebinds ``opt.m[name]``
+    and ``opt.v[name]`` to fresh arrays, so an optimizer stepped by this
+    function must not also be stepped by its own ``step``.
+    """
+    lr = opt.base_lr if lr is None else lr
+    opt.step_count += 1
+    bc1 = 1.0 - opt.beta1**opt.step_count
+    bc2 = 1.0 - opt.beta2**opt.step_count
+    for name, p in opt.named_params:
+        g = p.tensor.grad
+        if g is None:
+            g = np.zeros_like(p.data)
+        elif not np.isfinite(g).all():
+            raise NumericsError(f"non-finite gradient for parameter {name!r}")
+        if p.decay and opt.weight_decay:
+            p.tensor.data = p.tensor.data * np.float32(1.0 - lr * opt.weight_decay)
+        m = opt.m[name] = opt.beta1 * opt.m[name] + (1.0 - opt.beta1) * g
+        v = opt.v[name] = opt.beta2 * opt.v[name] + (1.0 - opt.beta2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        p.tensor.data = (p.tensor.data - lr * update).astype(p.data.dtype, copy=False)
 
 
 def numeric_grad(f, x, h=1e-3):

@@ -18,7 +18,7 @@ from mvformer.checkpoint import (
 )
 from mvformer.data import SyntheticDataset, SyntheticSpec
 from mvformer.model import build_model, model_config
-from mvformer.optim import AdamW
+from mvformer.optim import AdamW, OptimizerStoreError
 from mvformer.tensor import Tensor
 from mutations import byte_mutations
 
@@ -69,6 +69,25 @@ class TestRoundTrip:
             assert np.array_equal(opt.m[name], opt2.m[name])
             assert np.array_equal(opt.v[name], opt2.v[name])
 
+    def test_optimizer_state_loaded_into_store(self, tmp_path):
+        # the loaded moments must drive the next step, not sit beside the flat store
+        model, opt = trained_pair()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, opt)
+        model2 = build_model(model_config("micro", num_classes=4), seed=5)
+        opt2 = AdamW(list(model2.named_parameters()))
+        load_checkpoint(path, model2, opt2)
+        rng = np.random.default_rng(1)
+        for (name, a), (_, b) in zip(opt.named_params, opt2.named_params):
+            a.tensor.grad = rng.standard_normal(a.data.shape).astype(np.float32)
+            b.tensor.grad = a.grad.copy()
+        opt.step(1e-3)
+        opt2.step(1e-3)
+        for (name, a), (_, b) in zip(opt.named_params, opt2.named_params):
+            assert a.data.tobytes() == b.data.tobytes(), name
+            assert opt.m[name].tobytes() == opt2.m[name].tobytes(), name
+            assert opt.v[name].tobytes() == opt2.v[name].tobytes(), name
+
     def test_logits_identical_after_round_trip(self, tmp_path):
         model, opt = trained_pair()
         rng = np.random.default_rng(3)
@@ -112,6 +131,42 @@ class TestGuards:
         model = build_model(model_config("micro", num_classes=4), seed=0)
         with pytest.raises(CheckpointFormatError, match="lacks parameter"):
             load_checkpoint(path, model)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda arrays: arrays.pop("opt/v/stage2_block0.mlp.fc1_w"),
+             "lacks entry 'opt/v/stage2_block0.mlp.fc1_w'"),
+            (lambda arrays: arrays.pop("opt/step"), "lacks optimizer step count"),
+            (lambda arrays: arrays.update({"opt/m/head_fc2_b": np.zeros((4,), np.float32)}),
+             r"entry 'opt/m/head_fc2_b': checkpoint shape \(4,\) != model shape \(1, 4, 1, 1\)"),
+        ],
+    )
+    def test_bad_optimizer_entry_changes_nothing(self, tmp_path, edit, message):
+        model, opt = trained_pair()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, opt)
+        arrays = read_arrays(path)
+        edit(arrays)
+        write_arrays(path, arrays)
+        model2, opt2 = trained_pair(seed=1)
+        before = tmp_path / "before.ckpt"
+        save_checkpoint(before, model2, opt2)
+        with pytest.raises(CheckpointFormatError, match=message):
+            load_checkpoint(path, model2, opt2)
+        after = tmp_path / "after.ckpt"
+        save_checkpoint(after, model2, opt2)
+        assert after.read_bytes() == before.read_bytes()
+
+    def test_param_dtype_differs_from_optimizer_store(self, tmp_path):
+        model, opt = trained_pair()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, opt)
+        model2 = build_model(model_config("micro", num_classes=4), seed=1)
+        opt2 = AdamW(list(model2.named_parameters()))
+        model2.cast_(np.float64)
+        with pytest.raises(OptimizerStoreError, match="float64"):
+            load_checkpoint(path, model2, opt2)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.ckpt"

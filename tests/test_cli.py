@@ -5,6 +5,9 @@ import pytest
 
 import mvformer.mixer as mixer_mod
 from mvformer.cli import main
+from mvformer.data import SyntheticDataset
+from mvformer.model import build_model, model_config
+from mvformer.training import TrainConfig, resolve_data_spec, train_loop
 from mvformer.imageio import read_ppm, write_ppm
 from mvformer.tensor import _node
 
@@ -107,6 +110,16 @@ class TestTrainEval:
         assert rc == 2
         assert "shape" in capsys.readouterr().err
 
+    def test_eval_preset_keeps_checkpoint_ablation(self, tmp_path, capsys):
+        cfg = TrainConfig(epochs=1, warmup_epochs=0, batch_size=32, train_size=64, val_size=32)
+        model = build_model(model_config("micro", num_classes=4, ablation="no-stage-both"), seed=0)
+        train_loop(model, SyntheticDataset(resolve_data_spec(cfg)), cfg, tmp_path)
+        ckpt = str(tmp_path / "last.ckpt")
+        assert main(["eval", "--checkpoint", ckpt]) == 0
+        from_meta = capsys.readouterr().out
+        assert main(["eval", "--checkpoint", ckpt, "--preset", "micro"]) == 0
+        assert capsys.readouterr().out == from_meta
+
     def test_eval_missing_file_is_input_error(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt")]) == 2
 
@@ -165,8 +178,8 @@ class TestTrainEval:
                 "['classes', 'image_size', 'noise', 'seed', 'train_size', 'val_size']",
             ),
             ("val_size", "bad data spec item 'val_size'; keys: ['classes'"),
-            ("classes=four", "invalid literal for int() with base 10: 'four'"),
-            ("noise=lots", "could not convert string to float: 'lots'"),
+            ("classes=four", "bad value for --data key 'classes': 'four'"),
+            ("noise=lots", "bad value for --data key 'noise': 'lots'"),
         ],
     )
     def test_eval_bad_data_item_is_input_error(self, trained_run, capsys, data, message):

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from mvformer.checkpoint import save_checkpoint
 from mvformer.model import build_model, model_config
 from mvformer.module import Module
-from mvformer.optim import AdamW, NumericsError, cosine_lr
+from mvformer.optim import AdamW, NumericsError, OptimizerStoreError, cosine_lr
+from oracles import adamw_oracle
 
 
 class OneParam(Module):
@@ -80,6 +82,100 @@ class TestAdamW:
             mod.w.grad = np.full((1, 1, 1, 1), g, dtype=np.float32)
             opt.step(0.05)
         assert mod.w.data.reshape(()) == pytest.approx(expect, rel=1e-5)
+
+
+def micro_model(dtype=np.float32):
+    return build_model(model_config("micro", num_classes=4), seed=0).cast_(dtype)
+
+
+def random_grads(opt, rng, dtype=np.float32):
+    """A gradient per parameter, each at its own scale between 1e-6 and 10."""
+    return {
+        name: (rng.standard_normal(p.data.shape) * 10.0 ** rng.uniform(-6, 1)).astype(dtype)
+        for name, p in opt.named_params
+    }
+
+
+def set_grads(opt, grads):
+    for name, p in opt.named_params:
+        p.tensor.grad = None if grads[name] is None else grads[name].copy()
+
+
+class TestFlatStep:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_bitwise_equal_to_loop_oracle(self, tmp_path, dtype, weight_decay):
+        fast = AdamW(list(micro_model(dtype).named_parameters()), weight_decay=weight_decay)
+        ref = AdamW(list(micro_model(dtype).named_parameters()), weight_decay=weight_decay)
+        assert {p.decay for _, p in fast.named_params} == {True, False}
+        names = [name for name, _ in fast.named_params]
+        no_grad = names[len(names) // 2]
+        rng = np.random.default_rng(4)
+        for step in range(24):
+            grads = random_grads(fast, rng, dtype)
+            grads[no_grad] = None
+            set_grads(fast, grads)
+            set_grads(ref, grads)
+            lr = cosine_lr(step, 24, 4, 2e-3)
+            fast.step(lr)
+            adamw_oracle(ref, lr)
+        assert fast.step_count == ref.step_count == 24
+        for (name, a), (_, b) in zip(fast.named_params, ref.named_params):
+            assert a.data.dtype == b.data.dtype == dtype
+            assert a.data.tobytes() == b.data.tobytes(), name
+            assert fast.m[name].tobytes() == ref.m[name].tobytes(), name
+            assert fast.v[name].tobytes() == ref.v[name].tobytes(), name
+        save_checkpoint(tmp_path / "fast.ckpt", micro_model(dtype), fast)
+        save_checkpoint(tmp_path / "ref.ckpt", micro_model(dtype), ref)
+        assert (tmp_path / "fast.ckpt").read_bytes() == (tmp_path / "ref.ckpt").read_bytes()
+
+    def test_nonfinite_step_changes_nothing(self):
+        opt = AdamW(list(micro_model().named_parameters()))
+        rng = np.random.default_rng(2)
+        set_grads(opt, random_grads(opt, rng))
+        opt.step(1e-3)
+        # an exempt parameter first in registration order, a decayed one after it:
+        # the flat store lays the decayed one out first
+        names = [name for name, _ in opt.named_params]
+        decay = {name: p.decay for name, p in opt.named_params}
+        first = next(n for n in names if not decay[n])
+        later = next(n for n in names[names.index(first):] if decay[n])
+        grads = random_grads(opt, rng)
+        grads[first].flat[0] = np.inf
+        grads[later].flat[-1] = np.nan
+        set_grads(opt, grads)
+        before = {n: (p.data.copy(), opt.m[n].copy(), opt.v[n].copy()) for n, p in opt.named_params}
+        with pytest.raises(NumericsError, match=f"parameter '{first}'"):
+            opt.step(1e-3)
+        assert opt.step_count == 1
+        for name, p in opt.named_params:
+            data, m, v = before[name]
+            assert np.array_equal(p.data, data) and np.array_equal(opt.m[name], m), name
+            assert np.array_equal(opt.v[name], v), name
+
+    def test_moments_are_views_of_one_store(self):
+        opt = AdamW(list(micro_model().named_parameters()))
+        set_grads(opt, random_grads(opt, np.random.default_rng(0)))
+        views = {name: (opt.m[name], opt.v[name]) for name, _ in opt.named_params}
+        opt.step(1e-3)
+        for name, (m, v) in views.items():
+            assert opt.m[name] is m and opt.v[name] is v
+            assert m.any() and v.any(), name
+
+    def test_param_dtype_change_is_named_error(self):
+        model = micro_model()
+        opt = AdamW(list(model.named_parameters()))
+        model.cast_(np.float64)
+        with pytest.raises(OptimizerStoreError, match="parameter 'head_fc1_w' is float64"):
+            opt.step(1e-3)
+        assert opt.step_count == 0
+
+    def test_mixed_dtypes_rejected(self):
+        model = micro_model()
+        first = next(p for _, p in model.named_parameters())
+        first.tensor.data = first.data.astype(np.float64)
+        with pytest.raises(OptimizerStoreError, match="mix dtypes"):
+            AdamW(list(model.named_parameters()))
 
 
 class TestDecayFlags:
