@@ -26,7 +26,6 @@ from .norm import (
     batch_norm,
     instance_norm,
     layer_norm,
-    standardize,
 )
 from .optim import AdamW, cosine_lr
 from .tensor import (
@@ -82,7 +81,6 @@ __all__ = [
     "model_config",
     "normalize_image_grid",
     "run_checks",
-    "standardize",
     "star_relu",
     "train_loop",
     "tsum",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DOWN_GEOMETRY, STEM_GEOMETRY, ModelConfig, MVFormer, stage_map_sizes
-from .norm import DEFAULT_EPS, DegenerateInputError, MultiViewNorm, standardize
+from .norm import DEFAULT_EPS, DegenerateInputError, MultiViewNorm, PlainNorm, batch_norm, instance_norm, layer_norm
 from .tensor import Tensor
 
 
@@ -223,9 +223,9 @@ def normalize_image_grid(images, weights, eps=DEFAULT_EPS):
             "batch normalization of raw images needs >= 2 images for batch statistics"
         )
     x = Tensor(arr)
-    bn = standardize(x, (0, 2, 3), eps)[0].data
-    ln = standardize(x, (1,), eps)[0].data
-    inorm = standardize(x, (2, 3), eps)[0].data
+    bn = batch_norm(x, PlainNorm(arr.shape[1], "bn", eps), training=True).data
+    ln = layer_norm(x, eps).data
+    inorm = instance_norm(x, eps).data
     w_bn, w_ln, w_in = (np.float32(w) for w in weights)
     composite = w_bn * bn + w_ln * ln + w_in * inorm
     return NormalizedImages(bn, ln, inorm, composite)

@@ -1,30 +1,35 @@
 """Batch, layer, and instance normalization, and their learnable fusion.
 
-Every view has the same stats path: the population variance over a
-reduction-axis set as one tape node (``tensor.variance``), then
-``sqrt(var + eps)`` from the ordinary ops.  The square root stays an
-ordinary op of this module, so the gradient along the std path is checked
-like any other (the benchmark's smoke test breaks ``norm.sqrt`` and expects
-the float64 gradient check to notice).  The centre-and-divide is
-``tensor.normalize``, one tape node whose backward folds in each mean's
-gradient.  One view builder, `_view`, gives each view's ``(axes, mu, std)``
-and raises `DegenerateInputError` where its statistics would cover fewer
-than two elements; the functional forms pass one view to ``normalize``.
+Every norm is one body on shared statistics, four tape nodes:
 
-Both layers are one body: a list of views and one ``normalize(x, views,
-gamma, beta)`` call, which applies the channelwise affine after the sum.
-`PlainNorm` passes its single view with no weight, so a training plain
-norm records 4 tape nodes (``variance``, ``add``, ``sqrt``,
-``normalize``); `MultiViewNorm` passes all three with their per-channel
-weights (initialized to ones), 10 tape nodes.  Each element is computed in
-the order of the unfused ops, so a one-hot fusion weight reproduces the
-corresponding single normalization bitwise.
+- ``tensor.variance``, one node for the variances of all its views, packed
+  into one small tensor.  `x` is centred once on its per-(n, c) means (the
+  instance view); batch norm's moments combine those over the batch, so only
+  the layer view takes full-size passes of its own.
+- ``sqrt(add(var, eps))`` on the packed variances.  The square root stays an
+  ordinary op of this module, so the gradient along the std path is checked
+  like any other (the benchmark's smoke test breaks ``norm.sqrt`` and expects
+  the float64 gradient check to notice).
+- ``tensor.normalize``, one node for ``gamma * sum_v weight_v * view_v +
+  beta``: the batch and instance views are affine in `x` per (n, c) and the
+  layer view is one per-pixel term, and its backward is closed-form in a
+  few per-(n, c) and per-pixel sums.
+
+`_norm` checks the views' guards (`DegenerateInputError` where statistics
+would cover fewer than two elements) and folds batch statistics into the
+running values.  `PlainNorm` passes its single view with no weight;
+`MultiViewNorm` passes all three with their per-channel weights
+(initialized to ones); the functional forms pass one view and no affine.
+A view with weight zero adds exact zeros, so a one-hot fusion weight
+reproduces the corresponding functional norm bitwise.  The results are not
+bitwise those of the unfused ops (``(x - mu) / std`` per view, summed):
+they agree to a few ulp.
 
 Batch normalization is the only stateful view: training mode normalizes
 with batch statistics and updates per-channel running mean/variance;
 inference mode normalizes with the frozen running values, which
-``normalize`` takes as constants (``axes=()``).  Running variance is
-stored biased (divide by count), like the batch statistic.
+``variance`` takes as constants.  Running variance is stored biased
+(divide by count), like the batch statistic.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from .module import Module
-from .tensor import Tensor, _count, add, normalize, sqrt, variance
+from .tensor import _count, add, normalize, sqrt, variance
 
 DEFAULT_EPS = 1e-5
 DEFAULT_MOMENTUM = 0.1
@@ -49,45 +54,38 @@ class DegenerateInputError(ValueError):
     """Normalization over a reduction extent too small to carry statistics."""
 
 
-def _stats(x, axes, eps):
-    """``(mu, var, std)`` over `axes`: mean and variance as plain keepdims arrays, std on the tape."""
-    mu, var = variance(x, axes)
-    return mu, var.data, sqrt(add(var, eps))
+def _guard(x, kind):
+    axes, message = _VIEWS[kind]
+    if _count(x.shape, axes) < 2:
+        raise DegenerateInputError(message.format(*x.shape))
 
 
-def _view(x, kind, eps, state=None, training=True, guard=True):
-    """``(axes, mu, std)`` of the `kind` view of `x` for `normalize`.
+def _norm(x, views, eps, state=None, training=True, gamma=None, beta=None):
+    """``gamma * sum_v weight_v * view_v + beta`` over `views`, ``(kind, weight or None)`` pairs.
 
     A ``bn`` view reads and updates `state`'s running buffers and momentum:
     training mode folds the batch statistics into them, inference mode
-    returns them as constants (``axes=()``).  With `guard` false a view over
-    a single element is built anyway (its centred numerator is exactly zero).
+    normalizes with them as constants.  A weighted ``in`` view is unguarded:
+    on 1x1 maps it contributes exactly zero.  The ``ln`` guard fires after
+    the running buffers are updated.
     """
-    if kind == "bn" and not training:
-        c = x.shape[1]
-        rv = Tensor(state.run_var.reshape(1, c, 1, 1))
-        return (), state.run_mean.reshape(1, c, 1, 1), sqrt(add(rv, eps))
-    axes, message = _VIEWS[kind]
-    if guard and _count(x.shape, axes) < 2:
-        raise DegenerateInputError(message.format(*x.shape))
-    mu, var, std = _stats(x, axes, eps)
-    if kind == "bn":
-        c, m = x.shape[1], state.momentum
-        state.set_buffer("run_mean", (1.0 - m) * state.run_mean + m * mu.reshape(c))
-        state.set_buffer("run_var", (1.0 - m) * state.run_var + m * var.reshape(c))
-    return axes, mu, std
-
-
-def standardize(x, axes, eps):
-    """(x - mean) / sqrt(var + eps) over `axes`; the shared stats path.
-
-    Returns ``(y, mu, var)``: the standardized tensor and the mean and
-    population variance as plain keepdims arrays.  ``y`` is bitwise equal to
-    ``div(sub(x, mu), sqrt(add(var, eps)))`` with ``mu = mean(x, axes)`` and
-    ``var = mean(square(sub(x, mu)), axes)``.
-    """
-    mu, var, std = _stats(x, axes, eps)
-    return normalize(x, [(axes, mu, std, None)]), mu, var
+    kinds = [k for k, _ in views]
+    for kind, weight in views:
+        if (kind == "bn" and training) or (kind == "in" and weight is None):
+            _guard(x, kind)
+    c = x.shape[1]
+    running = None
+    if "bn" in kinds and not training:
+        running = (state.run_mean.reshape(1, c, 1, 1), state.run_var.reshape(1, c, 1, 1))
+    var, m = variance(x, [_VIEWS[k][0] for k in kinds], eps, running)
+    if "bn" in kinds and training:
+        axes, mom = _VIEWS["bn"][0], state.momentum
+        mu, v = m.mu[axes], m.var[axes]
+        state.set_buffer("run_mean", (1.0 - mom) * state.run_mean + mom * mu.reshape(c))
+        state.set_buffer("run_var", (1.0 - mom) * state.run_var + mom * v.reshape(c))
+    if "ln" in kinds:
+        _guard(x, "ln")
+    return normalize(x, m, sqrt(add(var, eps)), [w for _, w in views], gamma, beta)
 
 
 def batch_norm(x, state, training):
@@ -98,17 +96,17 @@ def batch_norm(x, state, training):
     statistics over (n, h, w) per channel and folds them into the running
     values; inference mode uses the running values as constants.
     """
-    return normalize(x, [(*_view(x, "bn", state.eps, state, training), None)])
+    return _norm(x, [("bn", None)], state.eps, state, training)
 
 
 def layer_norm(x, eps=DEFAULT_EPS):
     """Per-pixel standardization across channels (pre-affine)."""
-    return normalize(x, [(*_view(x, "ln", eps), None)])
+    return _norm(x, [("ln", None)], eps)
 
 
 def instance_norm(x, eps=DEFAULT_EPS):
     """Per-(sample, channel) spatial standardization (pre-affine)."""
-    return normalize(x, [(*_view(x, "in", eps), None)])
+    return _norm(x, [("in", None)], eps)
 
 
 class _ViewSum(Module):
@@ -134,8 +132,7 @@ class _ViewSum(Module):
         if "bn" in kinds:
             self.buffer("run_mean", np.zeros(channels))
             self.buffer("run_var", np.ones(channels))
-        # (kind, weight, guard): a fused instance view is unguarded, contributing zero at 1x1
-        self._views = [(k, w, w is None or k != "in") for k, w in zip(kinds, weights)]
+        self._views = list(zip(kinds, weights))
 
     @property
     def run_mean(self):
@@ -148,8 +145,7 @@ class _ViewSum(Module):
     def forward(self, x, training=False):
         if x.shape[1] != self.channels:
             raise ValueError(f"norm built for {self.channels} channels, input has {x.shape[1]}")
-        views = [(*_view(x, k, self.eps, self, training, guard), w) for k, w, guard in self._views]
-        return normalize(x, views, self.gamma, self.beta)
+        return _norm(x, self._views, self.eps, self, training, self.gamma, self.beta)
 
 
 class PlainNorm(_ViewSum):
@@ -179,7 +175,7 @@ class MultiViewNorm(_ViewSum):
 
     def __init__(self, channels, eps=DEFAULT_EPS, momentum=DEFAULT_MOMENTUM):
         super().__init__(channels, ("bn", "ln", "in"), eps, momentum)
-        self.alpha_bn, self.alpha_ln, self.alpha_in = (w for _, w, _ in self._views)
+        self.alpha_bn, self.alpha_ln, self.alpha_in = (w for _, w in self._views)
 
 
 def make_norm(kind, channels, eps=DEFAULT_EPS, momentum=DEFAULT_MOMENTUM):

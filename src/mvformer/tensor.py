@@ -63,11 +63,6 @@ class Tensor:
     def scalar(value, requires_grad=False, dtype=np.float32):
         return Tensor(np.full((1, 1, 1, 1), value, dtype=dtype), requires_grad)
 
-    @staticmethod
-    def channel_vector(values, requires_grad=False, dtype=np.float32):
-        arr = np.asarray(values, dtype=dtype).reshape(1, -1, 1, 1)
-        return Tensor(arr, requires_grad)
-
     # -- properties --------------------------------------------------------
 
     @property
@@ -89,26 +84,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    # -- operator sugar ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
 
 
 def _as_tensor(value, like=None):
@@ -358,115 +333,198 @@ def _mean_keep(a, axes, count):
     return out
 
 
-def variance(x, axes):
-    """Population variance over `axes` as one tape node, and the mean.
+# -- normalization --------------------------------------------------------------
 
-    Returns ``(mu, var)``: the mean as a plain keepdims array and the
-    variance (divided by the element count) as a tensor whose only parent
-    is `x`.  The mean carries no tape link: the variance's gradient does not
-    depend on it (centred values sum to zero), and `normalize` folds the
-    mean's gradient into its own backward.  ``var`` is bitwise equal to
-    ``mean(square(sub(x, mean(x, axes))), axes)``.
+# the reduction axes of the three normalization views
+_MAP, _CHANNEL, _PIXEL = (2, 3), (0, 2, 3), (1,)
+
+
+class Moments:
+    """The plain arrays `variance` computes and `normalize` reads; no tape links.
+
+    ``views`` and ``shapes``: each view's reduction axes and keepdims
+    statistic shape, in packing order.  ``mu`` and ``var``: each view's mean
+    and variance, keyed by axes.  ``xc``: `x` centred on its per-map means,
+    present with a per-map or per-channel view, and ``shift`` the per-map
+    minus the per-channel means.  ``z``: the per-pixel view's standardized
+    values and ``std_pixel`` its ``sqrt(var + eps)``.  ``const``: the
+    per-channel statistics are given constants.
     """
-    axes = _norm_axes(x, axes)
-    if axes == ():
-        raise ShapeError("variance needs at least one reduction axis")
-    count = _count(x.shape, axes)
-    if count == 0:
-        raise ShapeError(f"variance over empty extent (axes {axes} of shape {x.shape})")
-    mu = _mean_keep(x.data, axes, count)
-    sq = x.data - mu
-    np.multiply(sq, sq, out=sq)
-    data = _mean_keep(sq, axes, count)
+
+    __slots__ = ("views", "shapes", "mu", "var", "xc", "shift", "z", "std_pixel", "const")
+
+
+def _unpack(flat, shapes):
+    """Views of a packed statistics array, one per keepdims shape."""
+    flat = flat.reshape(-1)
+    parts, i = [], 0
+    for s in shapes:
+        k = _count(s, range(4))
+        parts.append(flat[i : i + k].reshape(s))
+        i += k
+    return parts
+
+
+def variance(x, views, eps, running=None):
+    """Population variances of `x` over several views, packed into one tape node.
+
+    Each view is a reduction-axis set: (2, 3) per map, (0, 2, 3) per channel
+    or (1,) per pixel.  Returns ``(var, m)``: a (1, 1, 1, k) tensor holding
+    every view's variance, flattened in the order given, whose only parent is
+    `x`, and the `Moments` that `normalize` reads.
+
+    `x` is centred once on its per-map means.  The per-channel moments are the
+    per-map ones combined over the batch (the pairwise update of Chan, Golub
+    and LeVeque, 1979), so they take no full-size pass of their own.
+    `running`, a ``(mean, var)`` pair of keepdims per-channel arrays, makes
+    the per-channel view constant: its variance is packed as given and gets
+    no gradient.  The per-pixel view is centred and squared in one more pass
+    and standardized here with ``sqrt(var + eps)``, in place.  The gradient
+    is each view's ``2 (x - mu_v) / count_v`` times its incoming gradient,
+    summed over the views (centred values sum to zero, so the means add
+    nothing).
+    """
+    views = tuple(_norm_axes(x, a) for a in views)
+    if not views:
+        raise ShapeError("variance needs at least one view")
+    for a in views:
+        if a not in (_MAP, _CHANNEL, _PIXEL) or views.count(a) > 1:
+            raise ShapeError(f"variance: views must be distinct among {(_MAP, _CHANNEL, _PIXEL)}, got {views}")
+        if _count(x.shape, a) == 0:
+            raise ShapeError(f"variance over empty extent (axes {a} of shape {x.shape})")
+    n, c, h, w = x.shape
+    hw = h * w
+    m = Moments()
+    m.views = views
+    m.shapes = [tuple(1 if i in a else d for i, d in enumerate(x.shape)) for a in views]
+    m.mu, m.var = mu, var = {}, {}
+    m.const = running is not None and _CHANNEL in views
+    sq = m.xc = m.shift = m.z = m.std_pixel = None
+    if _MAP in views or _CHANNEL in views:
+        mu[_MAP] = _mean_keep(x.data, _MAP, hw)
+        m.xc = x.data - mu[_MAP]
+        sq = m.xc * m.xc
+        var[_MAP] = _mean_keep(sq, _MAP, hw)
+    if _CHANNEL in views:
+        if m.const:
+            mu[_CHANNEL], var[_CHANNEL] = running
+            m.shift = mu[_MAP] - mu[_CHANNEL]
+        else:
+            mu[_CHANNEL] = _mean_keep(mu[_MAP], (0,), n)
+            m.shift = mu[_MAP] - mu[_CHANNEL]
+            var[_CHANNEL] = _mean_keep(var[_MAP] + m.shift * m.shift, (0,), n)
+    if _PIXEL in views:
+        mu[_PIXEL] = _mean_keep(x.data, _PIXEL, c)
+        xl = x.data - mu[_PIXEL]
+        sq = np.multiply(xl, xl, out=sq)
+        var[_PIXEL] = _mean_keep(sq, _PIXEL, c)
+        m.std_pixel = np.sqrt(var[_PIXEL] + eps)
+        m.z = np.multiply(xl, 1.0 / m.std_pixel, out=xl)
+    data = np.concatenate([var[a].reshape(-1) for a in views]).reshape(1, 1, 1, -1)
 
     def bw(g, acc):
-        gx = x.data - mu
-        gx *= g * (2.0 / count)
+        gv = dict(zip(views, _unpack(g, m.shapes)))
+        if m.const:
+            del gv[_CHANNEL]
+        gx = None
+        if _MAP in gv or _CHANNEL in gv:
+            k = gv[_MAP] * (2.0 / hw) if _MAP in gv else 0.0
+            if _CHANNEL in gv:  # x - mu is xc + shift
+                kc = gv[_CHANNEL] * (2.0 / (n * hw))
+                k = k + kc
+            gx = m.xc * k
+            if _CHANNEL in gv:
+                gx += m.shift * kc
+        if m.z is not None:
+            t = m.z * (gv[_PIXEL] * m.std_pixel * (2.0 / c))
+            gx = t if gx is None else np.add(gx, t, out=gx)
         acc(x, gx)
 
-    return mu, _node(data, (x,), bw)
+    constant = views == (_CHANNEL,) and m.const
+    return _node(data, () if constant else (x,), bw), m
 
 
-def normalize(x, views, gamma=None, beta=None):
+def normalize(x, m, std, weights, gamma=None, beta=None):
     """``gamma * sum_v weight_v * (x - mu_v) / std_v + beta``, recorded as one tape node.
 
-    Each view is ``(axes, mu, std, weight)``: `mu` is the mean of `x` over
-    `axes` as a plain keepdims array (as `variance` returns it), `std` a
-    keepdims tensor and `weight` a tensor or None.  ``axes=()`` marks
-    constant statistics (batch norm's running values at inference): `mu` is
-    then any broadcastable array.  `gamma` and `beta` are optional tensors.
+    `m` and `std` come from ``variance``: `std` is ``sqrt(var + eps)`` of its
+    packed variances.  `weights` holds a tensor or None per view; `gamma`
+    and `beta` are optional tensors.  With ``r = 1 / std``, the per-map and
+    per-channel views are affine in ``xc`` per (n, c), so the output is
+    ``xc * scale + offset + pixel_w * z`` with (n, c, 1, 1) arrays `scale`
+    and `offset` and ``pixel_w = gamma * weight`` of the per-pixel view.  A per-map view of 1x1 maps is
+    identically zero and drops out exactly, from the output and every
+    gradient.
 
-    Each element is computed as subtract, divide, times the weight, summed
-    over the views left to right, then times gamma plus beta, so one view
-    without weight or affine is bitwise ``div(sub(x, mu), std)``.  The
-    backward folds each mean's gradient in: with ``d_v = g * gamma *
-    weight_v``, `x` receives ``sum_v (d_v - mean(d_v)) / std_v`` (means over
-    the view's axes, none for ``axes=()``), ``std_v`` receives
-    ``-sum(d_v * y_v) / std_v`` with ``y_v = (x - mu_v) / std_v``, and the
-    weights, gamma and beta their product-rule sums.  Each ``y_v`` and the
-    weighted sum are kept, not `x`.  Without a tape the views go through one
-    scratch buffer into the output and nothing is kept.
+    The backward is closed-form.  Every weight, gamma, beta and std gradient
+    comes from the per-(n, c) sums of g, ``g * xc`` and ``g * z`` and the
+    per-pixel channel sums of ``pixel_w * g`` and ``pixel_w * g * z``.  `x`
+    receives each view's gradient with its mean's gradient folded in (none
+    for constant per-channel statistics): ``g * scale + q + (pixel_w * g -
+    mean_c(pixel_w * g)) * r`` with q per (n, c).  Only ``xc`` and ``z`` are kept; without a tape the
+    output is written over them.
     """
-    views = [(_norm_axes(x, axes), mu, std, w) for axes, mu, std, w in views]
-    parents = [x] + [t for _, _, std, w in views for t in (std, w) if t is not None]
-    parents += [t for t in (gamma, beta) if t is not None]
+    parents = [x, std] + [t for t in (*weights, gamma, beta) if t is not None]
     tape = _grad_on and any(p.requires_grad for p in parents)
-    s = scratch = None
-    ys = []
-    for axes, mu, std, w in views:
-        if tape or s is None:
-            y = x.data - mu
-        else:
-            if scratch is None:
-                scratch = np.empty_like(s)
-            y = np.subtract(x.data, mu, out=scratch)
-        y /= std.data
-        if tape:
-            ys.append(y)
-            t = y if w is None else y * w.data
-        else:
-            t = y if w is None else np.multiply(y, w.data, out=y)
-        if s is None:  # a kept, unweighted y must not become the running sum
-            s = t.copy() if t is y and tape and len(views) > 1 else t
-        else:
-            s += t
-    out = s
-    if gamma is not None:
-        out = out * gamma.data if tape else np.multiply(out, gamma.data, out=out)
-    if beta is not None:
-        out = out + beta.data if tape and out is s else np.add(out, beta.data, out=out)
+    n, c, h, wd = x.shape
+    hw = h * wd
+    views, xc, z = m.views, m.xc, m.z
+    r = dict(zip(views, _unpack(1.0 / std.data, m.shapes)))
+    if _MAP in r and hw == 1:
+        r[_MAP] = np.zeros_like(r[_MAP])
+    one = _ones(c, x.dtype).reshape(1, c, 1, 1)  # a missing weight or gamma multiplies exactly
+    gd = one if gamma is None else gamma.data
+    w = {a: one if t is None else t.data for a, t in zip(views, weights)}
+    coef = {a: gd * w[a] if a == _PIXEL else gd * (w[a] * r[a]) for a in views}
+    offset = 0.0 if beta is None else beta.data
+    if _CHANNEL in views:
+        offset = coef[_CHANNEL] * m.shift + offset
+    out = None
+    if xc is not None:
+        scale = sum(coef[a] for a in views if a != _PIXEL)
+        out = xc * scale if tape else np.multiply(xc, scale, out=xc)
+    if z is not None:
+        t = z * coef[_PIXEL] if tape else np.multiply(z, coef[_PIXEL], out=z)
+        out = t if out is None else np.add(out, t, out=out)
+    out += offset
 
     def bw(g, acc):
-        if beta is not None and beta.requires_grad:
-            acc(beta, _unbroadcast(g, beta.shape))
-        if gamma is not None:
-            if gamma.requires_grad:
-                acc(gamma, _unbroadcast(g * s, gamma.shape))
-            g = g * gamma.data
+        g = np.ascontiguousarray(g)
+        s0 = _sum_keep(g, _MAP)
+        ys, dstd = {}, {}  # per view: the sum of g * y_v over all but the channel, the std gradient
         gx = None
-        for (axes, _, std, w), y in zip(views, ys):
-            if w is None:
-                d = g
-            else:
-                if w.requires_grad:
-                    acc(w, _unbroadcast(g * y, w.shape))
-                d = g * w.data
-            if std.requires_grad:
-                gs = _unbroadcast(d * y, std.shape)
-                gs /= std.data
-                acc(std, np.negative(gs, out=gs))
-            if x.requires_grad:
-                if axes:
-                    d = d - _mean_keep(d, axes, _count(x.shape, axes))
-                    d /= std.data
-                else:
-                    d = d / std.data
-                if gx is None:
-                    gx = d
-                else:
-                    gx += d
-        if gx is not None:
-            acc(x, gx)
+        if xc is not None:
+            s1 = _sum_keep(g * xc, _MAP)
+            q = 0.0
+            if _MAP in views:
+                ys[_MAP] = _sum_keep(r[_MAP] * s1, (0,))
+                dstd[_MAP] = -(coef[_MAP] * r[_MAP] * s1)
+                q = coef[_MAP] * s0 * (-1.0 / hw)
+            if _CHANNEL in views:
+                ys[_CHANNEL] = r[_CHANNEL] * _sum_keep(s1 + m.shift * s0, (0,))
+                dstd[_CHANNEL] = -(coef[_CHANNEL] * ys[_CHANNEL])
+                if not m.const:
+                    q = q + coef[_CHANNEL] * _sum_keep(s0, (0,)) * (-1.0 / (n * hw))
+            gx = g * scale
+            gx += q
+        if z is not None:
+            gz = g * z
+            pw, rp = coef[_PIXEL], r[_PIXEL]
+            ys[_PIXEL] = _sum_keep(gz, _CHANNEL)
+            dstd[_PIXEL] = np.matmul(pw.reshape(c), gz.reshape(n, c, hw)).reshape(rp.shape) * -rp
+            t = g * pw
+            t -= np.matmul(pw.reshape(c), g.reshape(n, c, hw)).reshape(rp.shape) * (1.0 / c)
+            t *= rp
+            gx = t if gx is None else np.add(gx, t, out=gx)
+        acc(x, gx)
+        acc(std, np.concatenate([dstd[a].reshape(-1) for a in views]).reshape(std.shape))
+        for a, t in zip(views, weights):
+            if t is not None:
+                acc(t, gd * ys[a])
+        if gamma is not None:
+            acc(gamma, sum(w[a] * ys[a] for a in views))
+        if beta is not None:
+            acc(beta, _sum_keep(s0, (0,)))
 
     return _node(out, parents, bw)
 
@@ -551,11 +609,13 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
 
     - ``_pointwise`` (1x1, stride 1, pad 0, groups == 1): one matmul over
       (n, c, h*w);
-    - same-size stride-1 depthwise (groups == c_in == c_out), h*w <= n:
-      ``_depthwise_unrolled``, one (h*w, h*w) map matrix per channel and one
-      batched matmul per pass.  The matrix is then no bigger than the
-      channel's batch data, so building it pays back within the call;
-    - the same with h*w > n: ``_depthwise_banded``, each kernel row lowered
+    - same-size stride-1 depthwise (groups == c_in == c_out), h*w <= max(n,
+      16): ``_depthwise_unrolled``, one (h*w, h*w) map matrix per channel and
+      one batched matmul per pass.  The matrix is then no bigger than the
+      channel's batch data, or at most 16 x 16, so building it pays back
+      within the call (measured: at n <= 4 it wins up to 4x4 maps and loses
+      from 6x6);
+    - the same with larger maps: ``_depthwise_banded``, each kernel row lowered
       to a band matrix along the width.  Output tiles of t = min(8, w)
       columns read windows of t + kw - 1 padded columns over every kernel
       row, copied into one column matrix and multiplied by a
@@ -596,7 +656,7 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     if unit_stride and groups == 1 and kh == kw == 1 and ph == pw == 0:
         out, grads = _pointwise(x.data, w.data)
     elif unit_stride and groups == cin == cout and (hout, wout) == (h, wd):
-        depthwise = _depthwise_unrolled if h * wd <= n else _depthwise_banded
+        depthwise = _depthwise_unrolled if h * wd <= max(n, _UNROLL_MAX_HW) else _depthwise_banded
         out, grads = depthwise(x.data, w.data, ph, pw)
     else:
         out, grads = _general(x.data, w.data, (sh, sw), (ph, pw), groups, (hout, wout))
@@ -638,6 +698,7 @@ def _pointwise(x, w):
 
 
 _BAND_TILE = 8
+_UNROLL_MAX_HW = 16  # below this many pixels the unrolled depthwise kernel wins at any batch size
 
 
 @functools.lru_cache(maxsize=64)

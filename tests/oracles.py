@@ -54,7 +54,7 @@ def moments_oracle(x, axes):
 def moments(x, axes):
     """Mean and population variance over `axes` as tensors, from plain tape ops.
 
-    The unfused composite that ``tensor.variance`` records as one node.
+    The unfused composite of one view of ``tensor.variance``.
     Variance divides by the element count (no Bessel correction).
     """
     if not axes:
@@ -79,8 +79,8 @@ def mvn_oracle(layer, x, training):
     Each view is ``div(sub(x, mu), sqrt(add(var, eps)))`` with `moments`
     statistics (batch norm at inference uses the running values), the views
     are weighted by `mul` and summed by `add` left to right, and
-    `apply_affine` follows: the unfused form of the one `normalize` node
-    the layer records.  It reads the layer's parameters and buffers and
+    `apply_affine` follows: the unfused form of the layer's `variance`,
+    ``sqrt(add)`` and `normalize` nodes.  It reads the layer's parameters and buffers and
     updates nothing.  The instance view is unguarded, as in the layer.
     """
     c = x.shape[1]
@@ -140,6 +140,12 @@ def numeric_grad(f, x, h=1e-3):
         flat_x[i] = orig
         flat_g[i] = (up - down) / (2 * h)
     return g
+
+
+def ulp_err(got, want):
+    """Largest ``|got - want|`` in units of the float spacing at ``want``'s largest magnitude."""
+    want = np.asarray(want)
+    return float(np.abs(got - want).max() / np.spacing(np.abs(want).max()))
 
 
 def max_rel_err(a, b, floor=1e-4):
