@@ -242,6 +242,6 @@ def display_rescale(arr):
 
 
 def display_u8(arr):
-    """Pre-rescale buffer -> uint8 pixels for PPM/PGM output."""
+    """Pre-rescale buffer -> uint8 pixels for PPM output."""
     scaled = display_rescale(arr)
     return np.clip(np.rint(scaled * 255.0), 0, 255).astype(np.uint8)

@@ -109,8 +109,8 @@ def _cmd_eval(args):
 
 
 def _cmd_gradcheck(args):
-    print(f"seed: {args.seed}")
     rows = run_checks(args.module, args.seed)
+    print(f"seed: {args.seed}")
     width = max(len(f"{g}.{p}") for g, p, _ in rows) + 2
     failures = []
     for group, param, err in rows:

@@ -42,6 +42,8 @@ class SyntheticSpec:
             raise ValueError(f"val_size must be >= 1, got {self.val_size}")
         if not (math.isfinite(self.noise) and self.noise >= 0):
             raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _stripes(rng, yy, xx, band, horizontal):

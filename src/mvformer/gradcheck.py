@@ -12,12 +12,15 @@ caught regardless of stencil order.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import groupby
+
 import numpy as np
 
 from .mixer import TokenMixer, make_stage_spec
 from .model import Block, build_model, model_config
 from .norm import MultiViewNorm
-from .tensor import Tensor, backward, square, tsum
+from .tensor import Tensor, backward, grad_enabled, square, tsum
 
 DEFAULT_STEP = 1e-3
 DEFAULT_TOLERANCE = 1e-3
@@ -38,6 +41,8 @@ def check_gradients(
 
     `loss_fn` must rebuild the graph from the tensors' current data on every
     call and return a scalar tensor.  The tensors must be float64 leaves.
+    Only the first call, whose backward gives the analytic gradient, records
+    a tape; every stencil evaluation runs under ``grad_enabled(False)``.
 
     An estimate landing in the ambiguous band (>= tolerance/2) is
     re-measured at half, then quarter, radius: squared-ReLU kinks inside
@@ -60,9 +65,10 @@ def check_gradients(
     def probe(flat, idx, radius):
         orig = flat[idx]
         values = []
-        for delta in (radius, radius / 2, -radius / 2, -radius):
-            flat[idx] = orig + delta
-            values.append(loss_fn().item())
+        with grad_enabled(False):
+            for delta in (radius, radius / 2, -radius / 2, -radius):
+                flat[idx] = orig + delta
+                values.append(loss_fn().item())
         flat[idx] = orig
         f_ph, f_ph2, f_mh2, f_mh = values
         estimate = (8.0 * (f_ph2 - f_mh2) - (f_ph - f_mh)) / (6.0 * radius)
@@ -129,20 +135,52 @@ def check_block(seed=0, samples_per_param=4):
     return _check_layer(blk, rng, 0.3, samples_per_param, training=True)
 
 
-def check_model(seed=0, samples_per_param=2):
-    """End-to-end gradients of the micro model under the training loss."""
+def suffix_loss(model, images, targets):
+    """`loss(start)`: the training loss of `model` re-run from the input of ``model.layers[start]``.
+
+    Each layer's input is computed once here, tape-free; ``start`` equal to
+    ``len(model.layers)`` runs the head alone.  The layers before ``start``
+    do not depend on the parameters of the layers from ``start`` on, so the
+    loss and those parameters' tape gradients are the same floats as a full
+    ``model.forward(images, training=True)``'s.
+    """
     from .training import ce_label_smoothing  # local import; training uses this module's peers
 
+    inputs = [images]  # inputs[k]: the input of layers[k]; inputs[-1] is the head's
+    with grad_enabled(False):
+        for layer in model.layers:
+            inputs.append(layer.forward(inputs[-1], training=True))
+
+    def loss(start):
+        x = inputs[start]
+        for layer in model.layers[start:]:
+            x = layer.forward(x, training=True)
+        return ce_label_smoothing(model.head(x, training=True), targets, 0.1)
+
+    return loss
+
+
+def check_model(seed=0, samples_per_param=2):
+    """End-to-end gradients of the micro model under the training loss.
+
+    A parameter can only change the layer that owns it and the layers after
+    it, so a probe re-runs only those layers and the head, from the owning
+    layer's cached input (`suffix_loss`).  Parameters are checked in runs of
+    consecutive `named_parameters` entries that share a layer, in registry
+    order, so `rng` draws the same probes as one check over the whole model.
+    """
     rng = np.random.default_rng(seed)
-    cfg = model_config("micro", num_classes=4)
-    model = build_model(cfg, seed=seed).cast_(np.float64)
-    x = Tensor(rng.uniform(0.0, 1.0, (2, 3, 32, 32)))
-    targets = np.array([0, 1])
+    model = build_model(model_config("micro", num_classes=4), seed=seed).cast_(np.float64)
+    loss = suffix_loss(model, Tensor(rng.uniform(0.0, 1.0, (2, 3, 32, 32))), np.array([0, 1]))
+    head = len(model.layers)
+    owner = {id(p.tensor): k for k, layer in enumerate(model.layers) for _, p in layer.named_parameters()}
     named = [(n, p.tensor) for n, p in model.named_parameters()]
-    return check_gradients(
-        lambda: ce_label_smoothing(model.forward(x, training=True), targets, 0.1), named,
-        samples_per_param=samples_per_param, rng=rng,
-    )
+    errors = {}
+    for start, run in groupby(named, key=lambda item: owner.get(id(item[1]), head)):
+        errors.update(check_gradients(
+            partial(loss, start), list(run), samples_per_param=samples_per_param, rng=rng,
+        ))
+    return errors
 
 
 CHECKS = {
@@ -155,6 +193,8 @@ CHECKS = {
 
 def run_checks(which="all", seed=0):
     """Run the named check group(s); returns [(group, param, max_rel_err)]."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     names = list(CHECKS) if which == "all" else [which]
     rows = []
     for name in names:

@@ -1,4 +1,4 @@
-"""Binary PPM (P6) and PGM (P5) reading and writing, maxval 255.
+"""Binary PPM (P6) reading and writing, maxval 255.
 
 Headers may contain ``#`` comments and arbitrary whitespace between tokens,
 as produced by common tools; payloads are written row-major, one byte per
@@ -11,7 +11,7 @@ import numpy as np
 
 
 class ImageFormatError(ValueError):
-    """Not a P5/P6 file, malformed header, unsupported maxval, or truncated payload."""
+    """Not a P6 file, malformed header, unsupported maxval, or truncated payload."""
 
 
 def _read_tokens(buf, count):
@@ -36,11 +36,12 @@ def _read_tokens(buf, count):
     return tokens, pos + 1  # single whitespace byte separates header and payload
 
 
-def _read_pnm(path, magic, channels):
+def read_ppm(path):
+    """P6 file -> (h, w, 3) uint8."""
     with open(path, "rb") as f:
         buf = f.read()
-    if not buf.startswith(magic):
-        raise ImageFormatError(f"{path}: expected {magic.decode()} header, got {buf[:2]!r}")
+    if not buf.startswith(b"P6"):
+        raise ImageFormatError(f"{path}: expected P6 header, got {buf[:2]!r}")
     tokens, payload_at = _read_tokens(buf[2:], 3)
     try:
         width, height, maxval = (int(t) for t in tokens)
@@ -50,23 +51,11 @@ def _read_pnm(path, magic, channels):
         raise ImageFormatError(f"{path}: width and height must be positive, got {width}x{height}")
     if maxval != 255:
         raise ImageFormatError(f"{path}: only maxval 255 is supported, got {maxval}")
-    need = width * height * channels
+    need = width * height * 3
     payload = buf[2 + payload_at : 2 + payload_at + need]
     if len(payload) != need:
         raise ImageFormatError(f"{path}: payload has {len(payload)} bytes, expected {need}")
-    arr = np.frombuffer(payload, dtype=np.uint8)
-    shape = (height, width, channels) if channels > 1 else (height, width)
-    return arr.reshape(shape).copy()
-
-
-def read_ppm(path):
-    """P6 file -> (h, w, 3) uint8."""
-    return _read_pnm(path, b"P6", 3)
-
-
-def read_pgm(path):
-    """P5 file -> (h, w) uint8."""
-    return _read_pnm(path, b"P5", 1)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3).copy()
 
 
 def write_ppm(path, pixels):
@@ -76,14 +65,4 @@ def write_ppm(path, pixels):
         raise ImageFormatError(f"P6 needs (h, w, 3) pixels, got shape {arr.shape}")
     with open(path, "wb") as f:
         f.write(b"P6\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]))
-        f.write(arr.tobytes())
-
-
-def write_pgm(path, pixels):
-    """(h, w) uint8 -> P5 file."""
-    arr = np.ascontiguousarray(pixels, dtype=np.uint8)
-    if arr.ndim != 2:
-        raise ImageFormatError(f"P5 needs (h, w) pixels, got shape {arr.shape}")
-    with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]))
         f.write(arr.tobytes())

@@ -173,10 +173,11 @@ def _dw_init(rng, channels, kh, kw, std=0.02):
 def _trunc_normal(rng, shape, std=0.02):
     """Normal(0, std) resampled until within 2 std, like common ViT init."""
     out = rng.standard_normal(shape) * std
-    bad = np.abs(out) > 2 * std
-    while bad.any():
-        out[bad] = rng.standard_normal(int(bad.sum())) * std
-        bad = np.abs(out) > 2 * std
+    flat = out.reshape(-1)
+    redraw = np.flatnonzero(np.abs(flat) > 2 * std)
+    while redraw.size:
+        flat[redraw] = rng.standard_normal(redraw.size) * std
+        redraw = redraw[np.abs(flat[redraw]) > 2 * std]
     return out.astype(np.float32)
 
 

@@ -236,6 +236,10 @@ class MVFormer(Module):
                 blocks.append(self.child(f"stage{stage}_block{b}", blk))
                 idx += 1
             self.stages.append(blocks)
+        # network order: each stage's downsample, then its blocks
+        self.layers = [
+            layer for embed, blocks in zip(self.embeds, self.stages) for layer in (embed, *blocks)
+        ]
         c_last = dims[3]
         hidden = cfg.head_mlp_ratio * c_last
         self.head_norm = self.child("head_norm", PlainNorm(c_last, "ln"))
@@ -246,11 +250,20 @@ class MVFormer(Module):
         self.head_fc2_b = self.param("head_fc2_b", np.zeros((1, cfg.num_classes, 1, 1)), decay=False)
 
     def features(self, x, training=False, rng=None):
-        for stage in (1, 2, 3, 4):
-            x = self.embeds[stage - 1].forward(x, training)
-            for blk in self.stages[stage - 1]:
-                x = blk.forward(x, training, rng)
+        for layer in self.layers:
+            if isinstance(layer, Block):
+                x = layer.forward(x, training, rng)
+            else:
+                x = layer.forward(x, training)
         return x
+
+    def head(self, x, training=False):
+        """Pooled classifier: last-stage features (n, c, h, w) -> logits (n, num_classes, 1, 1)."""
+        x = global_avg_pool(x)
+        x = self.head_norm.forward(x, training)
+        x = conv2d(x, self.head_fc1_w, self.head_fc1_b)
+        x = self.head_act.forward(x)
+        return conv2d(x, self.head_fc2_w, self.head_fc2_b)
 
     def forward(self, images, training=False, rng=None):
         """Images (n, c_in, h, w) -> logits (n, num_classes, 1, 1).
@@ -261,12 +274,7 @@ class MVFormer(Module):
         the next layer has consumed it.
         """
         with grad_enabled(training):
-            x = self.features(images, training, rng)
-            x = global_avg_pool(x)
-            x = self.head_norm.forward(x, training)
-            x = conv2d(x, self.head_fc1_w, self.head_fc1_b)
-            x = self.head_act.forward(x)
-            return conv2d(x, self.head_fc2_w, self.head_fc2_b)
+            return self.head(self.features(images, training, rng), training)
 
     def mvn_sites(self):
         """Block norm sites in network order: (stage, block_index, site, norm)."""

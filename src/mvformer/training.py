@@ -104,6 +104,8 @@ class TrainConfig:
             raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.batch_size < 1 or self.epochs < 0 or self.train_size < 1:
             raise ConfigError("batch_size and train_size must be >= 1 and epochs >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("base_lr", "weight_decay"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):

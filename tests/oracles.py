@@ -126,6 +126,16 @@ def adamw_oracle(opt, lr=None):
         p.tensor.data = (p.tensor.data - lr * update).astype(p.data.dtype, copy=False)
 
 
+def trunc_normal_oracle(rng, shape, std=0.02):
+    """Normal(0, std) resampled until within 2 std, re-testing the whole array each round."""
+    out = rng.standard_normal(shape) * std
+    bad = np.abs(out) > 2 * std
+    while bad.any():
+        out[bad] = rng.standard_normal(int(bad.sum())) * std
+        bad = np.abs(out) > 2 * std
+    return out.astype(np.float32)
+
+
 def numeric_grad(f, x, h=1e-3):
     """Central differences of scalar f() with respect to 64-bit array x."""
     g = np.zeros_like(x)

@@ -123,6 +123,13 @@ class TestTrainEval:
     def test_eval_missing_file_is_input_error(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt")]) == 2
 
+    def test_train_negative_seed_flag_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "neg_seed"
+        assert main(["train", "--out", str(out), "--epochs", "3", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "seed must be >= 0, got -1" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_train_missing_config_is_input_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
 
@@ -143,6 +150,7 @@ class TestTrainEval:
             ("train", "base_lr = -1", "base_lr must be finite and >= 0, got -1.0"),
             ("train", "weight_decay = nan", "weight_decay must be finite and >= 0, got nan"),
             ("train", "warmup_epochs = -1", "warmup_epochs must be >= 0, got -1"),
+            ("train", "seed = -3", "seed must be >= 0, got -3"),
             ("model", "embed_dims = 0,8,16,32", "embed dims must be >= 2, got 0"),
             ("model", "embed_dims = -2,8,16,32", "embed dims must be >= 2, got -2"),
         ],
@@ -180,6 +188,7 @@ class TestTrainEval:
             ("val_size", "bad data spec item 'val_size'; keys: ['classes'"),
             ("classes=four", "bad value for --data key 'classes': 'four'"),
             ("noise=lots", "bad value for --data key 'noise': 'lots'"),
+            ("seed=-1", "seed must be >= 0, got -1"),
         ],
     )
     def test_eval_bad_data_item_is_input_error(self, trained_run, capsys, data, message):
@@ -237,6 +246,12 @@ class TestGradcheckCommand:
         main(["gradcheck", "--module", "mvn", "--seed", "4"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_negative_seed_is_input_error(self, capsys):
+        assert main(["gradcheck", "--module", "mvn", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "seed must be >= 0, got -1" in captured.err
+        assert captured.out == ""
 
     def test_corrupted_backward_detected(self, capsys, monkeypatch):
         def corrupted_square(x):

@@ -1,11 +1,11 @@
-"""PPM/PGM round trips and header robustness."""
+"""PPM round trips and header robustness."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mvformer.imageio import ImageFormatError, read_pgm, read_ppm, write_pgm, write_ppm
+from mvformer.imageio import ImageFormatError, read_ppm, write_ppm
 from mutations import byte_mutations
 
 
@@ -16,13 +16,6 @@ class TestRoundTrips:
         path = tmp_path / "img.ppm"
         write_ppm(path, img)
         assert np.array_equal(read_ppm(path), img)
-
-    def test_pgm(self, tmp_path):
-        rng = np.random.default_rng(1)
-        img = rng.integers(0, 256, size=(4, 9), dtype=np.uint8)
-        path = tmp_path / "img.pgm"
-        write_pgm(path, img)
-        assert np.array_equal(read_pgm(path), img)
 
     def test_header_comments_and_whitespace(self, tmp_path):
         img = np.arange(12, dtype=np.uint8).reshape(2, 2, 3)
@@ -70,8 +63,6 @@ class TestGuards:
     def test_writer_rejects_bad_shape(self, tmp_path):
         with pytest.raises(ImageFormatError, match="h, w, 3"):
             write_ppm(tmp_path / "x.ppm", np.zeros((4, 4), dtype=np.uint8))
-        with pytest.raises(ImageFormatError, match="h, w"):
-            write_pgm(tmp_path / "x.pgm", np.zeros((4, 4, 3), dtype=np.uint8))
 
 
 VALID_PPM = b"P6\n# a comment\n4 3\n255\n" + bytes(range(36))

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import conv2d_oracle, max_rel_err
+from oracles import conv2d_oracle, max_rel_err, trunc_normal_oracle
 from mvformer.mixer import (
     ConfigError,
     StarReLU,
     TokenMixer,
+    _trunc_normal,
     ablate_spec,
     decomposed_depthwise_conv,
     make_stage_spec,
@@ -34,6 +35,20 @@ class TestStarRelu:
         assert out.data.reshape(()) == pytest.approx(0.8944 * 4.0 - 0.4472, abs=1e-6)
         assert out.data.reshape(()) == pytest.approx(3.1304, abs=1e-4)
         assert layer.num_params() == 2
+
+
+class TestTruncNormal:
+    @pytest.mark.parametrize("seed", [0, 1, 4242])
+    @pytest.mark.parametrize(
+        "shape,std", [((64, 8, 1, 1), 0.02), ((320, 1, 7, 7), 0.02), ((3, 5), 1.0), ((1,), 0.5)]
+    )
+    def test_matches_oracle_and_generator_state(self, seed, shape, std):
+        fast_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _trunc_normal(fast_rng, shape, std)
+        want = trunc_normal_oracle(oracle_rng, shape, std)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.abs(got).max() <= 2 * std
+        assert fast_rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestStageSpec:
