@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DOWN_GEOMETRY, STEM_GEOMETRY, ModelConfig, MVFormer, stage_map_sizes
+from .model import DOWN_GEOMETRY, HEAD_MLP_RATIO, RES_SCALE_STAGES, STEM_GEOMETRY, ModelConfig, MVFormer, stage_map_sizes
 from .norm import DEFAULT_EPS, DegenerateInputError, MultiViewNorm, PlainNorm, batch_norm, instance_norm, layer_norm
 from .tensor import Tensor
 
@@ -99,7 +99,7 @@ def _block_costs(cfg, stage, hw):
     params += mix_p
     hidden = cfg.mlp_ratio * c
     params += hidden * c + hidden + 2 + c * hidden + c  # MLP + its StarReLU
-    if stage in cfg.res_scale_stages:
+    if stage in RES_SCALE_STAGES:
         params += 2 * c
     macs = mix_m + 2 * hidden * c * hw
     return params, macs
@@ -127,7 +127,7 @@ def cost_report(cfg, input_hw=224):
         rows.append(CostRow(f"stage{stage}_blocks", depth * bp, depth * bm))
         cin = cout
     c_last = cfg.embed_dims[3]
-    hidden = cfg.head_mlp_ratio * c_last
+    hidden = HEAD_MLP_RATIO * c_last
     head_params = 2 * c_last  # pre-head layer norm
     head_params += hidden * c_last + hidden + 2 + cfg.num_classes * hidden + cfg.num_classes
     head_macs = hidden * c_last + cfg.num_classes * hidden

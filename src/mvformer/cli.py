@@ -16,18 +16,12 @@ from dataclasses import replace
 import numpy as np
 
 from .analysis import cost_report, display_u8, dump_alpha_profile, normalize_image_grid
-from .checkpoint import (
-    CheckpointFormatError,
-    CheckpointIntegrityError,
-    load_checkpoint,
-    read_meta,
-)
+from .checkpoint import load_checkpoint, read_meta
 from .data import SyntheticDataset
 from .gradcheck import DEFAULT_TOLERANCE, run_checks
-from .imageio import ImageFormatError, read_ppm, write_ppm
-from .mixer import ABLATION_MODES, ConfigError
+from .imageio import read_ppm, write_ppm
+from .mixer import ABLATION_MODES
 from .model import PRESETS, build_model, model_config
-from .norm import DegenerateInputError
 from .optim import NumericsError
 from .training import (
     TrainConfig,
@@ -39,31 +33,15 @@ from .training import (
     run_training,
 )
 
-_INPUT_ERRORS = (
-    ConfigError,
-    CheckpointFormatError,
-    CheckpointIntegrityError,
-    ImageFormatError,
-    DegenerateInputError,
-    FileNotFoundError,
-    IsADirectoryError,
-    KeyError,
-    ValueError,
-)
+# every named input error of the package (config, checkpoint, image, shape) is a ValueError
+_INPUT_ERRORS = (ValueError, KeyError, FileNotFoundError, IsADirectoryError)
 
 
 def _cmd_count(args):
-    rep = cost_report(model_config(args.preset), args.input_size)
-    print(rep.format_table())
-    if args.csv:
-        rep.to_csv(args.csv)
-        print(f"wrote {args.csv}")
-    return 0
-
-
-def _cmd_ablate_count(args):
+    """count, and ablate-count when `args.ablation` is set."""
     rep = cost_report(model_config(args.preset, ablation=args.ablation), args.input_size)
-    print(f"ablation: {args.ablation}")
+    if args.ablation is not None:
+        print(f"ablation: {args.ablation}")
     print(rep.format_table())
     if args.csv:
         rep.to_csv(args.csv)
@@ -203,14 +181,14 @@ def build_parser():
     p.add_argument("--preset", required=True, choices=sorted(PRESETS))
     p.add_argument("--input-size", type=int, default=224)
     p.add_argument("--csv", help="also write the breakdown as CSV")
-    p.set_defaults(func=_cmd_count)
+    p.set_defaults(func=_cmd_count, ablation=None)
 
     p = sub.add_parser("ablate-count", help="cost report for a mixer ablation")
     p.add_argument("--preset", required=True, choices=sorted(PRESETS))
     p.add_argument("--ablation", required=True, choices=ABLATION_MODES)
     p.add_argument("--input-size", type=int, default=224)
     p.add_argument("--csv")
-    p.set_defaults(func=_cmd_ablate_count)
+    p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("train", help="train on the synthetic dataset")
     p.add_argument("--config", help="key=value config file (defaults apply if omitted)")

@@ -31,7 +31,6 @@ STAR_RELU_SCALE = 0.8944
 STAR_RELU_BIAS = -0.4472
 
 GLOBAL_KERNELS = (55, 27, 13, 7)
-GLOBAL_PADS = (27, 13, 6, 3)
 
 ABLATION_MODES = (
     "no-stage-split",
@@ -70,7 +69,8 @@ class StageSpec:
 
     Dims are measured on the expanded width 2C (`expanded`); they always
     sum to it.  `decomposed` selects the k x 1 / 1 x k factorized global
-    filter; otherwise the global kernel is a square k x k.
+    filter; otherwise the global kernel is a square k x k.  Either way it
+    pads k // 2, so the map keeps its size.
     """
 
     stage: int
@@ -79,7 +79,6 @@ class StageSpec:
     dim_inter: int
     dim_global: int
     global_kernel: int
-    global_pad: int
     decomposed: bool
 
     @property
@@ -113,7 +112,6 @@ def make_stage_spec(stage, channels):
         dim_inter=split * 2,
         dim_global=split * (stage // 2),
         global_kernel=GLOBAL_KERNELS[stage - 1],
-        global_pad=GLOBAL_PADS[stage - 1],
         decomposed=stage < 4,
     )
 
@@ -132,9 +130,7 @@ def ablate_spec(spec, mode):
     if mode == "no-stage-split":
         return dataclasses.replace(spec, dim_local=split, dim_inter=2 * split, dim_global=split)
     if mode == "no-stage-global":
-        return dataclasses.replace(
-            spec, global_kernel=GLOBAL_KERNELS[2], global_pad=GLOBAL_PADS[2], decomposed=True
-        )
+        return dataclasses.replace(spec, global_kernel=GLOBAL_KERNELS[2], decomposed=True)
     if mode == "no-stage-both":
         return ablate_spec(ablate_spec(spec, "no-stage-split"), "no-stage-global")
     if mode == "drop-local":
@@ -166,10 +162,6 @@ def decomposed_depthwise_conv(x, w_h, w_v, bias=None):
     return conv2d(out, w_v, bias, stride=1, pad=(0, k // 2), groups=groups)
 
 
-def _dw_init(rng, channels, kh, kw, std=0.02):
-    return _trunc_normal(rng, (channels, 1, kh, kw), std)
-
-
 def _trunc_normal(rng, shape, std=0.02):
     """Normal(0, std) resampled until within 2 std, like common ViT init."""
     out = rng.standard_normal(shape) * std
@@ -192,18 +184,18 @@ class TokenMixer(Module):
         self.pw1_b = self.param("pw1_b", np.zeros((1, e, 1, 1)), decay=False)
         self.act = self.child("act", StarReLU())
         if spec.dim_local:
-            self.local_w = self.param("local_w", _dw_init(rng, spec.dim_local, 3, 3))
+            self.local_w = self.param("local_w", _trunc_normal(rng, (spec.dim_local, 1, 3, 3)))
             self.local_b = self.param("local_b", np.zeros((1, spec.dim_local, 1, 1)), decay=False)
         if spec.dim_inter:
-            self.inter_w = self.param("inter_w", _dw_init(rng, spec.dim_inter, 7, 7))
+            self.inter_w = self.param("inter_w", _trunc_normal(rng, (spec.dim_inter, 1, 7, 7)))
             self.inter_b = self.param("inter_b", np.zeros((1, spec.dim_inter, 1, 1)), decay=False)
         if spec.dim_global:
             k = spec.global_kernel
             if spec.decomposed:
-                self.global_wh = self.param("global_wh", _dw_init(rng, spec.dim_global, k, 1))
-                self.global_wv = self.param("global_wv", _dw_init(rng, spec.dim_global, 1, k))
+                self.global_wh = self.param("global_wh", _trunc_normal(rng, (spec.dim_global, 1, k, 1)))
+                self.global_wv = self.param("global_wv", _trunc_normal(rng, (spec.dim_global, 1, 1, k)))
             else:
-                self.global_w = self.param("global_w", _dw_init(rng, spec.dim_global, k, k))
+                self.global_w = self.param("global_w", _trunc_normal(rng, (spec.dim_global, 1, k, k)))
             self.global_b = self.param("global_b", np.zeros((1, spec.dim_global, 1, 1)), decay=False)
         self.pw2_w = self.param("pw2_w", _trunc_normal(rng, (c, e, 1, 1)))
         self.pw2_b = self.param("pw2_b", np.zeros((1, c, 1, 1)), decay=False)

@@ -40,6 +40,8 @@ from .tensor import Tensor, add, conv2d, global_avg_pool, grad_enabled, mul
 
 STEM_GEOMETRY = (7, 4, 2)  # kernel, stride, pad for stage 1
 DOWN_GEOMETRY = (3, 2, 1)  # kernel, stride, pad for stages 2-4
+HEAD_MLP_RATIO = 4  # classifier hidden width, as a multiple of the last embed dim
+RES_SCALE_STAGES = (3, 4)  # stages whose blocks scale both residual branches
 
 
 def stage_map_sizes(input_hw):
@@ -74,11 +76,9 @@ class ModelConfig:
     embed_dims: tuple[int, int, int, int]
     depths: tuple[int, int, int, int]
     mlp_ratio: int = 4
-    head_mlp_ratio: int = 4
     num_classes: int = 1000
     input_channels: int = 3
     drop_path_rate: float = 0.0
-    res_scale_stages: tuple[int, ...] = (3, 4)
     block_norm: str = "mvn"
     ablation: str | None = None
 
@@ -141,15 +141,14 @@ def drop_path(x, prob, training, rng):
 class Mlp(Module):
     """Per-position channel MLP: C -> ratio*C -> C with StarReLU."""
 
-    def __init__(self, channels, ratio, rng, out_channels=None):
+    def __init__(self, channels, ratio, rng):
         super().__init__()
         hidden = ratio * channels
-        out_channels = out_channels if out_channels is not None else channels
         self.fc1_w = self.param("fc1_w", _trunc_normal(rng, (hidden, channels, 1, 1)))
         self.fc1_b = self.param("fc1_b", np.zeros((1, hidden, 1, 1)), decay=False)
         self.act = self.child("act", StarReLU())
-        self.fc2_w = self.param("fc2_w", _trunc_normal(rng, (out_channels, hidden, 1, 1)))
-        self.fc2_b = self.param("fc2_b", np.zeros((1, out_channels, 1, 1)), decay=False)
+        self.fc2_w = self.param("fc2_w", _trunc_normal(rng, (channels, hidden, 1, 1)))
+        self.fc2_b = self.param("fc2_b", np.zeros((1, channels, 1, 1)), decay=False)
 
     def forward(self, x):
         y = conv2d(x, self.fc1_w, self.fc1_b)
@@ -229,7 +228,7 @@ class MVFormer(Module):
                     spec,
                     cfg.block_norm,
                     cfg.mlp_ratio,
-                    use_res_scale=stage in cfg.res_scale_stages,
+                    use_res_scale=stage in RES_SCALE_STAGES,
                     drop_prob=rates[idx],
                     rng=rng,
                 )
@@ -241,7 +240,7 @@ class MVFormer(Module):
             layer for embed, blocks in zip(self.embeds, self.stages) for layer in (embed, *blocks)
         ]
         c_last = dims[3]
-        hidden = cfg.head_mlp_ratio * c_last
+        hidden = HEAD_MLP_RATIO * c_last
         self.head_norm = self.child("head_norm", PlainNorm(c_last, "ln"))
         self.head_fc1_w = self.param("head_fc1_w", _trunc_normal(rng, (hidden, c_last, 1, 1)))
         self.head_fc1_b = self.param("head_fc1_b", np.zeros((1, hidden, 1, 1)), decay=False)

@@ -176,118 +176,79 @@ def _sum_keep(a, axes):
 # -- elementwise ops ---------------------------------------------------------
 
 
-def add(a, b):
+def _binary(a, b, fn, grad_a, grad_b):
+    """Elementwise ``fn(a, b)`` of broadcastable operands, recorded as one tape node.
+
+    A python scalar operand becomes a constant tensor of the other's dtype.
+    ``grad_a(g, a, b, out)`` and ``grad_b`` give each operand's local
+    gradient from the incoming gradient and the operand and output arrays;
+    broadcast axes are summed away before it reaches the operand.
+    """
     a = _as_tensor(a)
     b = _as_tensor(b, like=a)
     _check_broadcast(a.shape, b.shape)
-    data = a.data + b.data
+    data = fn(a.data, b.data)
 
     def bw(g, acc):
         if a.requires_grad:
-            acc(a, _unbroadcast(g, a.shape))
+            acc(a, _unbroadcast(grad_a(g, a.data, b.data, data), a.shape))
         if b.requires_grad:
-            acc(b, _unbroadcast(g, b.shape))
+            acc(b, _unbroadcast(grad_b(g, a.data, b.data, data), b.shape))
 
     return _node(data, (a, b), bw)
+
+
+def add(a, b):
+    return _binary(a, b, np.add, lambda g, x, y, z: g, lambda g, x, y, z: g)
 
 
 def sub(a, b):
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-    _check_broadcast(a.shape, b.shape)
-    data = a.data - b.data
-
-    def bw(g, acc):
-        if a.requires_grad:
-            acc(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            acc(b, _unbroadcast(-g, b.shape))
-
-    return _node(data, (a, b), bw)
+    return _binary(a, b, np.subtract, lambda g, x, y, z: g, lambda g, x, y, z: -g)
 
 
 def mul(a, b):
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-    _check_broadcast(a.shape, b.shape)
-    data = a.data * b.data
-
-    def bw(g, acc):
-        if a.requires_grad:
-            acc(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            acc(b, _unbroadcast(g * a.data, b.shape))
-
-    return _node(data, (a, b), bw)
+    return _binary(a, b, np.multiply, lambda g, x, y, z: g * y, lambda g, x, y, z: g * x)
 
 
 def div(a, b):
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-    _check_broadcast(a.shape, b.shape)
-    data = a.data / b.data
+    return _binary(a, b, np.divide, lambda g, x, y, z: g / y, lambda g, x, y, z: -g * z / y)
 
-    def bw(g, acc):
-        if a.requires_grad:
-            acc(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            acc(b, _unbroadcast(-g * data / b.data, b.shape))
 
-    return _node(data, (a, b), bw)
+def _unary(x, data, grad):
+    """One-input node with output array `data`; ``grad(g, x, out)`` is the input gradient."""
+    return _node(data, (x,), lambda g, acc: acc(x, grad(g, x.data, data)))
 
 
 def square(x):
-    data = x.data * x.data
-
-    def bw(g, acc):
-        acc(x, 2.0 * x.data * g)
-
-    return _node(data, (x,), bw)
+    return _unary(x, x.data * x.data, lambda g, a, z: 2.0 * a * g)
 
 
 def sqrt(x):
-    data = np.sqrt(x.data)
-
-    def bw(g, acc):
-        acc(x, g * (0.5 / data))
-
-    return _node(data, (x,), bw)
+    return _unary(x, np.sqrt(x.data), lambda g, a, z: g * (0.5 / z))
 
 
 def relu(x):
     """max(x, 0); NaN propagates, -0.0 maps to +0.0."""
-    data = np.maximum(x.data, 0)
-
-    def bw(g, acc):
-        acc(x, g * (data > 0))
-
-    return _node(data, (x,), bw)
+    return _unary(x, np.maximum(x.data, 0), lambda g, a, z: g * (z > 0))
 
 
 def exp(x):
-    data = np.exp(x.data)
-
-    def bw(g, acc):
-        acc(x, g * data)
-
-    return _node(data, (x,), bw)
+    return _unary(x, np.exp(x.data), lambda g, a, z: g * z)
 
 
 def log(x):
-    data = np.log(x.data)
-
-    def bw(g, acc):
-        acc(x, g / x.data)
-
-    return _node(data, (x,), bw)
+    return _unary(x, np.log(x.data), lambda g, a, z: g / a)
 
 
 # -- reductions ---------------------------------------------------------------
 
 
-def _norm_axes(x, axes):
+def _norm_axes(axes):
     if axes is None:
         return (0, 1, 2, 3)
+    for a in axes:
+        if not -4 <= int(a) <= 3:
+            raise ShapeError(f"reduction axis {a} is out of range [-4, 3] for a rank-4 tensor")
     axes = tuple(sorted(int(a) % 4 for a in axes))
     if len(set(axes)) != len(axes):
         raise ShapeError(f"duplicate reduction axes {axes}")
@@ -296,13 +257,8 @@ def _norm_axes(x, axes):
 
 def tsum(x, axes=None):
     """Sum over `axes` (all by default); result keeps rank 4."""
-    axes = _norm_axes(x, axes)
-    data = _sum_keep(x.data, axes)
-
-    def bw(g, acc):
-        acc(x, np.broadcast_to(g, x.shape))
-
-    return _node(data, (x,), bw)
+    axes = _norm_axes(axes)
+    return _unary(x, _sum_keep(x.data, axes), lambda g, a, z: np.broadcast_to(g, a.shape))
 
 
 def _count(shape, axes):
@@ -314,16 +270,11 @@ def _count(shape, axes):
 
 def mean(x, axes=None):
     """Arithmetic mean over `axes`; result keeps rank 4."""
-    axes = _norm_axes(x, axes)
+    axes = _norm_axes(axes)
     count = _count(x.shape, axes)
     if count == 0:
         raise ShapeError(f"mean over empty extent (axes {axes} of shape {x.shape})")
-    data = _mean_keep(x.data, axes, count)
-
-    def bw(g, acc):
-        acc(x, np.broadcast_to(g / count, x.shape))
-
-    return _node(data, (x,), bw)
+    return _unary(x, _mean_keep(x.data, axes, count), lambda g, a, z: np.broadcast_to(g / count, a.shape))
 
 
 def _mean_keep(a, axes, count):
@@ -384,7 +335,7 @@ def variance(x, views, eps, running=None):
     summed over the views (centred values sum to zero, so the means add
     nothing).
     """
-    views = tuple(_norm_axes(x, a) for a in views)
+    views = tuple(_norm_axes(a) for a in views)
     if not views:
         raise ShapeError("variance needs at least one view")
     for a in views:

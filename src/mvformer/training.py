@@ -150,7 +150,7 @@ _SCHEMA = {
 
 
 def parse_config_text(text):
-    """Parse the flat key=value format with [section] headers; unknown keys are errors."""
+    """Parse the flat key=value format with [section] headers; unknown or repeated keys are errors."""
     section = None
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -170,6 +170,8 @@ def parse_config_text(text):
         key, value = key.strip(), value.strip()
         if key not in _SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
+        if key in values:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
         try:
             values[key] = _SCHEMA[section][key](value)
         except ValueError as exc:

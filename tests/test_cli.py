@@ -153,11 +153,13 @@ class TestTrainEval:
             ("train", "seed = -3", "seed must be >= 0, got -3"),
             ("model", "embed_dims = 0,8,16,32", "embed dims must be >= 2, got 0"),
             ("model", "embed_dims = -2,8,16,32", "embed dims must be >= 2, got -2"),
+            ("train", "epochs = 3", "line 7: duplicate key 'epochs' in [train]"),
+            ("data", "val_size = 16", "line 7: duplicate key 'val_size' in [data]"),
         ],
     )
     def test_train_bad_value_writes_nothing(self, tmp_path, capsys, section, line, message):
         cfg = tmp_path / "bad.cfg"
-        base = "[train]\nepochs = 2\nwarmup_epochs = 1\n[data]\ntrain_size = 64\nval_size = 32\n"
+        base = "[train]\nepochs = 3\n[data]\ntrain_size = 64\nval_size = 32\n"  # sets no key a case sets
         cfg.write_text(f"{base}[{section}]\n{line}\n")
         out = tmp_path / "bad_run"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
@@ -332,6 +334,27 @@ class TestUsage:
         path.write_bytes(b"MVFK\x01\x00")
         assert main([command, "--checkpoint", str(path)]) == 2
         assert "truncated header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "module,name",
+        [
+            ("mixer", "ConfigError"),
+            ("checkpoint", "CheckpointFormatError"),
+            ("checkpoint", "CheckpointIntegrityError"),
+            ("imageio", "ImageFormatError"),
+            ("norm", "DegenerateInputError"),
+            ("tensor", "ShapeError"),
+        ],
+    )
+    def test_named_input_errors_are_value_errors(self, module, name):
+        # main maps them to exit 2 through its ValueError entry alone
+        import importlib
+
+        import mvformer.cli as cli_mod
+
+        error = getattr(importlib.import_module(f"mvformer.{module}"), name)
+        assert issubclass(error, ValueError)
+        assert issubclass(error, cli_mod._INPUT_ERRORS)
 
     def test_numeric_abort_exit_code(self, tmp_path, capsys, monkeypatch):
         import mvformer.cli as cli_mod

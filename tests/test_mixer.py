@@ -66,7 +66,7 @@ class TestStageSpec:
         spec = make_stage_spec(stage, c)
         assert (spec.dim_local, spec.dim_inter, spec.dim_global) == dims
         assert spec.global_kernel == kernel
-        assert spec.global_pad == pad
+        assert spec.global_kernel // 2 == pad
         assert spec.decomposed == decomposed
         assert spec.dim_local + spec.dim_inter + spec.dim_global == spec.expanded
 
@@ -110,7 +110,7 @@ class TestAblations:
     def test_no_stage_global_uses_stage3_size(self):
         for stage in (1, 2, 3, 4):
             spec = ablate_spec(make_stage_spec(stage, 64), "no-stage-global")
-            assert (spec.global_kernel, spec.global_pad, spec.decomposed) == (13, 6, True)
+            assert (spec.global_kernel, spec.decomposed) == (13, True)
 
     def test_no_stage_both_composes(self):
         spec = ablate_spec(make_stage_spec(4, 512), "no-stage-both")

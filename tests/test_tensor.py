@@ -381,6 +381,20 @@ class TestElementwise:
         np.testing.assert_array_equal(x.grad.reshape(-1), [0.0, 0.0, 1.0, 0.0])
 
 
+class TestReductionAxes:
+    @pytest.mark.parametrize("op,axes", [(tsum, (5,)), (mean, (-7,)), (tsum, (1, 4)), (mean, (-5, 0))])
+    def test_out_of_range_axis_rejected(self, op, axes):
+        x = Tensor(np.ones((2, 3, 2, 2), dtype=np.float32))
+        bad = next(a for a in axes if not -4 <= a <= 3)
+        with pytest.raises(ShapeError, match=f"reduction axis {bad} is out of range"):
+            op(x, axes)
+
+    def test_negative_axes_in_range_wrap(self):
+        x = Tensor(np.arange(48, dtype=np.float32).reshape(2, 3, 2, 4))
+        assert np.array_equal(tsum(x, (-4, -1)).data, tsum(x, (0, 3)).data)
+        assert np.array_equal(mean(x, (-3,)).data, mean(x, (1,)).data)
+
+
 class TestGlobalAvgPool:
     def test_constant(self):
         out = global_avg_pool(Tensor(np.full((1, 2, 3, 3), 3.0, dtype=np.float32)))

@@ -1,6 +1,8 @@
 """Loss closed forms, config parsing, loop determinism, abort handling."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from oracles import numeric_grad
 from mvformer.checkpoint import load_checkpoint, read_arrays
 from mvformer.data import SyntheticDataset, SyntheticSpec
 from mvformer.mixer import ABLATION_MODES, ConfigError
-from mvformer.model import NORM_KINDS, PRESETS, build_model, model_config
+from mvformer.model import NORM_KINDS, PRESETS, ModelConfig, build_model, model_config
 from mvformer.optim import NumericsError
 from mvformer.tensor import Tensor, backward
 from mvformer.training import (
@@ -122,6 +124,19 @@ image_size = 32
         with pytest.raises(ConfigError, match="bad value"):
             parse_config_text("[train]\nepochs = many\n")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[train]\nepochs = 3\nepochs = 5\n", "line 3: duplicate key 'epochs' in [train]"),
+            ("[train]\nseed = 1\n[data]\nnoise = 0.1\n[train]\nseed = 1\n", "line 6: duplicate key 'seed' in [train]"),
+            ("[model]\nnorm = bn\n\n# again\nnorm = ln\n", "line 5: duplicate key 'norm' in [model]"),
+        ],
+        ids=["same-section", "section-reopened", "after-comment"],
+    )
+    def test_duplicate_key_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config_text(text)
+
     def test_warmup_must_fit(self):
         with pytest.raises(ConfigError, match="warmup"):
             TrainConfig(epochs=2, warmup_epochs=2)
@@ -208,6 +223,13 @@ class TestRunMetadata:
             for ablation in (None,) + ABLATION_MODES:
                 mc = model_config(preset, block_norm=norm, ablation=ablation)
                 assert model_from_meta(model_meta(mc)) == mc
+
+    def test_every_model_field_but_input_channels_is_recorded(self):
+        # a field without a metadata key cannot be rebuilt by eval or dump-alphas
+        recorded = {field for _, field, _ in training._MODEL_META}
+        fields = {f.name for f in dataclasses.fields(ModelConfig)}
+        assert fields - recorded == {"input_channels"}
+        assert recorded <= fields
 
     def test_missing_required_model_key_is_key_error(self):
         meta = model_meta(model_config("micro"))
