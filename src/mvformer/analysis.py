@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DOWN_GEOMETRY, HEAD_MLP_RATIO, RES_SCALE_STAGES, STEM_GEOMETRY, ModelConfig, MVFormer, stage_map_sizes
-from .norm import DEFAULT_EPS, DegenerateInputError, MultiViewNorm, PlainNorm, batch_norm, instance_norm, layer_norm
+from .norm import DegenerateInputError, MultiViewNorm, PlainNorm, batch_norm, instance_norm, layer_norm
 from .tensor import Tensor
 
 
@@ -208,7 +208,7 @@ class NormalizedImages:
     composite: np.ndarray
 
 
-def normalize_image_grid(images, weights, eps=DEFAULT_EPS):
+def normalize_image_grid(images, weights):
     """Apply the three normalizations to raw pixels, plus their weighted sum.
 
     `images` is a batch (n >= 2, BN needs cross-image statistics) of values
@@ -220,12 +220,13 @@ def normalize_image_grid(images, weights, eps=DEFAULT_EPS):
         raise ValueError(f"images must be (n, c, h, w); got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise DegenerateInputError(
-            "batch normalization of raw images needs >= 2 images for batch statistics"
+            "batch normalization of raw images needs at least two input images "
+            f"(its statistics are computed across >= 2 images), got {arr.shape[0]}"
         )
     x = Tensor(arr)
-    bn = batch_norm(x, PlainNorm(arr.shape[1], "bn", eps), training=True).data
-    ln = layer_norm(x, eps).data
-    inorm = instance_norm(x, eps).data
+    bn = batch_norm(x, PlainNorm(arr.shape[1], "bn"), training=True).data
+    ln = layer_norm(x).data
+    inorm = instance_norm(x).data
     w_bn, w_ln, w_in = (np.float32(w) for w in weights)
     composite = w_bn * bn + w_ln * ln + w_in * inorm
     return NormalizedImages(bn, ln, inorm, composite)

@@ -14,7 +14,7 @@ Layout (all integers little-endian):
 Entry names: ``param/<name>`` and ``buffer/<name>`` for the model,
 ``opt/step``, ``opt/m/<name>``, ``opt/v/<name>`` for the optimizer, and
 ``meta`` for a utf-8 ``key=value`` block.  A load-save round trip is
-byte-identical.
+byte-identical, and loading copies each entry into the array that holds it.
 """
 
 from __future__ import annotations
@@ -150,18 +150,23 @@ def read_arrays(path):
     return arrays
 
 
-def save_checkpoint(path, model, opt=None, meta=None):
-    arrays = {}
-    for name, p in model.named_parameters():
-        arrays[f"param/{name}"] = p.data
-    for name, buf in model.named_buffers():
-        arrays[f"buffer/{name}"] = buf
+def _entries(model, opt):
+    """(key, error label, the array that holds it) for every saved array, in file order.
+
+    ``opt/step`` is the one exception: its array is a snapshot of
+    ``opt.step_count``, which ``load_checkpoint`` restores by hand.
+    """
+    entries = [(f"param/{n}", f"parameter {n!r}", p.data) for n, p in model.named_parameters()]
+    entries += [(f"buffer/{n}", f"buffer {n!r}", buf) for n, buf in model.named_buffers()]
     if opt is not None:
-        arrays["opt/step"] = np.asarray([opt.step_count], dtype=np.int64)
-        for name, _ in opt.named_params:
-            arrays[f"opt/m/{name}"] = opt.m[name]
-        for name, _ in opt.named_params:
-            arrays[f"opt/v/{name}"] = opt.v[name]
+        entries.append(("opt/step", "optimizer step count", np.asarray([opt.step_count], np.int64)))
+        for kind, store in (("m", opt.m), ("v", opt.v)):
+            entries += [(f"opt/{kind}/{n}", f"entry 'opt/{kind}/{n}'", store[n]) for n, _ in opt.named_params]
+    return entries
+
+
+def save_checkpoint(path, model, opt=None, meta=None):
+    arrays = {key: arr for key, _, arr in _entries(model, opt)}
     if meta:
         arrays["meta"] = _meta_to_bytes(meta)
     write_arrays(path, arrays)
@@ -173,56 +178,34 @@ def read_meta(path):
 
 
 def load_checkpoint(path, model, opt=None):
-    """Restore parameters, buffers, and optimizer state in place; returns meta.
+    """Copy every stored array into the model or optimizer array that holds it; returns meta.
 
     Every entry is checked before anything is written, so a rejected file
-    leaves the model and the optimizer as they were.  Optimizer moments are
-    copied into the optimizer's own arrays (``opt.m[name]`` and
-    ``opt.v[name]`` are views into its flat store).
+    leaves the model and the optimizer as they were.  A file is rejected if
+    it lacks an entry or stores one of another shape, or if it stores a
+    ``param/`` or ``buffer/`` entry the model lacks (an ``opt/`` entry the
+    optimizer lacks, when one is given).  Parameters, buffers and moments
+    keep their arrays: each is overwritten in place.
     """
     arrays = read_arrays(path)
-    params = [
-        (p, _entry(arrays, f"param/{name}", f"parameter {name!r}", p.data.shape))
-        for name, p in model.named_parameters()
-    ]
-    buffers = [
-        (name, _entry(arrays, f"buffer/{name}", f"buffer {name!r}", buf.shape))
-        for name, buf in model.named_buffers()
-    ]
-    moments = []
+    entries = _entries(model, opt)
+    for key, label, arr in entries:
+        if key not in arrays:
+            raise CheckpointFormatError(f"checkpoint lacks {label}")
+        if arrays[key].shape != arr.shape:
+            raise CheckpointFormatError(
+                f"{label}: checkpoint shape {arrays[key].shape} != model shape {arr.shape}"
+            )
+    owned = ("param/", "buffer/") + (("opt/",) if opt is not None else ())
+    known = {key for key, _, _ in entries}
+    stray = next((key for key in arrays if key.startswith(owned) and key not in known), None)
+    if stray is not None:
+        owner = "optimizer" if stray.startswith("opt/") else "model"
+        raise CheckpointFormatError(f"{owner} lacks checkpoint entry {stray!r}")
     if opt is not None:
-        step = _entry(arrays, "opt/step", "optimizer step count", (1,))
-        for kind, store in (("m", opt.m), ("v", opt.v)):
-            for name, _ in opt.named_params:
-                key, view = f"opt/{kind}/{name}", store[name]
-                moments.append((view, _entry(arrays, key, f"entry {key!r}", view.shape)))
         opt.check_params()
-    for p, stored in params:
-        p.tensor.data = stored.astype(p.data.dtype, copy=False)
-        p.tensor.grad = None
-    for name, stored in buffers:
-        owner, leaf = _resolve_buffer(model, name)
-        owner.set_buffer(leaf, stored)
-    if opt is not None:
-        opt.step_count = int(step[0])
-        for view, stored in moments:
-            np.copyto(view, stored)
+        opt.step_count = int(arrays["opt/step"][0])  # its entry holds a snapshot, not the counter
+    for key, _, arr in entries:
+        np.copyto(arr, arrays[key], casting="unsafe")  # converts like astype, so nothing raises midway
+    model.zero_grad()
     return _meta_from_bytes(arrays["meta"]) if "meta" in arrays else {}
-
-
-def _entry(arrays, key, label, shape):
-    if key not in arrays:
-        raise CheckpointFormatError(f"checkpoint lacks {label}")
-    stored = arrays[key]
-    if stored.shape != shape:
-        raise CheckpointFormatError(
-            f"{label}: checkpoint shape {stored.shape} != model shape {shape}"
-        )
-    return stored
-
-
-def _resolve_buffer(module, qualified):
-    parts = qualified.split(".")
-    for part in parts[:-1]:
-        module = module._children[part]
-    return module, parts[-1]

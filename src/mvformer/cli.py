@@ -9,6 +9,7 @@ random numbers print the seed on their first output line.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -68,16 +69,7 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     meta = read_meta(args.checkpoint)
-    if args.preset is not None:
-        mc = model_config(
-            args.preset,
-            num_classes=int(meta["model.num_classes"]),
-            block_norm=meta.get("model.norm", "mvn"),
-            ablation=meta.get("model.ablation"),
-        )
-    else:
-        mc = model_from_meta(meta)
-    model = build_model(mc, seed=0)
+    model = build_model(model_from_meta(meta), seed=0)
     load_checkpoint(args.checkpoint, model)
     overrides = parse_data_overrides(args.data) if args.data else None
     dataset = SyntheticDataset(data_from_meta(meta, overrides))
@@ -112,17 +104,13 @@ def _parse_weights(text):
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != 3:
         raise ValueError(f"--weights needs three comma-separated values, got {text!r}")
-    return tuple(float(p) for p in parts)
+    weights = tuple(float(p) for p in parts)
+    if not all(map(math.isfinite, weights)):
+        raise ValueError(f"--weights must be finite, got {text!r}")
+    return weights
 
 
 def _cmd_norm_image(args):
-    if len(args.inputs) < 2:
-        print(
-            "error: batch normalization of raw images needs at least two input images "
-            "(its statistics are computed across the batch)",
-            file=sys.stderr,
-        )
-        return 2
     weights = _parse_weights(args.weights)
     stems = []
     pixels = []
@@ -150,16 +138,7 @@ def _cmd_norm_image(args):
 
 
 def _cmd_dump_alphas(args):
-    meta = read_meta(args.checkpoint)
-    mc = model_from_meta(meta)
-    if mc.block_norm != "mvn":
-        print(
-            f"error: checkpoint was trained with block_norm={mc.block_norm!r}; "
-            "it has no multi-view weights to dump",
-            file=sys.stderr,
-        )
-        return 2
-    model = build_model(mc, seed=0)
+    model = build_model(model_from_meta(read_meta(args.checkpoint)), seed=0)
     load_checkpoint(args.checkpoint, model)
     profile = dump_alpha_profile(model)
     if args.csv:
@@ -202,7 +181,6 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", help="override dataset fields, e.g. classes=4,image_size=32")
     p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--preset", choices=sorted(PRESETS), help="force an architecture (must match)")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")

@@ -19,13 +19,13 @@ import numpy as np
 from .tensor import Tensor
 
 TWO_PI = 2.0 * np.pi
+CHANNELS = 3  # every image is RGB
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
     classes: int = 4
     image_size: int = 32
-    channels: int = 3
     noise: float = 0.05
     seed: int = 0
     train_size: int = 512
@@ -121,7 +121,7 @@ class SyntheticDataset:
         band = 1.0 + (label // len(_GENERATORS))  # extra classes reuse generators at higher frequency
         pattern = _GENERATORS[label % len(_GENERATORS)](rng, self._yy, self._xx, band)
         amplitude = rng.uniform(0.30, 0.45)
-        tint = rng.uniform(0.6, 1.0, size=spec.channels)
+        tint = rng.uniform(0.6, 1.0, size=CHANNELS)
         img = 0.5 + amplitude * tint[:, None, None] * pattern[None, :, :]
         img += rng.normal(0.0, spec.noise, size=img.shape)
         img = np.clip(img, 0.0, 1.0).astype(np.float32)

@@ -22,9 +22,11 @@ Variant presets:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
+from .data import CHANNELS
 from .mixer import (
     ABLATION_MODES,
     ConfigError,
@@ -77,7 +79,7 @@ class ModelConfig:
     depths: tuple[int, int, int, int]
     mlp_ratio: int = 4
     num_classes: int = 1000
-    input_channels: int = 3
+    input_channels: ClassVar[int] = CHANNELS
     drop_path_rate: float = 0.0
     block_norm: str = "mvn"
     ablation: str | None = None

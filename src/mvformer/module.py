@@ -54,12 +54,6 @@ class Module:
         self._buffers[name] = arr
         return arr
 
-    def set_buffer(self, name, array):
-        if name not in self._buffers:
-            raise KeyError(f"unknown buffer {name!r}")
-        # keep the buffer's current dtype (float64 while gradient-checking)
-        self._buffers[name] = np.asarray(array, dtype=self._buffers[name].dtype)
-
     def child(self, name, module):
         if name in self._children:
             raise ValueError(f"duplicate child name {name!r}")

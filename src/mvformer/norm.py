@@ -6,7 +6,7 @@ Every norm is one body on shared statistics, four tape nodes:
   into one small tensor.  `x` is centred once on its per-(n, c) means (the
   instance view); batch norm's moments combine those over the batch, so only
   the layer view takes full-size passes of its own.
-- ``sqrt(add(var, eps))`` on the packed variances.  The square root stays an
+- ``sqrt(add(var, EPS))`` on the packed variances.  The square root stays an
   ordinary op of this module, so the gradient along the std path is checked
   like any other (the benchmark's smoke test breaks ``norm.sqrt`` and expects
   the float64 gradient check to notice).
@@ -29,7 +29,8 @@ Batch normalization is the only stateful view: training mode normalizes
 with batch statistics and updates per-channel running mean/variance;
 inference mode normalizes with the frozen running values, which
 ``variance`` takes as constants.  Running variance is stored biased
-(divide by count), like the batch statistic.
+(divide by count), like the batch statistic.  ``EPS`` and ``MOMENTUM``
+are constants of every norm.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ import numpy as np
 from .module import Module
 from .tensor import _count, add, normalize, sqrt, variance
 
-DEFAULT_EPS = 1e-5
-DEFAULT_MOMENTUM = 0.1
+EPS = 1e-5
+MOMENTUM = 0.1
 
 # reduction axes of each view, and the error raised when they span fewer than two elements
 _VIEWS = {
@@ -60,12 +61,13 @@ def _guard(x, kind):
         raise DegenerateInputError(message.format(*x.shape))
 
 
-def _norm(x, views, eps, state=None, training=True, gamma=None, beta=None):
+def _norm(x, views, state=None, training=True, gamma=None, beta=None):
     """``gamma * sum_v weight_v * view_v + beta`` over `views`, ``(kind, weight or None)`` pairs.
 
-    A ``bn`` view reads and updates `state`'s running buffers and momentum:
-    training mode folds the batch statistics into them, inference mode
-    normalizes with them as constants.  A weighted ``in`` view is unguarded:
+    A ``bn`` view reads and updates `state`'s running buffers: training mode
+    folds the batch statistics into them in place, ``MOMENTUM`` of the batch
+    to ``1 - MOMENTUM`` of the old value; inference mode normalizes with
+    them as constants.  A weighted ``in`` view is unguarded:
     on 1x1 maps it contributes exactly zero.  The ``ln`` guard fires after
     the running buffers are updated.
     """
@@ -77,36 +79,36 @@ def _norm(x, views, eps, state=None, training=True, gamma=None, beta=None):
     running = None
     if "bn" in kinds and not training:
         running = (state.run_mean.reshape(1, c, 1, 1), state.run_var.reshape(1, c, 1, 1))
-    var, m = variance(x, [_VIEWS[k][0] for k in kinds], eps, running)
+    var, m = variance(x, [_VIEWS[k][0] for k in kinds], EPS, running)
     if "bn" in kinds and training:
-        axes, mom = _VIEWS["bn"][0], state.momentum
-        mu, v = m.mu[axes], m.var[axes]
-        state.set_buffer("run_mean", (1.0 - mom) * state.run_mean + mom * mu.reshape(c))
-        state.set_buffer("run_var", (1.0 - mom) * state.run_var + mom * v.reshape(c))
+        axes = _VIEWS["bn"][0]
+        for buf, stat in ((state.run_mean, m.mu[axes]), (state.run_var, m.var[axes])):
+            buf *= 1.0 - MOMENTUM
+            buf += MOMENTUM * stat.reshape(c)
     if "ln" in kinds:
         _guard(x, "ln")
-    return normalize(x, m, sqrt(add(var, eps)), [w for _, w in views], gamma, beta)
+    return normalize(x, m, sqrt(add(var, EPS)), [w for _, w in views], gamma, beta)
 
 
 def batch_norm(x, state, training):
     """Channelwise standardization (pre-affine).
 
-    `state` carries run_mean/run_var buffers, eps, and momentum (either a
-    plain BN layer or the multi-view layer).  Training mode uses batch
-    statistics over (n, h, w) per channel and folds them into the running
-    values; inference mode uses the running values as constants.
+    `state` carries run_mean/run_var buffers (either a plain BN layer or
+    the multi-view layer).  Training mode uses batch statistics over
+    (n, h, w) per channel and folds them into the running values; inference
+    mode uses the running values as constants.
     """
-    return _norm(x, [("bn", None)], state.eps, state, training)
+    return _norm(x, [("bn", None)], state, training)
 
 
-def layer_norm(x, eps=DEFAULT_EPS):
+def layer_norm(x):
     """Per-pixel standardization across channels (pre-affine)."""
-    return _norm(x, [("ln", None)], eps)
+    return _norm(x, [("ln", None)])
 
 
-def instance_norm(x, eps=DEFAULT_EPS):
+def instance_norm(x):
     """Per-(sample, channel) spatial standardization (pre-affine)."""
-    return _norm(x, [("in", None)], eps)
+    return _norm(x, [("in", None)])
 
 
 class _ViewSum(Module):
@@ -118,11 +120,9 @@ class _ViewSum(Module):
     these names in this order.
     """
 
-    def __init__(self, channels, kinds, eps, momentum):
+    def __init__(self, channels, kinds):
         super().__init__()
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         shape = (1, channels, 1, 1)
         weights = [None] * len(kinds)
         if len(kinds) > 1:
@@ -145,7 +145,7 @@ class _ViewSum(Module):
     def forward(self, x, training=False):
         if x.shape[1] != self.channels:
             raise ValueError(f"norm built for {self.channels} channels, input has {x.shape[1]}")
-        return _norm(x, self._views, self.eps, self, training, self.gamma, self.beta)
+        return _norm(x, self._views, self, training, self.gamma, self.beta)
 
 
 class PlainNorm(_ViewSum):
@@ -153,10 +153,10 @@ class PlainNorm(_ViewSum):
 
     KINDS = ("bn", "ln", "in")
 
-    def __init__(self, channels, kind, eps=DEFAULT_EPS, momentum=DEFAULT_MOMENTUM):
+    def __init__(self, channels, kind):
         if kind not in self.KINDS:
             raise ValueError(f"unknown norm kind {kind!r}; expected one of {self.KINDS}")
-        super().__init__(channels, (kind,), eps, momentum)
+        super().__init__(channels, (kind,))
         self.kind = kind
 
 
@@ -173,13 +173,11 @@ class MultiViewNorm(_ViewSum):
     raising, which keeps deep stages usable on very small inputs.
     """
 
-    def __init__(self, channels, eps=DEFAULT_EPS, momentum=DEFAULT_MOMENTUM):
-        super().__init__(channels, ("bn", "ln", "in"), eps, momentum)
+    def __init__(self, channels):
+        super().__init__(channels, ("bn", "ln", "in"))
         self.alpha_bn, self.alpha_ln, self.alpha_in = (w for _, w in self._views)
 
 
-def make_norm(kind, channels, eps=DEFAULT_EPS, momentum=DEFAULT_MOMENTUM):
+def make_norm(kind, channels):
     """Build a block-norm layer: 'mvn' or one of PlainNorm's kinds."""
-    if kind == "mvn":
-        return MultiViewNorm(channels, eps, momentum)
-    return PlainNorm(channels, kind, eps, momentum)
+    return MultiViewNorm(channels) if kind == "mvn" else PlainNorm(channels, kind)

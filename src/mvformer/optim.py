@@ -36,16 +36,17 @@ class AdamW:
         v <- b2 * v + (1 - b2) * g^2
         p <- p - lr * mhat / (sqrt(vhat) + eps)
 
-    Each parameter's ``data`` is rebound to a view of one fresh array per
-    step.  Decay flags are read once, at construction; every parameter must
-    share one dtype, which is the store's.
+    with the constants b1 = 0.9, b2 = 0.999 and eps = 1e-8.  Each parameter's
+    ``data`` is rebound to a view of one fresh array per step.  Decay flags
+    are read once, at construction; every parameter must share one dtype,
+    which is the store's.
     """
 
-    def __init__(self, named_params, base_lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.05):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, named_params, base_lr=1e-3, weight_decay=0.05):
         self.named_params = list(named_params)
         self.base_lr = base_lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         if not self.named_params:

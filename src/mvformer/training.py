@@ -187,7 +187,7 @@ def parse_config(path):
 # Every config key's parser, whatever its section (the data spec's seed is [train] seed).
 _PARSERS = {key: parse for section in _SCHEMA.values() for key, parse in section.items()}
 
-# The SyntheticSpec fields a run sets, in metadata order; all are TrainConfig fields too.
+# Every SyntheticSpec field, in metadata order; all are TrainConfig fields too.
 _DATA_KEYS = ("classes", "image_size", "noise", "seed", "train_size", "val_size")
 
 # (metadata key, ModelConfig field, parser), in metadata order.  Every key is

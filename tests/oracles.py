@@ -6,6 +6,7 @@ the library's fast paths.
 
 import numpy as np
 
+from mvformer import norm
 from mvformer.optim import NumericsError
 from mvformer.tensor import ShapeError, Tensor, add, div, mean, mul, sqrt, square, sub
 
@@ -88,10 +89,10 @@ def mvn_oracle(layer, x, training):
         mu, var = moments(x, (0, 2, 3))
     else:
         mu, var = Tensor(layer.run_mean.reshape(1, c, 1, 1)), Tensor(layer.run_var.reshape(1, c, 1, 1))
-    mixed = mul(div(sub(x, mu), sqrt(add(var, layer.eps))), layer.alpha_bn)
+    mixed = mul(div(sub(x, mu), sqrt(add(var, norm.EPS))), layer.alpha_bn)
     for axes, alpha in (((1,), layer.alpha_ln), ((2, 3), layer.alpha_in)):
         mu, var = moments(x, axes)
-        mixed = add(mixed, mul(div(sub(x, mu), sqrt(add(var, layer.eps))), alpha))
+        mixed = add(mixed, mul(div(sub(x, mu), sqrt(add(var, norm.EPS))), alpha))
     return apply_affine(mixed, layer.gamma, layer.beta)
 
 

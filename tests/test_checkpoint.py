@@ -69,6 +69,27 @@ class TestRoundTrip:
             assert np.array_equal(opt.m[name], opt2.m[name])
             assert np.array_equal(opt.v[name], opt2.v[name])
 
+    def test_every_array_overwritten_in_place(self, tmp_path):
+        def held(model, opt):
+            arrays = {f"param/{n}": p.data for n, p in model.named_parameters()}
+            arrays.update({f"buffer/{n}": b for n, b in model.named_buffers()})
+            for kind, store in (("m", opt.m), ("v", opt.v)):
+                arrays.update({f"opt/{kind}/{n}": a for n, a in store.items()})
+            return arrays
+
+        model, opt = trained_pair()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, opt)
+        saved = read_arrays(path)
+        model2, opt2 = trained_pair(seed=1)
+        before = held(model2, opt2)
+        load_checkpoint(path, model2, opt2)
+        after = held(model2, opt2)
+        assert list(after) == list(before)
+        for key, arr in before.items():
+            assert after[key] is arr, key
+            assert np.array_equal(arr, saved[key]), key
+
     def test_optimizer_state_loaded_into_store(self, tmp_path):
         # the loaded moments must drive the next step, not sit beside the flat store
         model, opt = trained_pair()
@@ -217,6 +238,54 @@ class TestGuards:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model, opt)
         assert read_meta(path) == {}
+
+
+class TestStrayEntries:
+    """A file with entries the model or optimizer lacks is rejected before anything is written."""
+
+    @pytest.mark.parametrize("norm", ["ln", "bn", "in"])
+    def test_mvn_checkpoint_into_plain_norm_model(self, tmp_path, norm):
+        model, opt = trained_pair()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, opt)
+        plain = build_model(model_config("micro", num_classes=4, block_norm=norm), seed=0)
+        before = [p.data.copy() for _, p in plain.named_parameters()]
+        with pytest.raises(CheckpointFormatError, match="model lacks checkpoint entry 'param/embed2.norm.alpha_bn'"):
+            load_checkpoint(path, plain)
+        assert all(np.array_equal(a, p.data) for a, (_, p) in zip(before, plain.named_parameters()))
+
+    @pytest.mark.parametrize(
+        "key,message",
+        [
+            ("buffer/stage1_block0.norm1.ghost", "model lacks checkpoint entry 'buffer/stage1_block0.norm1.ghost'"),
+            ("opt/m/ghost", "optimizer lacks checkpoint entry 'opt/m/ghost'"),
+        ],
+    )
+    def test_stray_entry_changes_nothing(self, tmp_path, key, message):
+        model, opt = trained_pair()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, opt)
+        arrays = read_arrays(path)
+        arrays[key] = np.zeros(3, np.float32)
+        write_arrays(path, arrays)
+        model2, opt2 = trained_pair(seed=1)
+        before = tmp_path / "before.ckpt"
+        save_checkpoint(before, model2, opt2)
+        with pytest.raises(CheckpointFormatError, match=message):
+            load_checkpoint(path, model2, opt2)
+        after = tmp_path / "after.ckpt"
+        save_checkpoint(after, model2, opt2)
+        assert after.read_bytes() == before.read_bytes()
+
+    def test_optimizer_entries_allowed_without_optimizer(self, tmp_path):
+        # eval and dump-alphas load training checkpoints into a bare model
+        model, opt = trained_pair()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, opt)
+        arrays = read_arrays(path)
+        arrays["opt/m/ghost"] = np.zeros(3, np.float32)
+        write_arrays(path, arrays)
+        load_checkpoint(path, build_model(model_config("micro", num_classes=4), seed=1))
 
 
 class TestAtomicWrite:

@@ -5,9 +5,6 @@ import pytest
 
 import mvformer.mixer as mixer_mod
 from mvformer.cli import main
-from mvformer.data import SyntheticDataset
-from mvformer.model import build_model, model_config
-from mvformer.training import TrainConfig, resolve_data_spec, train_loop
 from mvformer.imageio import read_ppm, write_ppm
 from mvformer.tensor import _node
 
@@ -104,21 +101,6 @@ class TestTrainEval:
         rc = main(["eval", "--checkpoint", str(trained_run / "last.ckpt"), "--data", "val_size=32"])
         assert rc == 0
         assert capsys.readouterr().out.startswith("val_acc:")
-
-    def test_eval_mismatched_preset_is_input_error(self, trained_run, capsys):
-        rc = main(["eval", "--checkpoint", str(trained_run / "last.ckpt"), "--preset", "xT"])
-        assert rc == 2
-        assert "shape" in capsys.readouterr().err
-
-    def test_eval_preset_keeps_checkpoint_ablation(self, tmp_path, capsys):
-        cfg = TrainConfig(epochs=1, warmup_epochs=0, batch_size=32, train_size=64, val_size=32)
-        model = build_model(model_config("micro", num_classes=4, ablation="no-stage-both"), seed=0)
-        train_loop(model, SyntheticDataset(resolve_data_spec(cfg)), cfg, tmp_path)
-        ckpt = str(tmp_path / "last.ckpt")
-        assert main(["eval", "--checkpoint", ckpt]) == 0
-        from_meta = capsys.readouterr().out
-        assert main(["eval", "--checkpoint", ckpt, "--preset", "micro"]) == 0
-        assert capsys.readouterr().out == from_meta
 
     def test_eval_missing_file_is_input_error(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt")]) == 2
@@ -319,6 +301,15 @@ class TestNormImage:
         paths = self._write_inputs(tmp_path)
         rc = main(["norm-image", "--in", *paths, "--weights", "1,0", "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("weights", ["nan,0,0", "inf,0,0", "1,-inf,0"])
+    def test_non_finite_weights_rejected(self, tmp_path, capsys, weights):
+        paths = self._write_inputs(tmp_path)
+        out = tmp_path / "o"
+        rc = main(["norm-image", "--in", *paths, "--weights", weights, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2 and "--weights must be finite" in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 class TestUsage:

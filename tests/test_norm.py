@@ -156,10 +156,18 @@ class TestBatchNorm:
         np.testing.assert_allclose(st_.run_mean, 0.1 * mu, rtol=1e-5, atol=1e-7)
         np.testing.assert_allclose(st_.run_var, 0.9 * 1.0 + 0.1 * var, rtol=1e-5)
 
+    @pytest.mark.parametrize("kind", ["bn", "mvn"])
+    def test_running_stats_update_in_place(self, kind):
+        layer = make_norm(kind, 2)
+        run_mean, run_var = layer.run_mean, layer.run_var
+        layer.forward(Tensor(np.arange(16, dtype=np.float32).reshape(2, 2, 2, 2)), training=True)
+        assert layer.run_mean is run_mean and layer.run_var is run_var
+        assert run_mean.any() and not np.array_equal(run_var, np.ones(2))
+
     def test_inference_uses_running_stats(self):
         st_ = bn_state(1)
-        st_.set_buffer("run_mean", np.array([2.0]))
-        st_.set_buffer("run_var", np.array([4.0]))
+        st_.run_mean[:] = 2.0
+        st_.run_var[:] = 4.0
         x = Tensor(np.full((1, 1, 1, 2), 4.0, dtype=np.float32))
         out = batch_norm(x, st_, training=False)
         np.testing.assert_allclose(out.data, (4.0 - 2.0) / np.sqrt(4.0 + EPS), rtol=1e-6)
@@ -168,8 +176,8 @@ class TestBatchNorm:
         # frozen BN commutes with input scaling the way an affine map does:
         # f(2x) - f(0) == 2 * (f(x) - f(0))
         st_ = bn_state(3)
-        st_.set_buffer("run_mean", np.array([0.5, -1.0, 2.0]))
-        st_.set_buffer("run_var", np.array([1.0, 0.25, 9.0]))
+        st_.run_mean[:] = [0.5, -1.0, 2.0]
+        st_.run_var[:] = [1.0, 0.25, 9.0]
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
         f = lambda arr: batch_norm(Tensor(arr), st_, training=False).data
@@ -268,8 +276,8 @@ def random_plain(kind, c, dtype, rng):
     for name in ("gamma", "beta"):
         getattr(layer, name).data = rng.normal(size=(1, c, 1, 1)).astype(dtype)
     if kind == "bn":
-        layer.set_buffer("run_mean", rng.normal(size=c))
-        layer.set_buffer("run_var", rng.uniform(0.5, 2.0, size=c))
+        layer.run_mean[:] = rng.normal(size=c)
+        layer.run_var[:] = rng.uniform(0.5, 2.0, size=c)
     return layer
 
 
@@ -278,7 +286,7 @@ def plain_composite(layer, x, training):
     if layer.kind == "bn":
         y = batch_norm(x, layer, training)
     else:
-        y = (layer_norm if layer.kind == "ln" else instance_norm)(x, layer.eps)
+        y = (layer_norm if layer.kind == "ln" else instance_norm)(x)
     return apply_affine(y, layer.gamma, layer.beta)
 
 
@@ -376,8 +384,8 @@ def random_mvn(c, dtype, rng):
     layer = MultiViewNorm(c).cast_(dtype)
     for name in MVN_PARAMS:
         getattr(layer, name).data = rng.normal(size=(1, c, 1, 1)).astype(dtype)
-    layer.set_buffer("run_mean", rng.normal(size=c))
-    layer.set_buffer("run_var", rng.uniform(0.5, 2.0, size=c))
+    layer.run_mean[:] = rng.normal(size=c)
+    layer.run_var[:] = rng.uniform(0.5, 2.0, size=c)
     return layer
 
 
@@ -443,15 +451,15 @@ class TestEdgeShapes:
         for _, p in layer.named_parameters():
             p.tensor.data = rng.normal(size=p.data.shape)
         if "run_var" in dict(layer.named_buffers()):
-            layer.set_buffer("run_mean", rng.normal(size=shape[1]))
-            layer.set_buffer("run_var", rng.uniform(0.5, 2.0, size=shape[1]))
+            layer.run_mean[:] = rng.normal(size=shape[1])
+            layer.run_var[:] = rng.uniform(0.5, 2.0, size=shape[1])
         x = Tensor(rng.normal(size=shape), requires_grad=True)
         w = Tensor(rng.normal(size=shape))
         state = [a.copy() for _, a in layer.named_buffers()]
 
         def loss():
-            for (name, _), a in zip(layer.named_buffers(), state):
-                layer.set_buffer(name, a)  # training mode folds every call into the running values
+            for (_, buf), a in zip(layer.named_buffers(), state):
+                buf[:] = a  # training mode folds every call into the running values
             return tsum(mul(layer.forward(x, training=training), w))
 
         backward(loss())

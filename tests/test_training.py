@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import mvformer.norm as norm_mod
 import mvformer.training as training
 from oracles import numeric_grad
 from mvformer.checkpoint import load_checkpoint, read_arrays
@@ -224,12 +225,13 @@ class TestRunMetadata:
                 mc = model_config(preset, block_norm=norm, ablation=ablation)
                 assert model_from_meta(model_meta(mc)) == mc
 
-    def test_every_model_field_but_input_channels_is_recorded(self):
+    def test_every_model_field_is_recorded(self):
         # a field without a metadata key cannot be rebuilt by eval or dump-alphas
         recorded = {field for _, field, _ in training._MODEL_META}
-        fields = {f.name for f in dataclasses.fields(ModelConfig)}
-        assert fields - recorded == {"input_channels"}
-        assert recorded <= fields
+        assert recorded == {f.name for f in dataclasses.fields(ModelConfig)}
+
+    def test_every_data_field_is_recorded(self):
+        assert set(training._DATA_KEYS) == {f.name for f in dataclasses.fields(SyntheticSpec)}
 
     def test_missing_required_model_key_is_key_error(self):
         meta = model_meta(model_config("micro"))
@@ -345,13 +347,10 @@ class TestModePlumbing:
         assert all(not out.requires_grad and out._parents == () for out in outputs)
         assert all(p.grad is None for _, p in model.named_parameters())
 
-    def test_frozen_stats_reproduce_training_forward(self):
+    def test_frozen_stats_reproduce_training_forward(self, monkeypatch):
         """With momentum 1, inference row-by-row matches the training pass."""
+        monkeypatch.setattr(norm_mod, "MOMENTUM", 1.0)
         model = build_model(model_config("micro", num_classes=4), seed=0)
-        for _, _, _, norm in model.mvn_sites():
-            norm.momentum = 1.0
-        for embed in model.embeds[1:]:
-            embed.norm.momentum = 1.0
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 1, (4, 3, 32, 32)).astype(np.float32)
         out_train = model.forward(Tensor(x), training=True).data
