@@ -135,14 +135,6 @@ def cost_report(cfg, input_hw=224):
     return CostReport(tuple(rows), input_hw)
 
 
-def count_params(cfg):
-    return cost_report(cfg).total_params
-
-
-def count_macs(cfg, input_hw=224):
-    return cost_report(cfg, input_hw).total_macs
-
-
 # -- norm-weight profile ----------------------------------------------------------
 
 

@@ -34,8 +34,9 @@ from .training import (
     run_training,
 )
 
-# every named input error of the package (config, checkpoint, image, shape) is a ValueError
-_INPUT_ERRORS = (ValueError, KeyError, FileNotFoundError, IsADirectoryError)
+# every named input error of the package (config, checkpoint, image, shape) is a ValueError;
+# a path that cannot be read or written is an OSError
+_INPUT_ERRORS = (ValueError, KeyError, OSError)
 
 
 def _cmd_count(args):

@@ -33,10 +33,7 @@ def relative_error(analytic, numeric):
     return abs(analytic - numeric) / denom
 
 
-def check_gradients(
-    loss_fn, named_tensors, h=DEFAULT_STEP, samples_per_param=4, rng=None,
-    tolerance=DEFAULT_TOLERANCE,
-):
+def check_gradients(loss_fn, named_tensors, samples_per_param=4, rng=None):
     """Max relative error of tape vs finite-difference gradient, per tensor.
 
     `loss_fn` must rebuild the graph from the tensors' current data on every
@@ -44,15 +41,16 @@ def check_gradients(
     Only the first call, whose backward gives the analytic gradient, records
     a tape; every stencil evaluation runs under ``grad_enabled(False)``.
 
-    An estimate landing in the ambiguous band (>= tolerance/2) is
-    re-measured at half, then quarter, radius: squared-ReLU kinks inside
-    the probe window contaminate any fixed-step stencil, and shrinking the
-    window sharpens the measurement.  Below a quarter, halving goes on, down
-    to a radius of 1e-6, only while the estimate stays ambiguous and the
-    one-sided slopes at the window's two ends disagree by as much, the
-    mark of a (ReLU) kink still inside it.  Refinement converges the numeric
-    estimate toward the true derivative, so it cannot mask a wrong
-    backward rule: a real defect fails at every radius.
+    Probes start at radius DEFAULT_STEP.  An estimate landing in the
+    ambiguous band (>= DEFAULT_TOLERANCE/2) is re-measured at half, then
+    quarter, radius: squared-ReLU kinks inside the probe window contaminate
+    any fixed-step stencil, and shrinking the window sharpens the
+    measurement.  Below a quarter, halving goes on, down to a radius of
+    1e-6, only while the estimate stays ambiguous and the one-sided slopes
+    at the window's two ends disagree by as much, the mark of a (ReLU)
+    kink still inside it.  Refinement converges the numeric estimate toward
+    the true derivative, so it cannot mask a wrong backward rule: a real
+    defect fails at every radius.
     """
     rng = rng or np.random.default_rng(0)
     for name, t in named_tensors:
@@ -73,7 +71,7 @@ def check_gradients(
         f_ph, f_ph2, f_mh2, f_mh = values
         estimate = (8.0 * (f_ph2 - f_mh2) - (f_ph - f_mh)) / (6.0 * radius)
         right, left = (f_ph - f_ph2) * 2.0 / radius, (f_mh2 - f_mh) * 2.0 / radius
-        kinked = relative_error(right, left) >= tolerance / 2
+        kinked = relative_error(right, left) >= DEFAULT_TOLERANCE / 2
         return estimate, kinked
 
     errors = {}
@@ -86,10 +84,11 @@ def check_gradients(
         worst = 0.0
         for idx in idxs:
             a = float(analytic.reshape(-1)[idx])
-            estimate, kinked = probe(flat, idx, h)
+            radius = DEFAULT_STEP
+            estimate, kinked = probe(flat, idx, radius)
             err = relative_error(a, estimate)
-            radius = h
-            while err >= tolerance / 2 and radius / 2 >= _MIN_RADIUS and (radius > h / 4 or kinked):
+            while (err >= DEFAULT_TOLERANCE / 2 and radius / 2 >= _MIN_RADIUS
+                   and (radius > DEFAULT_STEP / 4 or kinked)):
                 radius /= 2
                 estimate, kinked = probe(flat, idx, radius)
                 err = relative_error(a, estimate)

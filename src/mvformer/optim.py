@@ -44,9 +44,8 @@ class AdamW:
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, named_params, base_lr=1e-3, weight_decay=0.05):
+    def __init__(self, named_params, weight_decay=0.05):
         self.named_params = list(named_params)
-        self.base_lr = base_lr
         self.weight_decay = weight_decay
         self.step_count = 0
         if not self.named_params:
@@ -74,8 +73,7 @@ class AdamW:
             self.m[name] = self._m[lo:hi].reshape(shape)
             self.v[name] = self._v[lo:hi].reshape(shape)
 
-    def step(self, lr=None):
-        lr = self.base_lr if lr is None else lr
+    def step(self, lr):
         grads = [
             self._zeros[: hi - lo] if p.grad is None else p.grad
             for (_, p), (lo, hi, _) in zip(self._layout, self._spans)

@@ -98,7 +98,8 @@ class TrainConfig:
             raise ConfigError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
         if self.epochs > 0 and self.warmup_epochs >= self.epochs:
             raise ConfigError(
-                f"warmup_epochs ({self.warmup_epochs}) must be < epochs ({self.epochs})"
+                f"warmup_epochs ({self.warmup_epochs}) must be < epochs ({self.epochs}); "
+                "lower warmup_epochs under [train] in a --config file"
             )
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
@@ -325,9 +326,7 @@ def train_loop(model, dataset, cfg, out_dir):
     last_path = os.path.join(out_dir, "last.ckpt")
     best_path = os.path.join(out_dir, "best.ckpt")
 
-    opt = AdamW(
-        list(model.named_parameters()), base_lr=cfg.base_lr, weight_decay=cfg.weight_decay
-    )
+    opt = AdamW(list(model.named_parameters()), weight_decay=cfg.weight_decay)
     steps_per_epoch = len(_batches(range(cfg.train_size), cfg.batch_size))
     total_steps = max(1, cfg.epochs * steps_per_epoch)
     warmup_steps = cfg.warmup_epochs * steps_per_epoch
@@ -381,9 +380,8 @@ def train_loop(model, dataset, cfg, out_dir):
     return history
 
 
-def run_training(cfg, out_dir, build_seed=None):
+def run_training(cfg, out_dir):
     """Build model + dataset from a TrainConfig and train; returns history."""
-    mc = resolve_model_config(cfg)
-    model = build_model(mc, seed=cfg.seed if build_seed is None else build_seed)
+    model = build_model(resolve_model_config(cfg), seed=cfg.seed)
     dataset = SyntheticDataset(resolve_data_spec(cfg))
     return train_loop(model, dataset, cfg, out_dir)

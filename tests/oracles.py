@@ -102,14 +102,13 @@ def standardize_oracle(x, axes, eps):
     return (x - mu) / np.sqrt(var + eps)
 
 
-def adamw_oracle(opt, lr=None):
+def adamw_oracle(opt, lr):
     """The reference for ``AdamW.step``: the same expressions, one parameter at a time.
 
     Reads an ``AdamW``'s hyperparameters and state and rebinds ``opt.m[name]``
     and ``opt.v[name]`` to fresh arrays, so an optimizer stepped by this
     function must not also be stepped by its own ``step``.
     """
-    lr = opt.base_lr if lr is None else lr
     opt.step_count += 1
     bc1 = 1.0 - opt.beta1**opt.step_count
     bc2 = 1.0 - opt.beta2**opt.step_count

@@ -7,7 +7,6 @@ import mvformer.mixer as mixer_mod
 import mvformer.model as model_mod
 from mvformer.analysis import (
     cost_report,
-    count_params,
     display_rescale,
     display_u8,
     dump_alpha_profile,
@@ -36,17 +35,17 @@ class TestCounts:
 
     def test_frozen_xt_total(self):
         # closed-form hand derivation of the xT parameter count
-        assert count_params(model_config("xT")) == 17_000_658
+        assert cost_report(model_config("xT")).total_params == 17_000_658
 
     def test_registry_cross_check_micro(self):
         cfg = model_config("micro", num_classes=4)
         model = build_model(cfg, seed=0)
-        assert count_params(cfg) == model.num_params()
+        assert cost_report(cfg).total_params == model.num_params()
 
     def test_registry_cross_check_xt(self):
         cfg = model_config("xT")
         model = build_model(cfg, seed=0)
-        assert count_params(cfg) == model.num_params()
+        assert cost_report(cfg).total_params == model.num_params()
 
     def test_lone_pointwise_conv_macs(self):
         # 1x1 conv 8 -> 16 on a 4x4 map: 16 * 4 * 4 * 8 = 2048
@@ -93,18 +92,18 @@ class TestCounts:
         assert all(r.params >= 0 and r.macs >= 0 for r in rep.rows)
 
     def test_mvn_overhead_vs_plain_ln(self):
-        mvn = count_params(model_config("xT"))
-        ln = count_params(model_config("xT", block_norm="ln"))
+        mvn = cost_report(model_config("xT")).total_params
+        ln = cost_report(model_config("xT", block_norm="ln")).total_params
         delta = mvn - ln
         assert 15_000 <= delta <= 25_000  # 0.02M within +-0.005M
 
     def test_ablation_param_ordering(self):
-        full = count_params(model_config("xT"))
-        both = count_params(model_config("xT", ablation="no-stage-both"))
+        full = cost_report(model_config("xT")).total_params
+        both = cost_report(model_config("xT", ablation="no-stage-both")).total_params
         assert both < full  # direction of the reference ablation rows
-        drop_local = count_params(model_config("xT", ablation="drop-local"))
+        drop_local = cost_report(model_config("xT", ablation="drop-local")).total_params
         assert drop_local > full  # local share moves to the pricier 7x7 filter
-        drop_inter = count_params(model_config("xT", ablation="drop-intermediate"))
+        drop_inter = cost_report(model_config("xT", ablation="drop-intermediate")).total_params
         assert drop_inter < full
 
     def test_drop_intermediate_removes_7x7_kernels(self):

@@ -1,16 +1,20 @@
-"""The names perfbench wraps or reads from outside, present under their current spelling.
+"""The names perfbench wraps, imports or reads from outside, present under their current spelling.
 
-``perfbench/`` patches these attributes by name to time the workloads; a
-rename or deletion in ``src/`` would break the benchmark silently, since its
-own tests are not part of the default suite.  Import and attribute checks
-only, no timing.
+``perfbench/`` imports these names and patches some of them by name to time
+the workloads; a rename, deletion or signature change in ``src/`` would break
+the benchmark silently, since its own tests are not part of the default
+suite.  Import, attribute and signature checks only, no timing.
 """
 
 import importlib
+import inspect
 
 import pytest
 
+from mvformer.gradcheck import check_gradients
 from mvformer.model import MVFormer, build_model, model_config
+from mvformer.optim import AdamW
+from mvformer.training import TrainConfig
 
 PATCHED = [
     ("norm", "sqrt"),
@@ -57,3 +61,48 @@ def test_model_layers_and_input_channels():
     assert isinstance(model, MVFormer)
     assert len(model.embeds) == 4
     assert [len(blocks) for blocks in model.stages] == list(cfg.depths)
+
+
+IMPORTED = [
+    ("checkpoint", "load_checkpoint"),
+    ("checkpoint", "read_meta"),
+    ("data", "SyntheticDataset"),
+    ("data", "SyntheticSpec"),
+    ("model", "build_model"),
+    ("model", "model_config"),
+    ("optim", "AdamW"),
+    ("tensor", "Tensor"),
+    ("training", "TrainConfig"),
+    ("training", "evaluate"),
+    ("training", "model_from_meta"),
+    ("training", "resolve_data_spec"),
+    ("training", "resolve_model_config"),
+    ("training", "train_loop"),
+    ("analysis", "cost_report"),
+    ("gradcheck", "DEFAULT_TOLERANCE"),
+]
+
+
+@pytest.mark.parametrize("module,name", IMPORTED, ids=[f"{m}.{n}" for m, n in IMPORTED])
+def test_imported_name_exists(module, name):
+    assert hasattr(importlib.import_module(f"mvformer.{module}"), name)
+
+
+def test_train_config_takes_the_workload_keywords():
+    cfg = TrainConfig(
+        preset="micro", norm="mvn", epochs=4, warmup_epochs=1, batch_size=64, train_size=512,
+        val_size=256, image_size=32, seed=0,
+    )
+    assert cfg.classes >= 2
+
+
+def test_check_gradients_signature():  # the gradcheck workload binds samples_per_param by name
+    assert list(inspect.signature(check_gradients).parameters) == [
+        "loss_fn", "named_tensors", "samples_per_param", "rng",
+    ]
+
+
+def test_adamw_step_takes_a_required_lr():  # the train workload calls AdamW.step(opt, lr)
+    params = inspect.signature(AdamW.step).parameters
+    assert list(params) == ["self", "lr"]
+    assert params["lr"].default is inspect.Parameter.empty

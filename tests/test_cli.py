@@ -1,5 +1,10 @@
 """Command-line surface: outputs, artifact files, and the exit-code contract."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -147,6 +152,14 @@ class TestTrainEval:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not list(out.glob("*.ckpt")) and not (out / "metrics.csv").exists()
+
+    def test_epochs_flag_at_default_warmup_names_the_config_key(self, tmp_path, capsys):
+        out = tmp_path / "short_run"
+        assert main(["train", "--out", str(out), "--epochs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "warmup_epochs (2) must be < epochs (2)" in captured.err
+        assert "lower warmup_epochs under [train] in a --config file" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_eval_negative_noise_is_input_error(self, trained_run, capsys):
         rc = main(["eval", "--checkpoint", str(trained_run / "last.ckpt"), "--data", "noise=-1"])
@@ -351,10 +364,56 @@ class TestUsage:
         import mvformer.cli as cli_mod
         from mvformer.optim import NumericsError
 
-        def exploding(cfg, out_dir, build_seed=None):
+        def exploding(cfg, out_dir):
             raise NumericsError("non-finite loss at epoch 1")
 
         monkeypatch.setattr(cli_mod, "run_training", exploding)
         rc = main(["train", "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "numeric abort" in capsys.readouterr().err
+
+
+UNWRITABLE_OUTPUTS = {
+    "train-out-is-file": lambda blocker, ckpt, ppms: ["train", "--out", blocker],
+    "train-out-under-file": lambda blocker, ckpt, ppms: ["train", "--out", f"{blocker}/sub"],
+    "norm-image-out-is-file": lambda blocker, ckpt, ppms: ["norm-image", "--in", *ppms, "--out", blocker],
+    "count-csv-under-file": lambda blocker, ckpt, ppms: [
+        "count", "--preset", "micro", "--input-size", "32", "--csv", f"{blocker}/x.csv"],
+    "dump-alphas-csv-under-file": lambda blocker, ckpt, ppms: [
+        "dump-alphas", "--checkpoint", ckpt, "--csv", f"{blocker}/x.csv"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_path_is_input_error(trained_run, tmp_path, capsys, case):
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"not a directory")
+    rng = np.random.default_rng(0)
+    ppms = []
+    for i in range(2):
+        write_ppm(tmp_path / f"in{i}.ppm", rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8))
+        ppms.append(str(tmp_path / f"in{i}.ppm"))
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*")}
+    argv = UNWRITABLE_OUTPUTS[case](str(blocker), str(trained_run / "last.ckpt"), ppms)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
+class TestFreshInterpreter:
+    """The package run from source in a new process, outside pytest's imports."""
+
+    @staticmethod
+    def _run(*args):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+    def test_import_package_loads_no_submodule(self):
+        run = self._run("-c", "import sys, mvformer; print(sorted(m for m in sys.modules if m.startswith('mvformer.')))")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+
+    def test_python_m_count(self):
+        run = self._run("-m", "mvformer", "count", "--preset", "micro", "--input-size", "32")
+        assert run.returncode == 0, run.stderr
+        assert "total" in run.stdout
