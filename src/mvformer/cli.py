@@ -42,11 +42,12 @@ _INPUT_ERRORS = (ValueError, KeyError, OSError)
 def _cmd_count(args):
     """count, and ablate-count when `args.ablation` is set."""
     rep = cost_report(model_config(args.preset, ablation=args.ablation), args.input_size)
+    if args.csv:  # before any output, so an unwritable path prints nothing
+        rep.to_csv(args.csv)
     if args.ablation is not None:
         print(f"ablation: {args.ablation}")
     print(rep.format_table())
     if args.csv:
-        rep.to_csv(args.csv)
         print(f"wrote {args.csv}")
     return 0
 
@@ -55,6 +56,7 @@ def _cmd_train(args):
     cfg = parse_config(args.config) if args.config else TrainConfig()
     flags = {name: getattr(args, name) for name in ("epochs", "seed", "preset")}
     cfg = replace(cfg, **{name: value for name, value in flags.items() if value is not None})
+    os.makedirs(args.out, exist_ok=True)  # before any output or work, so an unusable --out fails first
     print(f"seed: {cfg.seed}")
     history = run_training(cfg, args.out)
     if history:

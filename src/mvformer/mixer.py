@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .module import Module
-from .tensor import add, channel_concat, channel_split, conv2d, mul, relu, square
+from .tensor import channel_concat, channel_split, conv2d, star_relu
 
 # shared-per-site learnable activation scalars
 STAR_RELU_SCALE = 0.8944
@@ -46,13 +46,8 @@ class ConfigError(ValueError):
     """Invalid stage geometry or channel arithmetic."""
 
 
-def star_relu(x, scale, bias):
-    """y = scale * relu(x)^2 + bias."""
-    return add(mul(square(relu(x)), scale), bias)
-
-
 class StarReLU(Module):
-    """Squared ReLU with one learnable (scale, bias) pair per site."""
+    """Squared ReLU with one learnable (scale, bias) pair per site, one tape node per call."""
 
     def __init__(self):
         super().__init__()

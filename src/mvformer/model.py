@@ -3,8 +3,11 @@
 Each block is norm -> token mixer -> residual, norm -> channel MLP ->
 residual, with optional per-channel residual scaling (last two stages) and
 per-sample stochastic depth whose probability ramps linearly over block
-depth.  Stage boundaries downsample with a strided convolution: a 7x7
-stride-4 stem on raw images, then pre-normalized 3x3 stride-2 reductions.
+depth.  ``drop_path`` draws the stochastic-depth keep mask, one factor per
+sample, and each residual tail (branch times scale times mask, plus the
+input) is one ``tensor.residual`` node.  Stage boundaries downsample with
+a strided convolution: a 7x7 stride-4 stem on raw images, then
+pre-normalized 3x3 stride-2 reductions.
 The classifier pools, layer-norms the pooled vector (instance statistics
 are degenerate on 1x1 maps, so the pre-head norm is a plain layer norm),
 and applies a two-layer MLP head.
@@ -38,7 +41,7 @@ from .mixer import (
 )
 from .module import Module
 from .norm import PlainNorm, make_norm
-from .tensor import Tensor, add, conv2d, global_avg_pool, grad_enabled, mul
+from .tensor import conv2d, global_avg_pool, grad_enabled, residual
 
 STEM_GEOMETRY = (7, 4, 2)  # kernel, stride, pad for stage 1
 DOWN_GEOMETRY = (3, 2, 1)  # kernel, stride, pad for stages 2-4
@@ -126,18 +129,20 @@ def model_config(preset, **overrides):
 
 
 def drop_path(x, prob, training, rng):
-    """Per-sample stochastic depth: zero the branch with probability `prob`.
+    """Per-sample stochastic-depth mask for the residual branch `x`, or None.
 
-    Survivors are scaled by 1/(1-prob) so inference (identity) matches the
-    training expectation.
+    In training with ``prob > 0``, an (n, 1, 1, 1) array of `x`'s dtype that
+    holds 0 for a sample whose branch is dropped (probability `prob`) and
+    1/(1-prob) for a survivor, so inference (no mask: the identity) matches
+    the training expectation.  ``residual`` multiplies the branch by it.
     """
     if not training or prob <= 0.0:
-        return x
+        return None
     if rng is None:
         raise ValueError("training-mode drop path needs a random generator")
     keep = 1.0 - prob
     mask = (rng.random(x.shape[0]) < keep).astype(x.dtype) / keep
-    return mul(x, Tensor(mask.reshape(-1, 1, 1, 1)))
+    return mask.reshape(-1, 1, 1, 1)
 
 
 class Mlp(Module):
@@ -176,13 +181,9 @@ class Block(Module):
 
     def forward(self, x, training=False, rng=None):
         branch = self.mixer.forward(self.norm1.forward(x, training))
-        if self.res_scale1 is not None:
-            branch = mul(branch, self.res_scale1)
-        x = add(drop_path(branch, self.drop_prob, training, rng), x)
+        x = residual(x, branch, self.res_scale1, drop_path(branch, self.drop_prob, training, rng))
         branch = self.mlp.forward(self.norm2.forward(x, training))
-        if self.res_scale2 is not None:
-            branch = mul(branch, self.res_scale2)
-        return add(drop_path(branch, self.drop_prob, training, rng), x)
+        return residual(x, branch, self.res_scale2, drop_path(branch, self.drop_prob, training, rng))
 
 
 class Downsample(Module):

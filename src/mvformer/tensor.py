@@ -227,17 +227,68 @@ def sqrt(x):
     return _unary(x, np.sqrt(x.data), lambda g, a, z: g * (0.5 / z))
 
 
-def relu(x):
-    """max(x, 0); NaN propagates, -0.0 maps to +0.0."""
-    return _unary(x, np.maximum(x.data, 0), lambda g, a, z: g * (z > 0))
-
-
 def exp(x):
     return _unary(x, np.exp(x.data), lambda g, a, z: g * z)
 
 
 def log(x):
     return _unary(x, np.log(x.data), lambda g, a, z: g / a)
+
+
+# -- fused elementwise ops: one node and one fresh array each, computed in the
+# order of the composite they replace, so output and gradients equal it bitwise
+
+
+def star_relu(x, s, b):
+    """StarReLU ``s * relu(x)**2 + b``, in `x`'s dtype; `s` and `b` broadcast to `x`.
+
+    The composite is ``add(mul(square(relu(x)), s), b)``.  The node keeps
+    only its parents: the backward recomputes ``r = max(x, 0)`` and gives
+    `x` ``2 r (g s)``, `s` the sum of ``g r^2`` and `b` the sum of `g`.
+    NaN propagates; -0.0 counts as 0.
+    """
+    out = np.maximum(x.data, 0)
+    out *= out
+    out *= s.data
+    out += b.data
+
+    def bw(g, acc):
+        r = np.maximum(x.data, 0)
+        if x.requires_grad:
+            acc(x, 2.0 * r * (g * s.data))
+        if s.requires_grad:
+            acc(s, _unbroadcast(g * (r * r), s.shape))
+        if b.requires_grad:
+            acc(b, _unbroadcast(g, b.shape))
+
+    return _node(out, (x, s, b), bw)
+
+
+def residual(x, branch, scale=None, keep=None):
+    """The residual sum ``branch * scale * keep + x``; a single ``branch + x`` without factors.
+
+    `scale` is an optional tensor that broadcasts to `branch` (a per-channel
+    residual scale), `keep` an optional constant array (a per-sample
+    stochastic-depth mask), the only array the node keeps besides its
+    parents.  The composite is ``add(mul(mul(branch, scale), keep), x)``.
+    """
+    if branch.shape != x.shape:
+        raise ShapeError(f"residual: branch {branch.shape} and input {x.shape} differ")
+    out = branch.data if scale is None else branch.data * scale.data
+    if keep is not None:
+        out = out * keep if scale is None else np.multiply(out, keep, out=out)
+    out = out + x.data if out is branch.data else np.add(out, x.data, out=out)
+
+    def bw(g, acc):
+        acc(x, g)
+        gk = g if keep is None else g * keep
+        if branch.requires_grad:
+            acc(branch, gk if scale is None else gk * scale.data)
+        if scale is not None and scale.requires_grad:
+            acc(scale, _unbroadcast(gk * branch.data, scale.shape))
+
+    parents = (branch, x) if scale is None else (branch, scale, x)  # the composite's visiting order
+    return _node(out, parents, bw)
 
 
 # -- reductions ---------------------------------------------------------------

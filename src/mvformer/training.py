@@ -121,6 +121,9 @@ class TrainConfig:
                 f"norm 'in' needs >= 2 positions per map, but image_size {self.image_size} "
                 "leaves a 1x1 map at stage 4"
             )
+        # the model and data parts validate too, so a run fails before it creates anything
+        resolve_model_config(self)
+        resolve_data_spec(self)
 
 
 _SCHEMA = {

@@ -8,7 +8,7 @@ import numpy as np
 
 from mvformer import norm
 from mvformer.optim import NumericsError
-from mvformer.tensor import ShapeError, Tensor, add, div, mean, mul, sqrt, square, sub
+from mvformer.tensor import ShapeError, Tensor, _node, add, div, mean, mul, sqrt, square, sub
 
 
 def conv2d_oracle(x, w, b=None, stride=(1, 1), pad=(0, 0), groups=1):
@@ -62,6 +62,26 @@ def moments(x, axes):
         raise ShapeError("moments needs at least one reduction axis")
     mu = mean(x, axes)
     return mu, mean(square(sub(x, mu)), axes)
+
+
+def relu(x):
+    """max(x, 0) as one tape node; NaN propagates, -0.0 maps to +0.0."""
+    data = np.maximum(x.data, 0)
+    return _node(data, (x,), lambda g, acc: acc(x, g * (data > 0)))
+
+
+def star_relu_oracle(x, s, b):
+    """StarReLU ``s * relu(x)**2 + b`` from plain tape ops: the unfused form of ``tensor.star_relu``."""
+    return add(mul(square(relu(x)), s), b)
+
+
+def residual_oracle(x, branch, scale=None, keep=None):
+    """``branch * scale * keep + x`` from plain tape ops: the unfused form of ``tensor.residual``."""
+    if scale is not None:
+        branch = mul(branch, scale)
+    if keep is not None:
+        branch = mul(branch, Tensor(keep))
+    return add(branch, x)
 
 
 def apply_affine(x, gamma, beta):

@@ -19,7 +19,6 @@ from mvformer.training import TrainConfig
 PATCHED = [
     ("norm", "sqrt"),
     ("mixer", "conv2d"),
-    ("mixer", "square"),
     ("mixer", "star_relu"),
     ("training", "ce_label_smoothing"),
     ("training", "save_checkpoint"),

@@ -153,6 +153,14 @@ class TestTrainEval:
         assert message in capsys.readouterr().err
         assert not list(out.glob("*.ckpt")) and not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("section,line", [("model", "embed_dims = 0,8,16,32"), ("data", "noise = -0.1")])
+    def test_train_bad_model_or_data_value_prints_and_creates_nothing(self, tmp_path, capsys, section, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[train]\nepochs = 3\n[{section}]\n{line}\n")
+        out = tmp_path / "bad_run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().out == "" and not out.exists()
+
     def test_epochs_flag_at_default_warmup_names_the_config_key(self, tmp_path, capsys):
         out = tmp_path / "short_run"
         assert main(["train", "--out", str(out), "--epochs", "2"]) == 2
@@ -251,15 +259,17 @@ class TestGradcheckCommand:
         assert captured.out == ""
 
     def test_corrupted_backward_detected(self, capsys, monkeypatch):
-        def corrupted_square(x):
-            data = x.data * x.data
+        def corrupted_star_relu(x, s, b):
+            r = np.maximum(x.data, 0)
 
             def bw(g, acc):
-                acc(x, 2.07 * x.data * g)  # deliberately wrong derivative
+                acc(x, 2.07 * r * (g * s.data))  # deliberately wrong derivative (2 r g s)
+                acc(s, np.sum(g * r * r).reshape(s.shape))
+                acc(b, np.sum(g).reshape(b.shape))
 
-            return _node(data, (x,), bw)
+            return _node(r * r * s.data + b.data, (x, s, b), bw)
 
-        monkeypatch.setattr(mixer_mod, "square", corrupted_square)
+        monkeypatch.setattr(mixer_mod, "star_relu", corrupted_star_relu)
         rc = main(["gradcheck", "--module", "mvtm", "--seed", "0"])
         captured = capsys.readouterr()
         assert rc == 1
@@ -398,6 +408,31 @@ def test_unwritable_output_path_is_input_error(trained_run, tmp_path, capsys, ca
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert {p: p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
+FAIL_FIRST_OUTPUTS = {
+    "count-csv": lambda blocker: [
+        "count", "--preset", "micro", "--input-size", "32", "--csv", f"{blocker}/x.csv"],
+    "ablate-count-csv": lambda blocker: [
+        "ablate-count", "--preset", "micro", "--ablation", "drop-local", "--input-size", "32",
+        "--csv", f"{blocker}/x.csv"],
+    "train-out": lambda blocker: ["train", "--out", blocker, "--epochs", "3"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAIL_FIRST_OUTPUTS))
+def test_unwritable_output_fails_before_any_output_or_run(tmp_path, capsys, monkeypatch, case):
+    import mvformer.cli as cli_mod
+
+    runs = []
+    real_run = cli_mod.run_training
+    monkeypatch.setattr(cli_mod, "run_training", lambda *a: runs.append(a) or real_run(*a))
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"not a directory")
+    assert main(FAIL_FIRST_OUTPUTS[case](str(blocker))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert runs == []  # no model or dataset was built
 
 
 class TestFreshInterpreter:

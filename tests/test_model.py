@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import mvformer.mixer as mixer_mod
+import mvformer.model as model_mod
+from oracles import residual_oracle, star_relu_oracle
 from mvformer.gradcheck import DEFAULT_TOLERANCE, check_gradients
 from mvformer.mixer import ConfigError, make_stage_spec
 from mvformer.model import (
@@ -14,7 +17,7 @@ from mvformer.model import (
     drop_path,
     model_config,
 )
-from mvformer.tensor import Tensor, add, backward, conv2d, global_avg_pool, mul
+from mvformer.tensor import Tensor, add, backward, conv2d, global_avg_pool, mul, residual
 from mvformer.training import ce_label_smoothing
 
 
@@ -130,23 +133,46 @@ class TestBlock:
 
 
 class TestDropPath:
-    def test_inference_is_identity_object(self):
+    def test_no_mask_outside_training_or_at_zero_rate(self):
         x = Tensor(np.ones((4, 2, 2, 2), dtype=np.float32))
-        assert drop_path(x, 0.9, training=False, rng=None) is x
-        assert drop_path(x, 0.0, training=True, rng=None) is x
+        assert drop_path(x, 0.9, training=False, rng=None) is None
+        assert drop_path(x, 0.0, training=True, rng=None) is None
 
     def test_training_masks_per_sample(self):
         rng = np.random.default_rng(0)
         x = Tensor(np.ones((64, 2, 2, 2), dtype=np.float32))
-        out = drop_path(x, 0.5, training=True, rng=rng).data
+        mask = drop_path(x, 0.5, training=True, rng=rng)
+        assert mask.shape == (64, 1, 1, 1) and mask.dtype == np.float32
+        assert np.isin(mask, (0.0, 2.0)).all()
+        assert 0.2 < (mask == 0).mean() < 0.8
+        out = residual(Tensor(np.zeros_like(x.data)), x, keep=mask).data
         per_sample = out.reshape(64, -1)
         assert ((per_sample == 0).all(axis=1) | (per_sample == 2.0).all(axis=1)).all()
-        dropped = (per_sample == 0).all(axis=1).mean()
-        assert 0.2 < dropped < 0.8
 
     def test_missing_rng_rejected(self):
         with pytest.raises(ValueError, match="random generator"):
             drop_path(Tensor(np.ones((1, 1, 1, 1))), 0.5, training=True, rng=None)
+
+
+class TestFusedOps:
+    """The model on ``tensor.star_relu``/``tensor.residual`` against the unfused oracles."""
+
+    @staticmethod
+    def _step(drop_path_rate):
+        model = build_model(micro(drop_path_rate=drop_path_rate), seed=3)
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.uniform(0, 1, (16, 3, 32, 32)).astype(np.float32))
+        logits = model.forward(x, training=True, rng=np.random.default_rng(9))
+        loss = ce_label_smoothing(logits, rng.integers(0, 4, 16), 0.1)
+        backward(loss)
+        return loss.data.tobytes(), {name: p.grad.tobytes() for name, p in model.named_parameters()}
+
+    def test_training_step_bitwise_matches_oracles(self, monkeypatch):
+        fused = self._step(0.2)
+        assert fused[0] != self._step(0.0)[0]  # drop path changed the step
+        monkeypatch.setattr(mixer_mod, "star_relu", star_relu_oracle)
+        monkeypatch.setattr(model_mod, "residual", residual_oracle)
+        assert self._step(0.2) == fused
 
 
 class TestPatchEmbeds:

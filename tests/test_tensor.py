@@ -6,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvformer.tensor as tensor
-from oracles import conv2d_oracle, max_rel_err, moments, moments_oracle, numeric_grad, ulp_err
+from oracles import (
+    conv2d_oracle,
+    max_rel_err,
+    moments,
+    moments_oracle,
+    numeric_grad,
+    relu,
+    residual_oracle,
+    star_relu_oracle,
+    ulp_err,
+)
 from mvformer.tensor import (
     GraphError,
     ShapeError,
@@ -22,8 +32,9 @@ from mvformer.tensor import (
     mean,
     mul,
     normalize,
-    relu,
+    residual,
     sqrt,
+    star_relu,
     square,
     sub,
     tsum,
@@ -379,6 +390,122 @@ class TestElementwise:
         np.testing.assert_array_equal(out.data.reshape(-1), [np.nan, 0.0, 2.0, np.nan])
         backward(tsum(out))
         np.testing.assert_array_equal(x.grad.reshape(-1), [0.0, 0.0, 1.0, 0.0])
+
+
+def _edge_values(rng, shape, dtype):
+    """Normal draws whose first entries are a negative, 0, -0.0 and NaN."""
+    arr = rng.normal(size=shape).astype(dtype)
+    arr.reshape(-1)[:4] = [-1.5, 0.0, -0.0, np.nan]
+    return arr
+
+
+def _taped_grads(fn, arrays, upstream):
+    """Bytes of ``fn(*tensors)`` and of each input's gradient under the loss ``sum(out * upstream)``."""
+    tensors = [None if a is None else Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = fn(*tensors)
+    backward(tsum(mul(out, Tensor(upstream))))
+    return out.data.tobytes(), [None if t is None else t.grad.tobytes() for t in tensors]
+
+
+class TestFusedOps:
+    """``star_relu`` and ``residual`` against their unfused oracles, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("param_shape", [(1, 1, 1, 1), (1, 3, 1, 1)])
+    def test_star_relu_bitwise_matches_oracle(self, dtype, param_shape):
+        rng = np.random.default_rng(11)
+        shape = (2, 3, 4, 4)
+        x = _edge_values(rng, shape, dtype)
+        s = rng.normal(size=param_shape).astype(dtype)
+        b = rng.normal(size=param_shape).astype(dtype)
+        g = rng.normal(size=shape).astype(dtype)
+        got = _taped_grads(star_relu, (x, s, b), g)
+        want = _taped_grads(star_relu_oracle, (x, s, b), g)
+        assert got == want
+        assert np.isnan(np.frombuffer(got[0], dtype)[3])  # NaN propagates
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_scale", [False, True])
+    @pytest.mark.parametrize("with_keep", [False, True])
+    def test_residual_bitwise_matches_oracle(self, dtype, with_scale, with_keep):
+        rng = np.random.default_rng(12)
+        shape = (4, 3, 2, 2)
+        x = _edge_values(rng, shape, dtype)
+        branch = _edge_values(rng, shape, dtype)[::-1].copy()
+        scale = rng.normal(size=(1, 3, 1, 1)).astype(dtype) if with_scale else None
+        keep = np.array([0.0, 1.25, 1.25, 0.0], dtype).reshape(-1, 1, 1, 1) if with_keep else None
+        g = rng.normal(size=shape).astype(dtype)
+
+        def fused(x, branch, scale):
+            return residual(x, branch, scale, keep)
+
+        def oracle(x, branch, scale):
+            return residual_oracle(x, branch, scale, keep)
+
+        got = _taped_grads(fused, (x, branch, scale), g)
+        want = _taped_grads(oracle, (x, branch, scale), g)
+        assert got == want
+
+    @pytest.mark.parametrize("with_scale", [False, True])
+    def test_residual_tape_free_matches_taped(self, with_scale):
+        rng = np.random.default_rng(13)
+        x, branch = (Tensor(rng.normal(size=(2, 3, 2, 2))) for _ in range(2))
+        scale = Tensor(rng.normal(size=(1, 3, 1, 1))) if with_scale else None
+        keep = np.array([2.0, 0.0]).reshape(-1, 1, 1, 1)
+        taped = residual(x, branch, scale, keep).data
+        with grad_enabled(False):
+            free = residual(x, branch, scale, keep)
+        assert free.data.tobytes() == taped.tobytes() and free._backward is None
+        assert not np.shares_memory(free.data, branch.data)
+
+    def test_star_relu_gradients_match_central_differences(self):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(2, 3, 3, 3))
+        x[np.abs(x) < 0.05] = 0.3  # keep the kink at 0 outside the stencil
+        s = np.array([0.9]).reshape(1, 1, 1, 1)
+        b = np.array([-0.4]).reshape(1, 1, 1, 1)
+        g = rng.normal(size=x.shape)
+        tensors = [Tensor(a, requires_grad=True) for a in (x, s, b)]
+        backward(tsum(mul(star_relu(*tensors), Tensor(g))))
+        for t in tensors:
+            num = numeric_grad(lambda: float(np.sum(star_relu(*tensors).data * g)), t.data, h=1e-6)
+            assert max_rel_err(t.grad, num) < 1e-6
+
+    def test_residual_gradients_match_central_differences(self):
+        rng = np.random.default_rng(15)
+        shapes = ((3, 2, 2, 2), (3, 2, 2, 2), (1, 2, 1, 1))  # x, branch, scale
+        tensors = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+        keep = np.array([1.25, 0.0, 1.25]).reshape(-1, 1, 1, 1)
+        g = rng.normal(size=(3, 2, 2, 2))
+        backward(tsum(mul(residual(*tensors, keep), Tensor(g))))
+        for t in tensors:
+            num = numeric_grad(lambda: float(np.sum(residual(*tensors, keep).data * g)), t.data, h=1e-6)
+            assert max_rel_err(t.grad, num) < 1e-6
+        assert (tensors[1].grad[1] == 0).all()  # a dropped sample's branch gets no gradient
+
+    def test_nodes_keep_no_array_but_the_mask(self):
+        rng = np.random.default_rng(16)
+        x, branch = (Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True) for _ in range(2))
+        s, b, scale = (
+            Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((1, 1, 1, 1),) * 2 + ((1, 3, 1, 1),)
+        )
+        keep = np.array([2.0, 0.0]).reshape(-1, 1, 1, 1)
+
+        def held_arrays(node):
+            cells = [c.cell_contents for c in node._backward.__closure__ or ()]
+            return [c for c in cells if isinstance(c, np.ndarray)]
+
+        node = star_relu(x, s, b)
+        assert node._parents == (x, s, b) and held_arrays(node) == []
+        node = residual(x, branch, scale, keep)
+        assert node._parents == (branch, scale, x)
+        held = held_arrays(node)
+        assert len(held) == 1 and held[0] is keep
+        assert held_arrays(residual(x, branch)) == []
+
+    def test_residual_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="residual"):
+            residual(Tensor(np.ones((2, 3, 2, 2))), Tensor(np.ones((1, 3, 2, 2))))
 
 
 class TestReductionAxes:
