@@ -17,7 +17,9 @@ Every norm is one body on shared statistics, four tape nodes:
 
 `_norm` checks the views' guards (`DegenerateInputError` where statistics
 would cover fewer than two elements) and folds batch statistics into the
-running values.  `PlainNorm` passes its single view with no weight;
+running values.  Which views, weights and guards a call has is fixed when
+the layer is built (`_Views`), not re-derived per call.  `PlainNorm`
+passes its single view with no weight;
 `MultiViewNorm` passes all three with their per-channel weights
 (initialized to ones); the functional forms pass one view and no affine.
 A view with weight zero adds exact zeros, so a one-hot fusion weight
@@ -61,33 +63,49 @@ def _guard(x, kind):
         raise DegenerateInputError(message.format(*x.shape))
 
 
+class _Views:
+    """The fixed part of a norm call over `kinds` with `weights` (a tensor or None each).
+
+    Built once per layer (and once per functional norm), so a call neither
+    rebuilds the views' axes nor re-derives which guards apply.  A weighted
+    ``in`` view is unguarded: on 1x1 maps it contributes exactly zero.
+    """
+
+    __slots__ = ("axes", "weights", "bn", "ln", "guard_in")
+
+    def __init__(self, kinds, weights):
+        self.axes = tuple(_VIEWS[k][0] for k in kinds)
+        self.weights = tuple(weights)
+        self.bn = "bn" in kinds
+        self.ln = "ln" in kinds
+        self.guard_in = any(k == "in" and w is None for k, w in zip(kinds, weights))
+
+
 def _norm(x, views, state=None, training=True, gamma=None, beta=None):
-    """``gamma * sum_v weight_v * view_v + beta`` over `views`, ``(kind, weight or None)`` pairs.
+    """``gamma * sum_v weight_v * view_v + beta`` over the `_Views` `views`.
 
     A ``bn`` view reads and updates `state`'s running buffers: training mode
     folds the batch statistics into them in place, ``MOMENTUM`` of the batch
     to ``1 - MOMENTUM`` of the old value; inference mode normalizes with
-    them as constants.  A weighted ``in`` view is unguarded:
-    on 1x1 maps it contributes exactly zero.  The ``ln`` guard fires after
-    the running buffers are updated.
+    them as constants.  The ``ln`` guard fires after the running buffers are
+    updated.
     """
-    kinds = [k for k, _ in views]
-    for kind, weight in views:
-        if (kind == "bn" and training) or (kind == "in" and weight is None):
-            _guard(x, kind)
-    c = x.shape[1]
-    running = None
-    if "bn" in kinds and not training:
-        running = (state.run_mean.reshape(1, c, 1, 1), state.run_var.reshape(1, c, 1, 1))
-    var, m = variance(x, [_VIEWS[k][0] for k in kinds], EPS, running)
-    if "bn" in kinds and training:
-        axes = _VIEWS["bn"][0]
-        for buf, stat in ((state.run_mean, m.mu[axes]), (state.run_var, m.var[axes])):
+    if views.bn and training:
+        _guard(x, "bn")
+    if views.guard_in:
+        _guard(x, "in")
+    running = (state.run_mean, state.run_var) if views.bn and not training else None
+    var, m = variance(x, views.axes, EPS, running)
+    if views.bn and training:
+        for buf, stat in zip((state.run_mean, state.run_var), m.channel):
             buf *= 1.0 - MOMENTUM
-            buf += MOMENTUM * stat.reshape(c)
-    if "ln" in kinds:
+            buf += MOMENTUM * stat
+    if views.ln:
         _guard(x, "ln")
-    return normalize(x, m, sqrt(add(var, EPS)), [w for _, w in views], gamma, beta)
+    return normalize(x, m, sqrt(add(var, EPS)), views.weights, gamma, beta)
+
+
+_BATCH, _LAYER, _INSTANCE = (_Views((kind,), (None,)) for kind in ("bn", "ln", "in"))
 
 
 def batch_norm(x, state, training):
@@ -98,17 +116,17 @@ def batch_norm(x, state, training):
     (n, h, w) per channel and folds them into the running values; inference
     mode uses the running values as constants.
     """
-    return _norm(x, [("bn", None)], state, training)
+    return _norm(x, _BATCH, state, training)
 
 
 def layer_norm(x):
     """Per-pixel standardization across channels (pre-affine)."""
-    return _norm(x, [("ln", None)])
+    return _norm(x, _LAYER)
 
 
 def instance_norm(x):
     """Per-(sample, channel) spatial standardization (pre-affine)."""
-    return _norm(x, [("in", None)])
+    return _norm(x, _INSTANCE)
 
 
 class _ViewSum(Module):
@@ -132,7 +150,7 @@ class _ViewSum(Module):
         if "bn" in kinds:
             self.buffer("run_mean", np.zeros(channels))
             self.buffer("run_var", np.ones(channels))
-        self._views = list(zip(kinds, weights))
+        self._views = _Views(kinds, weights)
 
     @property
     def run_mean(self):
@@ -175,7 +193,7 @@ class MultiViewNorm(_ViewSum):
 
     def __init__(self, channels):
         super().__init__(channels, ("bn", "ln", "in"))
-        self.alpha_bn, self.alpha_ln, self.alpha_in = (w for _, w in self._views)
+        self.alpha_bn, self.alpha_ln, self.alpha_in = self._views.weights
 
 
 def make_norm(kind, channels):

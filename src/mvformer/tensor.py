@@ -142,35 +142,49 @@ def _unbroadcast(grad, shape):
 
 @functools.lru_cache(maxsize=64)
 def _ones(n, dtype):
-    """Read-only vector of `n` ones: the summing operand of `_sum_keep`'s products."""
+    """Read-only vector of `n` ones: the summing operand of the sums below."""
     v = np.ones(n, dtype)
     v.flags.writeable = False
     return v
 
 
+def _row_sums(a):
+    """Sums over the last axis of a C-contiguous array, as a fresh array.
+
+    One BLAS matrix-vector product with a vector of ones, several times
+    faster than numpy's reduce at the model's shapes; summing one element
+    is a copy.
+    """
+    k = a.shape[-1]
+    return a[..., 0].copy() if k == 1 else np.matmul(a, _ones(k, a.dtype))
+
+
+def _col_sums(a):
+    """Sums over the second-to-last axis of a C-contiguous array, as `_row_sums` does over the last."""
+    k = a.shape[-2]
+    return a[..., 0, :].copy() if k == 1 else np.matmul(_ones(k, a.dtype), a)
+
+
 def _sum_keep(a, axes):
     """``np.add.reduce(a, axis=axes, keepdims=True)`` of a rank-4 array, as a fresh array.
 
-    Every keepdims sum in this module goes through here, so an op and the
-    composite of ops it fuses sum alike.  On a non-empty C-contiguous `a`,
-    the four patterns the model uses, (2, 3), (1,), (0, 2, 3) and (0,), are
-    BLAS matrix-vector products with a vector of ones, several times faster
-    than numpy's multi-axis reduce at the model's shapes; summing over an
-    extent of one is a copy.  Every other case is ``np.add.reduce``.
+    Every keepdims sum in this module goes through here, and the norm nodes
+    call the same two helpers directly, so an op and the composite of ops it
+    fuses sum alike.  On a non-empty C-contiguous `a`, the four patterns the
+    model uses, (2, 3), (1,), (0, 2, 3) and (0,), are `_row_sums` and
+    `_col_sums` of reshapes; every other case is ``np.add.reduce``.
     """
     if not a.size or not a.flags.c_contiguous or axes not in ((2, 3), (1,), (0, 2, 3), (0,)):
         return np.add.reduce(a, axis=axes, keepdims=True)
     n, c, h, w = a.shape
     keep = tuple(1 if i in axes else d for i, d in enumerate(a.shape))
     if axes == (1,):
-        out = a.copy() if c == 1 else np.matmul(_ones(c, a.dtype), a.reshape(n, c, h * w))
-        return out.reshape(keep)
+        return _col_sums(a.reshape(n, c, h * w)).reshape(keep)
     if axes != (0,):  # (2, 3) or (0, 2, 3): sum each map first
-        a = a.copy() if h * w == 1 else np.matmul(a.reshape(n * c, h * w), _ones(h * w, a.dtype))
+        a = _row_sums(a.reshape(n * c, h * w))
         if axes == (2, 3):
             return a.reshape(keep)
-    out = a.copy() if n == 1 else np.matmul(_ones(n, a.dtype), a.reshape(n, -1))
-    return out.reshape(keep)
+    return _col_sums(a.reshape(n, -1)).reshape(keep)
 
 
 # -- elementwise ops ---------------------------------------------------------
@@ -325,14 +339,9 @@ def mean(x, axes=None):
     count = _count(x.shape, axes)
     if count == 0:
         raise ShapeError(f"mean over empty extent (axes {axes} of shape {x.shape})")
-    return _unary(x, _mean_keep(x.data, axes, count), lambda g, a, z: np.broadcast_to(g / count, a.shape))
-
-
-def _mean_keep(a, axes, count):
-    """Keepdims mean of `a` over `axes` (`count` elements each), by `_sum_keep`."""
-    out = _sum_keep(a, axes)
-    out /= count
-    return out
+    data = _sum_keep(x.data, axes)
+    data /= count
+    return _unary(x, data, lambda g, a, z: np.broadcast_to(g / count, a.shape))
 
 
 # -- normalization --------------------------------------------------------------
@@ -341,30 +350,45 @@ def _mean_keep(a, axes, count):
 _MAP, _CHANNEL, _PIXEL = (2, 3), (0, 2, 3), (1,)
 
 
+@functools.lru_cache(maxsize=256)
+def _plan(views, shape):
+    """Where the statistics of a ``variance`` call's views on `shape` sit, once they are checked.
+
+    Returns the layout: for the per-map, per-channel and per-pixel view in
+    turn its ``(index, slice)`` in the packed statistics, ``(None, None)``
+    when absent.  Cached, so a layer's views are checked once per input
+    shape.
+    """
+    views = tuple(_norm_axes(a) for a in views)
+    if not views:
+        raise ShapeError("variance needs at least one view")
+    n, c, h, w = shape
+    size = {_MAP: n * c, _CHANNEL: c, _PIXEL: n * h * w}
+    found, start = {}, 0
+    for i, a in enumerate(views):
+        if a not in size or a in found:
+            raise ShapeError(f"variance: views must be distinct among {(_MAP, _CHANNEL, _PIXEL)}, got {views}")
+        if _count(shape, a) == 0:
+            raise ShapeError(f"variance over empty extent (axes {a} of shape {shape})")
+        found[a] = (i, slice(start, start + size[a]))
+        start += size[a]
+    return tuple(found.get(a, (None, None)) for a in (_MAP, _CHANNEL, _PIXEL))
+
+
 class Moments:
     """The plain arrays `variance` computes and `normalize` reads; no tape links.
 
-    ``views`` and ``shapes``: each view's reduction axes and keepdims
-    statistic shape, in packing order.  ``mu`` and ``var``: each view's mean
-    and variance, keyed by axes.  ``xc``: `x` centred on its per-map means,
-    present with a per-map or per-channel view, and ``shift`` the per-map
-    minus the per-channel means.  ``z``: the per-pixel view's standardized
-    values and ``std_pixel`` its ``sqrt(var + eps)``.  ``const``: the
-    per-channel statistics are given constants.
+    ``layout``: `_plan`'s ``(index, slice)`` of the per-map, per-channel and
+    per-pixel view in the packed statistics.
+    ``map``, ``channel`` and ``pixel``: each view's ``(mean, variance)`` as
+    flat arrays, (n*c,), (c,) and (n, h*w), or None.  ``xc``: `x` centred on
+    its per-map means, present with a per-map or per-channel view, and
+    ``shift`` the per-map minus the per-channel means, (n, c, 1, 1).  ``z``:
+    the per-pixel view's standardized values.  ``const``: the per-channel
+    statistics are given constants.
     """
 
-    __slots__ = ("views", "shapes", "mu", "var", "xc", "shift", "z", "std_pixel", "const")
-
-
-def _unpack(flat, shapes):
-    """Views of a packed statistics array, one per keepdims shape."""
-    flat = flat.reshape(-1)
-    parts, i = [], 0
-    for s in shapes:
-        k = _count(s, range(4))
-        parts.append(flat[i : i + k].reshape(s))
-        i += k
-    return parts
+    __slots__ = ("layout", "map", "channel", "pixel", "xc", "shift", "z", "const")
 
 
 def variance(x, views, eps, running=None):
@@ -378,71 +402,78 @@ def variance(x, views, eps, running=None):
     `x` is centred once on its per-map means.  The per-channel moments are the
     per-map ones combined over the batch (the pairwise update of Chan, Golub
     and LeVeque, 1979), so they take no full-size pass of their own.
-    `running`, a ``(mean, var)`` pair of keepdims per-channel arrays, makes
-    the per-channel view constant: its variance is packed as given and gets
-    no gradient.  The per-pixel view is centred and squared in one more pass
-    and standardized here with ``sqrt(var + eps)``, in place.  The gradient
-    is each view's ``2 (x - mu_v) / count_v`` times its incoming gradient,
-    summed over the views (centred values sum to zero, so the means add
-    nothing).
+    `running`, a ``(mean, var)`` pair of per-channel (c,) arrays, makes the
+    per-channel view constant: its variance is packed as given and gets no
+    gradient.  The per-pixel view is centred and squared in one more pass and
+    standardized here with ``sqrt(var + eps)``, in place.  Every sum is one
+    matrix-vector product on a 2-D or 3-D reshape of C-contiguous data (a
+    non-contiguous `x` is copied first).  The gradient is each
+    view's ``2 (x - mu_v) / count_v`` times its incoming gradient, summed over
+    the views (centred values sum to zero, so the means add nothing).
     """
-    views = tuple(_norm_axes(a) for a in views)
-    if not views:
-        raise ShapeError("variance needs at least one view")
-    for a in views:
-        if a not in (_MAP, _CHANNEL, _PIXEL) or views.count(a) > 1:
-            raise ShapeError(f"variance: views must be distinct among {(_MAP, _CHANNEL, _PIXEL)}, got {views}")
-        if _count(x.shape, a) == 0:
-            raise ShapeError(f"variance over empty extent (axes {a} of shape {x.shape})")
-    n, c, h, w = x.shape
+    layout = _plan(tuple(map(tuple, views)), x.shape)
+    (i_map, at_map), (i_ch, at_ch), (i_pix, at_pix) = layout
+    xd = np.ascontiguousarray(x.data)
+    n, c, h, w = xd.shape
     hw = h * w
     m = Moments()
-    m.views = views
-    m.shapes = [tuple(1 if i in a else d for i, d in enumerate(x.shape)) for a in views]
-    m.mu, m.var = mu, var = {}, {}
-    m.const = running is not None and _CHANNEL in views
-    sq = m.xc = m.shift = m.z = m.std_pixel = None
-    if _MAP in views or _CHANNEL in views:
-        mu[_MAP] = _mean_keep(x.data, _MAP, hw)
-        m.xc = x.data - mu[_MAP]
-        sq = m.xc * m.xc
-        var[_MAP] = _mean_keep(sq, _MAP, hw)
-    if _CHANNEL in views:
-        if m.const:
-            mu[_CHANNEL], var[_CHANNEL] = running
-            m.shift = mu[_MAP] - mu[_CHANNEL]
+    m.layout = layout
+    m.const = const = running is not None and at_ch is not None
+    m.map = m.channel = m.pixel = xc = shift = z = std_pixel = sq = None
+    parts = [None] * len(views)
+    if at_map is not None or at_ch is not None:
+        mu = _row_sums(xd.reshape(n * c, hw))
+        mu /= hw
+        mu4 = mu.reshape(n, c, 1, 1)
+        xc = xd - mu4
+        sq = xc * xc
+        var = _row_sums(sq.reshape(n * c, hw))
+        var /= hw
+        if at_map is not None:
+            m.map = parts[i_map] = mu, var
+    if at_ch is not None:
+        if const:
+            mu_c, var_c = running
         else:
-            mu[_CHANNEL] = _mean_keep(mu[_MAP], (0,), n)
-            m.shift = mu[_MAP] - mu[_CHANNEL]
-            var[_CHANNEL] = _mean_keep(var[_MAP] + m.shift * m.shift, (0,), n)
-    if _PIXEL in views:
-        mu[_PIXEL] = _mean_keep(x.data, _PIXEL, c)
-        xl = x.data - mu[_PIXEL]
+            mu_c = _col_sums(mu.reshape(n, c))
+            mu_c /= n
+        shift = mu4 - mu_c.reshape(c, 1, 1)
+        if not const:
+            s = shift.reshape(n, c)
+            var_c = _col_sums(var.reshape(n, c) + s * s)
+            var_c /= n
+        m.channel = parts[i_ch] = mu_c, var_c
+    if at_pix is not None:
+        mu_p = _col_sums(xd.reshape(n, c, hw))
+        mu_p /= c
+        xl = xd - mu_p.reshape(n, 1, h, w)
         sq = np.multiply(xl, xl, out=sq)
-        var[_PIXEL] = _mean_keep(sq, _PIXEL, c)
-        m.std_pixel = np.sqrt(var[_PIXEL] + eps)
-        m.z = np.multiply(xl, 1.0 / m.std_pixel, out=xl)
-    data = np.concatenate([var[a].reshape(-1) for a in views]).reshape(1, 1, 1, -1)
+        var_p = _col_sums(sq.reshape(n, c, hw))
+        var_p /= c
+        std_pixel = np.sqrt(var_p + eps)
+        z = np.multiply(xl, (1.0 / std_pixel).reshape(n, 1, h, w), out=xl)
+        m.pixel = parts[i_pix] = mu_p, var_p
+    m.xc, m.shift, m.z = xc, shift, z
+    data = np.concatenate([v for _, v in parts], axis=None).reshape(1, 1, 1, -1)
 
     def bw(g, acc):
-        gv = dict(zip(views, _unpack(g, m.shapes)))
-        if m.const:
-            del gv[_CHANNEL]
+        g = g.reshape(-1)
+        gc = None if at_ch is None or const else g[at_ch].reshape(c, 1, 1)
         gx = None
-        if _MAP in gv or _CHANNEL in gv:
-            k = gv[_MAP] * (2.0 / hw) if _MAP in gv else 0.0
-            if _CHANNEL in gv:  # x - mu is xc + shift
-                kc = gv[_CHANNEL] * (2.0 / (n * hw))
+        if at_map is not None or gc is not None:
+            k = g[at_map].reshape(n, c, 1, 1) * (2.0 / hw) if at_map is not None else 0.0
+            if gc is not None:  # x - mu is xc + shift
+                kc = gc * (2.0 / (n * hw))
                 k = k + kc
-            gx = m.xc * k
-            if _CHANNEL in gv:
-                gx += m.shift * kc
-        if m.z is not None:
-            t = m.z * (gv[_PIXEL] * m.std_pixel * (2.0 / c))
+            gx = xc * k
+            if gc is not None:
+                gx += shift * kc
+        if z is not None:
+            t = z * (g[at_pix].reshape(n, hw) * std_pixel * (2.0 / c)).reshape(n, 1, h, w)
             gx = t if gx is None else np.add(gx, t, out=gx)
         acc(x, gx)
 
-    constant = views == (_CHANNEL,) and m.const
+    constant = const and at_map is None and at_pix is None
     return _node(data, () if constant else (x,), bw), m
 
 
@@ -470,63 +501,75 @@ def normalize(x, m, std, weights, gamma=None, beta=None):
     tape = _grad_on and any(p.requires_grad for p in parents)
     n, c, h, wd = x.shape
     hw = h * wd
-    views, xc, z = m.views, m.xc, m.z
-    r = dict(zip(views, _unpack(1.0 / std.data, m.shapes)))
-    if _MAP in r and hw == 1:
-        r[_MAP] = np.zeros_like(r[_MAP])
+    (i_map, at_map), (i_ch, at_ch), (i_pix, at_pix) = m.layout
+    xc, z, shift = m.xc, m.z, m.shift
+    r = (1.0 / std.data).reshape(-1)
     one = _ones(c, x.dtype).reshape(1, c, 1, 1)  # a missing weight or gamma multiplies exactly
     gd = one if gamma is None else gamma.data
-    w = {a: one if t is None else t.data for a, t in zip(views, weights)}
-    coef = {a: gd * w[a] if a == _PIXEL else gd * (w[a] * r[a]) for a in views}
+    w = [one if t is None else t.data for t in weights]
+    coef_map = coef_ch = coef_pix = None
+    if at_map is not None:
+        r_map = r[at_map].reshape(n, c, 1, 1)
+        if hw == 1:
+            r_map = np.zeros_like(r_map)
+        coef_map = gd * (w[i_map] * r_map)
+    if at_ch is not None:
+        r_ch = r[at_ch].reshape(1, c, 1, 1)
+        coef_ch = gd * (w[i_ch] * r_ch)
+    if at_pix is not None:
+        r_pix = r[at_pix].reshape(n, 1, h, wd)
+        coef_pix = gd * w[i_pix]
     offset = 0.0 if beta is None else beta.data
-    if _CHANNEL in views:
-        offset = coef[_CHANNEL] * m.shift + offset
+    if coef_ch is not None:
+        offset = coef_ch * shift + offset
     out = None
     if xc is not None:
-        scale = sum(coef[a] for a in views if a != _PIXEL)
+        scale = sum(k for k in (coef_map, coef_ch) if k is not None)
         out = xc * scale if tape else np.multiply(xc, scale, out=xc)
     if z is not None:
-        t = z * coef[_PIXEL] if tape else np.multiply(z, coef[_PIXEL], out=z)
+        t = z * coef_pix if tape else np.multiply(z, coef_pix, out=z)
         out = t if out is None else np.add(out, t, out=out)
     out += offset
 
     def bw(g, acc):
         g = np.ascontiguousarray(g)
-        s0 = _sum_keep(g, _MAP)
-        ys, dstd = {}, {}  # per view: the sum of g * y_v over all but the channel, the std gradient
+        s0 = _row_sums(g.reshape(n * c, hw)).reshape(n, c, 1, 1)
+        s0n = _col_sums(s0.reshape(n, c)).reshape(1, c, 1, 1)  # the batch sum of s0
+        ys = [None] * len(w)  # per view: the sum of g * y_v over all but the channel
+        dstd = [None] * len(w)  # per view: the std gradient
         gx = None
         if xc is not None:
-            s1 = _sum_keep(g * xc, _MAP)
+            s1 = _row_sums((g * xc).reshape(n * c, hw)).reshape(n, c, 1, 1)
             q = 0.0
-            if _MAP in views:
-                ys[_MAP] = _sum_keep(r[_MAP] * s1, (0,))
-                dstd[_MAP] = -(coef[_MAP] * r[_MAP] * s1)
-                q = coef[_MAP] * s0 * (-1.0 / hw)
-            if _CHANNEL in views:
-                ys[_CHANNEL] = r[_CHANNEL] * _sum_keep(s1 + m.shift * s0, (0,))
-                dstd[_CHANNEL] = -(coef[_CHANNEL] * ys[_CHANNEL])
+            if at_map is not None:
+                ys[i_map] = _col_sums((r_map * s1).reshape(n, c)).reshape(1, c, 1, 1)
+                dstd[i_map] = -(coef_map * r_map * s1)
+                q = coef_map * s0 * (-1.0 / hw)
+            if at_ch is not None:
+                ys[i_ch] = r_ch * _col_sums((s1 + shift * s0).reshape(n, c)).reshape(1, c, 1, 1)
+                dstd[i_ch] = -(coef_ch * ys[i_ch])
                 if not m.const:
-                    q = q + coef[_CHANNEL] * _sum_keep(s0, (0,)) * (-1.0 / (n * hw))
+                    q = q + coef_ch * s0n * (-1.0 / (n * hw))
             gx = g * scale
             gx += q
         if z is not None:
             gz = g * z
-            pw, rp = coef[_PIXEL], r[_PIXEL]
-            ys[_PIXEL] = _sum_keep(gz, _CHANNEL)
-            dstd[_PIXEL] = np.matmul(pw.reshape(c), gz.reshape(n, c, hw)).reshape(rp.shape) * -rp
-            t = g * pw
-            t -= np.matmul(pw.reshape(c), g.reshape(n, c, hw)).reshape(rp.shape) * (1.0 / c)
-            t *= rp
+            pw = coef_pix.reshape(c)
+            ys[i_pix] = _col_sums(_row_sums(gz.reshape(n * c, hw)).reshape(n, c)).reshape(1, c, 1, 1)
+            dstd[i_pix] = np.matmul(pw, gz.reshape(n, c, hw)).reshape(n, 1, h, wd) * -r_pix
+            t = g * coef_pix
+            t -= np.matmul(pw, g.reshape(n, c, hw)).reshape(n, 1, h, wd) * (1.0 / c)
+            t *= r_pix
             gx = t if gx is None else np.add(gx, t, out=gx)
         acc(x, gx)
-        acc(std, np.concatenate([dstd[a].reshape(-1) for a in views]).reshape(std.shape))
-        for a, t in zip(views, weights):
+        acc(std, np.concatenate(dstd, axis=None).reshape(std.shape))
+        for t, y in zip(weights, ys):
             if t is not None:
-                acc(t, gd * ys[a])
+                acc(t, gd * y)
         if gamma is not None:
-            acc(gamma, sum(w[a] * ys[a] for a in views))
+            acc(gamma, sum(wv * y for wv, y in zip(w, ys)))
         if beta is not None:
-            acc(beta, _sum_keep(s0, (0,)))
+            acc(beta, s0n)
 
     return _node(out, parents, bw)
 
@@ -836,22 +879,27 @@ def _general(x, w, stride, pad, groups, out_hw):
     sh, sw = stride
     ph, pw = pad
     hout, wout = out_hw
-    n, _, h, wd = x.shape
+    n, cin, h, wd = x.shape
     cout, cin_g, kh, kw = w.shape
     cout_g = cout // groups
     cols_shape = (groups, cin_g * kh * kw, n * hout * wout)
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    sn, sc, srow, scol = xp.strides
-    # reshaping this window view copies it into the im2col matrix; the
-    # backward rebuilds it, so only xp is kept
-    patches = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(groups, cin_g, kh, kw, n, hout, wout),
-        strides=(sc * cin_g, sc, srow, scol, sn, srow * sh, scol * sw),
-        writeable=False,
-    )
+    padded_shape = (n, cin, h + 2 * ph, wd + 2 * pw)
+
+    def columns():
+        """The im2col matrix of the zero-padded `x`; rebuilt in the backward, so only x is kept."""
+        xp = np.zeros(padded_shape, x.dtype)
+        xp[:, :, ph : ph + h, pw : pw + wd] = x
+        sn, sc, srow, scol = xp.strides
+        patches = np.lib.stride_tricks.as_strided(
+            xp,
+            shape=(groups, cin_g, kh, kw, n, hout, wout),
+            strides=(sc * cin_g, sc, srow, scol, sn, srow * sh, scol * sw),
+            writeable=False,
+        )
+        return patches.reshape(cols_shape)  # copies the window view
+
     wg = w.reshape(groups, cout_g, cin_g * kh * kw)
-    out = np.matmul(wg, patches.reshape(cols_shape))
+    out = np.matmul(wg, columns())
     out = np.ascontiguousarray(out.reshape(groups, cout_g, n, hout * wout).transpose(2, 0, 1, 3))
     out = out.reshape(n, cout, hout, wout)
 
@@ -860,11 +908,11 @@ def _general(x, w, stride, pad, groups, out_hw):
         gg = gg.reshape(groups, cout_g, n * hout * wout)
         gx = gw = None
         if need_w:
-            gw = np.matmul(gg, patches.reshape(cols_shape).transpose(0, 2, 1)).reshape(w.shape)
+            gw = np.matmul(gg, columns().transpose(0, 2, 1)).reshape(w.shape)
         if need_x:
-            gcols = np.matmul(wg.transpose(0, 2, 1), gg).reshape(patches.shape)
-            gxp = np.zeros_like(xp)
-            gxp_g = gxp.reshape(n, groups, cin_g, *xp.shape[2:]).transpose(1, 2, 0, 3, 4)
+            gcols = np.matmul(wg.transpose(0, 2, 1), gg).reshape(groups, cin_g, kh, kw, n, hout, wout)
+            gxp = np.zeros(padded_shape, x.dtype)
+            gxp_g = gxp.reshape(n, groups, cin_g, *padded_shape[2:]).transpose(1, 2, 0, 3, 4)
             for u in range(kh):
                 for v in range(kw):
                     gxp_g[:, :, :, u : u + hout * sh : sh, v : v + wout * sw : sw] += gcols[:, :, u, v]

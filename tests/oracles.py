@@ -64,6 +64,16 @@ def moments(x, axes):
     return mu, mean(square(sub(x, mu)), axes)
 
 
+def view_stats(m, axes, shape):
+    """One view's ``(mean, variance)`` from ``tensor.variance``'s `Moments`, as keepdims arrays.
+
+    `Moments` holds them flat, per view kind; `shape` is the input's.
+    """
+    pair = {(2, 3): m.map, (0, 2, 3): m.channel, (1,): m.pixel}[axes]
+    keep = tuple(1 if i in axes else d for i, d in enumerate(shape))
+    return tuple(a.reshape(keep) for a in pair)
+
+
 def relu(x):
     """max(x, 0) as one tape node; NaN propagates, -0.0 maps to +0.0."""
     data = np.maximum(x.data, 0)

@@ -25,6 +25,7 @@ from oracles import (
     numeric_grad,
     standardize_oracle,
     ulp_err,
+    view_stats,
 )
 
 EPS = 1e-5
@@ -37,7 +38,7 @@ MVN_ULPS = 16
 def standardize(x, axes, eps):
     """One unguarded, unweighted view through the norm body's nodes: ``(y, mu, var)``."""
     var, m = tensor.variance(x, [axes], eps)
-    return tensor.normalize(x, m, sqrt(add(var, eps)), [None]), m.mu[axes], m.var[axes]
+    return (tensor.normalize(x, m, sqrt(add(var, eps)), [None]), *view_stats(m, axes, x.shape))
 
 
 def channel(values):
@@ -324,12 +325,27 @@ class TestPlainNorm:
             assert max_rel_err(a, b, floor=1e-12) < 1e-9, name
 
     @pytest.mark.parametrize("kind", KINDS + ("mvn",))
-    def test_training_tape_has_four_op_nodes(self, kind):
+    def test_training_tape_has_four_op_nodes(self, kind, monkeypatch):
+        calls = []
+        for name in ("variance", "add", "sqrt", "normalize"):
+            real = getattr(norm, name)
+            monkeypatch.setattr(norm, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+        layer = make_norm(kind, 4)
         x = Tensor(np.random.default_rng(34).normal(size=(2, 4, 3, 3)).astype(np.float32), requires_grad=True)
-        ops = op_nodes(make_norm(kind, 4).forward(x, training=True))
+        y = layer.forward(x, training=True)
+        ops = op_nodes(y)
         # one variance for every view, add eps, sqrt, and one normalize carrying the weights and affine
         assert len(ops) == 4
         assert sum(t._parents[0] is x for t in ops) == 2  # variance and normalize: the only reads of x
+        assert calls == ["variance", "add", "sqrt", "normalize"]
+        std = y._parents[1]
+        var = std._parents[0]._parents[0]  # through add
+        assert y._parents[0] is x and var._parents == (x,)
+        calls.clear()
+        with grad_enabled(False):  # the same body links none of them
+            free = layer.forward(x, training=True)
+        assert calls == ["variance", "add", "sqrt", "normalize"]
+        assert free._parents == () and free._backward is None and not free.requires_grad
 
     @pytest.mark.parametrize("kind", KINDS + ("mvn",))
     def test_eval_forward_records_no_tape(self, kind):
@@ -632,3 +648,50 @@ class TestMultiViewNorm:
         x = Tensor((rng.normal(size=(2, 4, 3, 3)) * scale).astype(np.float32))
         layer = MultiViewNorm(4)
         assert np.isfinite(layer.forward(x, training=True).data).all()
+
+
+def random_layer(kind, c, dtype, seed):
+    """A norm layer of any kind with random parameters and running statistics."""
+    rng = np.random.default_rng(seed)
+    return random_mvn(c, dtype, rng) if kind == "mvn" else random_plain(kind, c, dtype, rng)
+
+
+# (kind, shape, training): the micro training maps, the gradient-check input and an eval call at n = 1;
+# a plain instance norm rejects 1x1 maps
+ONE_BODY_CALLS = [
+    (kind, shape, training)
+    for kind in ("mvn", "bn", "ln", "in")
+    for shape, training in [
+        (shape, training) for shape in ((64, 8, 8, 8), (64, 32, 2, 2), (64, 64, 1, 1), (2, 8, 5, 5)) for training in (True, False)
+    ] + [((1, 8, 5, 5), False)]
+    if kind != "in" or shape[2] * shape[3] > 1
+]
+
+
+class TestOneBody:
+    """Taped and tape-free calls run one body: the same nodes, the same bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind,shape,training", ONE_BODY_CALLS)
+    def test_tape_free_output_is_the_taped_bits(self, kind, shape, training, dtype):
+        taped_layer, free_layer = (random_layer(kind, shape[1], dtype, 51) for _ in range(2))
+        data = np.random.default_rng(52).normal(0.5, 2.0, size=shape).astype(dtype)
+        taped = taped_layer.forward(Tensor(data, requires_grad=True), training)
+        with grad_enabled(False):
+            free = free_layer.forward(Tensor(data, requires_grad=True), training)
+        assert taped.requires_grad and not free.requires_grad
+        assert free.data.dtype == taped.data.dtype == dtype
+        assert free.data.tobytes() == taped.data.tobytes()
+        for (name, a), (_, b) in zip(taped_layer.named_buffers(), free_layer.named_buffers()):
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("shape", [(64, 8, 8, 8), (2, 8, 5, 5)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["mvn", "bn"])
+    def test_running_buffers_take_the_batch_moments(self, kind, dtype, shape):
+        layer = make_norm(kind, shape[1]).cast_(dtype)
+        x = np.random.default_rng(55).normal(1.0, 2.0, size=shape).astype(dtype)
+        layer.forward(Tensor(x, requires_grad=True), training=True)
+        mu, var = (a.reshape(-1) for a in moments_oracle(x.astype(np.float64), (0, 2, 3)))
+        np.testing.assert_allclose(layer.run_mean, 0.1 * mu, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(layer.run_var, 0.9 * 1.0 + 0.1 * var, rtol=1e-5)
