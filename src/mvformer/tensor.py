@@ -86,11 +86,21 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
+@functools.lru_cache(maxsize=64)
+def _constant(value, dtype):
+    """A read-only (1,1,1,1) constant, built once per (value, dtype) and shared by every op."""
+    t = Tensor.scalar(value, dtype=dtype)
+    t.data.flags.writeable = False
+    return t
+
+
 def _as_tensor(value, like=None):
     """Wrap python scalars as constant (1,1,1,1) tensors, matching dtype."""
     if isinstance(value, Tensor):
         return value
     dtype = like.dtype if like is not None else np.float32
+    if isinstance(value, (int, float)) and value != 0:  # 0.0 and -0.0 would share a cache key
+        return _constant(value, dtype)
     return Tensor.scalar(value, dtype=dtype)
 
 
@@ -653,7 +663,8 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     implementation and the output is always a fresh C-contiguous array:
 
     - ``_pointwise`` (1x1, stride 1, pad 0, groups == 1): one matmul over
-      (n, c, h*w);
+      (n, c, h*w); on 1x1 maps one (n, c_in) @ (c_in, c_out)
+      product, and each gradient one more;
     - same-size stride-1 depthwise (groups == c_in == c_out), h*w <= max(n,
       16): ``_depthwise_unrolled``, one (h*w, h*w) map matrix per channel and
       one batched matmul per pass.  The matrix is then no bigger than the
@@ -670,7 +681,10 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
       columns; both depthwise kernels skip the other taps, and their weight
       gradient is exactly zero;
     - everything else (stem, downsample, grouped, strided): ``_general``,
-      im2col and one batched matmul.
+      im2col and one batched matmul.  When n > w_out the batch axis is the
+      innermost of the padded input, the columns and the col2im buffer, so
+      their copies move runs of n elements, not of w_out; otherwise it is
+      the outermost.  At n = 1 the two orders are the same arrays.
 
     ``analysis.cost_report`` counts nominal MACs whatever a kernel skips or adds.
     """
@@ -729,8 +743,19 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
 def _pointwise(x, w):
     n, cin, h, wd = x.shape
     cout = w.shape[0]
-    x3 = x.reshape(n, cin, h * wd)
     w2 = w.reshape(cout, cin)
+    if h * wd == 1:  # one (n, c_in) @ (c_in, c_out) product, not n matrix-vector ones
+        x2 = x.reshape(n, cin)
+
+        def grads(g, need_x, need_w):
+            g2 = g.reshape(n, cout)
+            gx = np.matmul(g2, w2).reshape(x.shape) if need_x else None
+            # np.dot: at n = 1 np.matmul runs the (c_out, 1) view g2.T through a non-BLAS loop
+            gw = np.dot(g2.T, x2).reshape(w.shape) if need_w else None
+            return gx, gw
+
+        return np.matmul(x2, w2.T).reshape(n, cout, 1, 1), grads
+    x3 = x.reshape(n, cin, h * wd)
     out = np.matmul(w2, x3).reshape(n, cout, h, wd)
 
     def grads(g, need_x, need_w):
@@ -882,40 +907,50 @@ def _general(x, w, stride, pad, groups, out_hw):
     n, cin, h, wd = x.shape
     cout, cin_g, kh, kw = w.shape
     cout_g = cout // groups
+    hp, wp = h + 2 * ph, wd + 2 * pw
+    # The batch axis goes innermost when it is the longer run (`last`): the padded
+    # buffers are then (c_in, hp, wp, n) and a column runs over (h_out, w_out, n), so
+    # the column copy and the x-gradient scatter move runs of n elements, not of
+    # w_out.  The product, its gradient and the column gradient are (c, *tail);
+    # `to_nchw` turns those into (n, c, h_out, w_out), `from_nchw` back.
+    last = n > wout
+    if last:
+        tail, to_nchw, from_nchw = (hout, wout, n), (3, 0, 1, 2), (1, 2, 3, 0)
+    else:
+        tail, to_nchw, from_nchw = (n, hout, wout), (1, 0, 2, 3), (1, 0, 2, 3)
     cols_shape = (groups, cin_g * kh * kw, n * hout * wout)
-    padded_shape = (n, cin, h + 2 * ph, wd + 2 * pw)
+
+    def padded():
+        """A zeroed buffer and its (n, c_in, hp, wp) view."""
+        buf = np.zeros((cin, hp, wp, n) if last else (n, cin, hp, wp), x.dtype)
+        return buf, (buf.transpose(3, 0, 1, 2) if last else buf)
 
     def columns():
         """The im2col matrix of the zero-padded `x`; rebuilt in the backward, so only x is kept."""
-        xp = np.zeros(padded_shape, x.dtype)
+        buf, xp = padded()
         xp[:, :, ph : ph + h, pw : pw + wd] = x
         sn, sc, srow, scol = xp.strides
-        patches = np.lib.stride_tricks.as_strided(
-            xp,
-            shape=(groups, cin_g, kh, kw, n, hout, wout),
-            strides=(sc * cin_g, sc, srow, scol, sn, srow * sh, scol * sw),
-            writeable=False,
+        steps = (srow * sh, scol * sw, sn) if last else (sn, srow * sh, scol * sw)
+        patches = np.ndarray(  # the window view on the buffer; as_strided costs ten times as much per call
+            (groups, cin_g, kh, kw, *tail), x.dtype, buffer=buf, strides=(sc * cin_g, sc, srow, scol, *steps)
         )
         return patches.reshape(cols_shape)  # copies the window view
 
     wg = w.reshape(groups, cout_g, cin_g * kh * kw)
-    out = np.matmul(wg, columns())
-    out = np.ascontiguousarray(out.reshape(groups, cout_g, n, hout * wout).transpose(2, 0, 1, 3))
-    out = out.reshape(n, cout, hout, wout)
+    out = np.ascontiguousarray(np.matmul(wg, columns()).reshape(cout, *tail).transpose(to_nchw))
 
     def grads(g, need_x, need_w):
-        gg = g.reshape(n, groups, cout_g, hout * wout).transpose(1, 2, 0, 3)
-        gg = gg.reshape(groups, cout_g, n * hout * wout)
+        gg = g.transpose(from_nchw).reshape(groups, cout_g, -1)
         gx = gw = None
         if need_w:
             gw = np.matmul(gg, columns().transpose(0, 2, 1)).reshape(w.shape)
         if need_x:
-            gcols = np.matmul(wg.transpose(0, 2, 1), gg).reshape(groups, cin_g, kh, kw, n, hout, wout)
-            gxp = np.zeros(padded_shape, x.dtype)
-            gxp_g = gxp.reshape(n, groups, cin_g, *padded_shape[2:]).transpose(1, 2, 0, 3, 4)
+            gcols = np.matmul(wg.transpose(0, 2, 1), gg).reshape(cin, kh, kw, *tail)
+            gcols = gcols.transpose(1, 2, *((0, 3, 4, 5)[i] for i in to_nchw))  # (kh, kw, n, c_in, h_out, w_out)
+            _, gxp = padded()
             for u in range(kh):
                 for v in range(kw):
-                    gxp_g[:, :, :, u : u + hout * sh : sh, v : v + wout * sw : sw] += gcols[:, :, u, v]
+                    gxp[:, :, u : u + hout * sh : sh, v : v + wout * sw : sw] += gcols[u, v]
             gx = gxp[:, :, ph : ph + h, pw : pw + wd]
         return gx, gw
 

@@ -1,6 +1,6 @@
 """Independent reference implementations used as test oracles.
 
-These stay deliberately naive (nested loops, two-pass sums) and never call
+These stay deliberately naive (direct loops, two-pass sums) and never call
 the library's fast paths.
 """
 
@@ -11,35 +11,65 @@ from mvformer.optim import NumericsError
 from mvformer.tensor import ShapeError, Tensor, _node, add, div, mean, mul, sqrt, square, sub
 
 
-def conv2d_oracle(x, w, b=None, stride=(1, 1), pad=(0, 0), groups=1):
-    """Direct nested-loop cross-correlation."""
-    n, cin, h, wd = x.shape
-    cout, cin_g, kh, kw = w.shape
+def _windows(x_shape, w_shape, stride, pad, groups):
+    """Each output channel and position of a cross-correlation, with the index of its input window
+    in the zero-padded input: ``(oc, y, xo, (channels, rows, columns))``."""
+    _, _, h, wd = x_shape
+    cout, cin_g, kh, kw = w_shape
     sh, sw = stride
     ph, pw = pad
-    hout = (h + 2 * ph - kh) // sh + 1
-    wout = (wd + 2 * pw - kw) // sw + 1
-    xp = np.zeros((n, cin, h + 2 * ph, wd + 2 * pw), dtype=np.float64)
-    xp[:, :, ph : ph + h, pw : pw + wd] = x
-    out = np.zeros((n, cout, hout, wout), dtype=np.float64)
     cout_g = cout // groups
-    for img in range(n):
-        for oc in range(cout):
-            g = oc // cout_g
-            for y in range(hout):
-                for xo in range(wout):
-                    acc = 0.0
-                    for ic in range(cin_g):
-                        for u in range(kh):
-                            for v in range(kw):
-                                acc += (
-                                    xp[img, g * cin_g + ic, y * sh + u, xo * sw + v]
-                                    * w[oc, ic, u, v]
-                                )
-                    out[img, oc, y, xo] = acc
-            if b is not None:
-                out[img, oc] += b[oc]
+    for oc in range(cout):
+        g = oc // cout_g
+        for y in range((h + 2 * ph - kh) // sh + 1):
+            for xo in range((wd + 2 * pw - kw) // sw + 1):
+                window = slice(g * cin_g, (g + 1) * cin_g), slice(y * sh, y * sh + kh), slice(xo * sw, xo * sw + kw)
+                yield oc, y, xo, window
+
+
+def _padded(x, pad):
+    ph, pw = pad
+    n, c, h, wd = x.shape
+    xp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), dtype=np.float64)
+    xp[:, :, ph : ph + h, pw : pw + wd] = x
+    return xp
+
+
+def conv2d_oracle(x, w, b=None, stride=(1, 1), pad=(0, 0), groups=1):
+    """Direct cross-correlation: every output is its input window times the kernel, summed.
+
+    Loops over output channels and positions; the batch is one vector.
+    """
+    n = x.shape[0]
+    cout, _, kh, kw = w.shape
+    hout = (x.shape[2] + 2 * pad[0] - kh) // stride[0] + 1
+    wout = (x.shape[3] + 2 * pad[1] - kw) // stride[1] + 1
+    xp = _padded(x, pad)
+    out = np.zeros((n, cout, hout, wout), dtype=np.float64)
+    for oc, y, xo, window in _windows(x.shape, w.shape, stride, pad, groups):
+        out[:, oc, y, xo] = (xp[(slice(None), *window)] * w[oc]).sum(axis=(1, 2, 3))
+    if b is not None:
+        out += np.reshape(b, (1, cout, 1, 1))
     return out
+
+
+def conv2d_grads_oracle(x, w, gy, stride=(1, 1), pad=(0, 0), groups=1):
+    """Input and weight gradients of `conv2d_oracle` for the output gradient `gy`.
+
+    The same loops: each output's gradient, times the kernel, adds into its
+    input window's gradient, and times the window, summed over the batch,
+    into the kernel's.
+    """
+    ph, pw = pad
+    _, _, h, wd = x.shape
+    xp = _padded(x, pad)
+    gxp = np.zeros_like(xp)
+    gw = np.zeros(w.shape, dtype=np.float64)
+    for oc, y, xo, window in _windows(x.shape, w.shape, stride, pad, groups):
+        g = gy[:, oc, y, xo].reshape(-1, 1, 1, 1)
+        gxp[(slice(None), *window)] += g * w[oc]
+        gw[oc] += (g * xp[(slice(None), *window)]).sum(axis=0)
+    return gxp[:, :, ph : ph + h, pw : pw + wd], gw
 
 
 def moments_oracle(x, axes):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import mvformer.tensor as tensor
 from oracles import (
+    conv2d_grads_oracle,
     conv2d_oracle,
     max_rel_err,
     moments,
@@ -144,6 +145,7 @@ class TestConv2d:
             ((2, 4, 2, 2), (4, 1, 7, 7), 1, 3, 4, "_depthwise_unrolled"),  # gradient-check maps at n=2
             ((20, 3, 4, 5), (3, 1, 3, 3), 1, 1, 3, "_depthwise_unrolled"),  # h*w == n > 16
             ((19, 3, 4, 5), (3, 1, 3, 3), 1, 1, 3, "_depthwise_banded"),  # h*w == n + 1 > 16
+            ((3, 5, 1, 1), (7, 5, 1, 1), 1, 0, 1, "_pointwise"),  # one product over the batch
         ],
     )
     def test_kernel_routing(self, monkeypatch, shape, kernel, stride, pad, groups, path):
@@ -157,25 +159,92 @@ class TestConv2d:
 
     @pytest.mark.parametrize("pad", [1, 2])
     def test_strided_conv_keeps_no_padded_copy(self, pad):
-        """The stem/downsample kernel re-pads `x` in its backward instead of keeping a padded copy."""
+        """The stem/downsample kernel re-pads `x` in its backward instead of keeping a padded copy,
+        with the batch axis outermost (n = 2) or innermost (n = 8) in its columns (w_out is 4)."""
         rng = np.random.default_rng(19)
-        x = Tensor(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
-        out = conv2d(x, w, stride=2, pad=pad)
-        held, stack, seen = [], [out._backward], set()
-        while stack:  # every array reachable through the backward's closures
-            fn = stack.pop()
-            if id(fn) in seen:
-                continue
-            seen.add(id(fn))
-            for cell in fn.__closure__ or ():
-                c = cell.cell_contents
-                if isinstance(c, np.ndarray):
-                    held.append(c)
-                elif callable(c) and hasattr(c, "__closure__"):
-                    stack.append(c)
-        assert held and all(np.shares_memory(a, x.data) or np.shares_memory(a, w.data) for a in held)
-        assert not any(a.shape == (2, 3, 8 + 2 * pad, 8 + 2 * pad) for a in held)
+        for n in (2, 8):
+            x = Tensor(rng.normal(size=(n, 3, 8, 8)), requires_grad=True)
+            w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+            out = conv2d(x, w, stride=2, pad=pad)
+            held, stack, seen = [], [out._backward], set()
+            while stack:  # every array reachable through the backward's closures
+                fn = stack.pop()
+                if id(fn) in seen:
+                    continue
+                seen.add(id(fn))
+                for cell in fn.__closure__ or ():
+                    c = cell.cell_contents
+                    if isinstance(c, np.ndarray):
+                        held.append(c)
+                    elif callable(c) and hasattr(c, "__closure__"):
+                        stack.append(c)
+            assert held and all(np.shares_memory(a, x.data) or np.shares_memory(a, w.data) for a in held)
+            assert not any(a.size == n * 3 * (8 + 2 * pad) ** 2 for a in held)
+
+    # (x, kernel, stride, pad, groups): the micro stem and downsamples at the training
+    # batch (n > w_out: the batch axis innermost) and at the gradient check's (innermost
+    # only on the 2x2 map), a grouped strided call with n > w_out, and batch 1
+    GENERAL_CALLS = [
+        ((64, 3, 32, 32), (8, 3, 7, 7), 4, 2, 1),
+        ((64, 8, 8, 8), (16, 8, 3, 3), 2, 1, 1),
+        ((64, 16, 4, 4), (32, 16, 3, 3), 2, 1, 1),
+        ((64, 32, 2, 2), (64, 32, 3, 3), 2, 1, 1),
+        ((2, 3, 32, 32), (8, 3, 7, 7), 4, 2, 1),
+        ((2, 8, 8, 8), (16, 8, 3, 3), 2, 1, 1),
+        ((2, 32, 2, 2), (64, 32, 3, 3), 2, 1, 1),
+        ((9, 6, 9, 9), (8, 3, 3, 3), 2, 1, 2),
+        ((1, 3, 20, 20), (8, 3, 7, 7), 4, 2, 1),
+    ]
+
+    @pytest.mark.parametrize(
+        "shape,kernel,stride,pad,groups",
+        GENERAL_CALLS,
+        ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_general_both_orders_against_oracle(self, monkeypatch, shape, kernel, stride, pad, groups):
+        """Output and every gradient of ``_general``, whichever order its columns take."""
+        used = []
+        real = tensor._general
+        monkeypatch.setattr(tensor, "_general", lambda *a: used.append(1) or real(*a))
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=kernel).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.normal(size=(1, kernel[0], 1, 1)).astype(np.float32), requires_grad=True)
+        y = conv2d(x, w, b, stride=stride, pad=pad, groups=groups)
+        assert used and y.data.flags.c_contiguous and y.dtype == np.float32
+        want = conv2d_oracle(x.data, w.data, b.data, (stride, stride), (pad, pad), groups)
+        np.testing.assert_allclose(y.data, want, rtol=1e-5, atol=1e-5)
+        gy = rng.normal(size=y.shape).astype(np.float32)
+        backward(tsum(mul(y, Tensor(gy))))
+        gx, gw = conv2d_grads_oracle(x.data, w.data, gy, (stride, stride), (pad, pad), groups)
+        for t, g in ((x, gx), (w, gw), (b, gy.sum(axis=(0, 2, 3), keepdims=True))):
+            np.testing.assert_allclose(t.grad, g, rtol=1e-4, atol=1e-4 * np.abs(g).max())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    def test_pointwise_on_one_pixel_maps(self, monkeypatch, n, dtype):
+        """On 1x1 maps the pointwise kernel is one product over the batch; output and gradients
+        match the oracle, and the tape-free output equals the taped one."""
+        used = []
+        real = tensor._pointwise
+        monkeypatch.setattr(tensor, "_pointwise", lambda *a: used.append(1) or real(*a))
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.normal(size=(n, 64, 1, 1)).astype(dtype), requires_grad=True)
+        w = Tensor(rng.normal(size=(96, 64, 1, 1)).astype(dtype), requires_grad=True)
+        b = Tensor(rng.normal(size=(1, 96, 1, 1)).astype(dtype), requires_grad=True)
+        y = conv2d(x, w, b)
+        with grad_enabled(False):
+            free = conv2d(x, w, b)
+        assert len(used) == 2 and y.dtype == dtype and y.data.flags.c_contiguous
+        assert np.array_equal(free.data, y.data)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(y.data, conv2d_oracle(x.data, w.data, b.data), rtol=tol, atol=tol)
+        gy = rng.normal(size=y.shape).astype(dtype)
+        backward(tsum(mul(y, Tensor(gy))))
+        gx, gw = conv2d_grads_oracle(x.data, w.data, gy)
+        for t, g in ((x, gx), (w, gw)):
+            assert t.grad.dtype == dtype
+            np.testing.assert_allclose(t.grad, g, rtol=tol, atol=tol * np.abs(g).max())
 
     def test_shape_errors_name_axes(self):
         x = Tensor(np.zeros((1, 4, 3, 3)))
@@ -653,6 +722,11 @@ class TestBackward:
             ((2, 4, 6, 6), (6, 4, 3, 3), 2, 1, 1),  # downsample
             ((2, 3, 11, 11), (4, 3, 7, 7), 4, 2, 1),  # stem
             ((2, 4, 7, 7), (6, 2, 3, 3), 2, 1, 2),  # grouped, strided
+            # n > w_out: the batch axis innermost in the columns
+            ((5, 4, 6, 6), (6, 4, 3, 3), 2, 1, 1),
+            ((5, 3, 11, 11), (4, 3, 7, 7), 4, 2, 1),
+            ((5, 4, 7, 7), (6, 2, 3, 3), 2, 1, 2),
+            ((3, 4, 2, 2), (6, 4, 3, 3), 2, 1, 1),
         ],
     )
     def test_general_conv_grads_match_central_differences(self, shape, kernel, stride, pad, groups):
