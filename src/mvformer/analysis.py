@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DOWN_GEOMETRY, HEAD_MLP_RATIO, RES_SCALE_STAGES, STEM_GEOMETRY, ModelConfig, MVFormer, stage_map_sizes
-from .norm import DegenerateInputError, MultiViewNorm, PlainNorm, batch_norm, instance_norm, layer_norm
-from .tensor import Tensor
+from .norm import DegenerateInputError, MultiViewNorm, PlainNorm
+from .tensor import Tensor, grad_enabled
 
 
 # -- parameter / MAC accounting ------------------------------------------------
@@ -216,9 +216,8 @@ def normalize_image_grid(images, weights):
             f"(its statistics are computed across >= 2 images), got {arr.shape[0]}"
         )
     x = Tensor(arr)
-    bn = batch_norm(x, PlainNorm(arr.shape[1], "bn"), training=True).data
-    ln = layer_norm(x).data
-    inorm = instance_norm(x).data
+    with grad_enabled(False):  # each layer at its initial affine: gamma = 1, beta = 0
+        bn, ln, inorm = [PlainNorm(arr.shape[1], k).forward(x, training=True).data for k in ("bn", "ln", "in")]
     w_bn, w_ln, w_in = (np.float32(w) for w in weights)
     composite = w_bn * bn + w_ln * ln + w_in * inorm
     return NormalizedImages(bn, ln, inorm, composite)

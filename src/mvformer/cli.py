@@ -36,7 +36,7 @@ from .training import (
 
 # every named input error of the package (config, checkpoint, image, shape) is a ValueError;
 # a path that cannot be read or written is an OSError
-_INPUT_ERRORS = (ValueError, KeyError, OSError)
+_INPUT_ERRORS = (ValueError, OSError)
 
 
 def _cmd_count(args):

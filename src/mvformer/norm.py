@@ -15,16 +15,14 @@ Every norm is one body on shared statistics, four tape nodes:
   layer view is one per-pixel term, and its backward is closed-form in a
   few per-(n, c) and per-pixel sums.
 
-`_norm` checks the views' guards (`DegenerateInputError` where statistics
-would cover fewer than two elements) and folds batch statistics into the
-running values.  Which views, weights and guards a call has is fixed when
-the layer is built (`_Views`), not re-derived per call.  `PlainNorm`
-passes its single view with no weight;
-`MultiViewNorm` passes all three with their per-channel weights
-(initialized to ones); the functional forms pass one view and no affine.
-A view with weight zero adds exact zeros, so a one-hot fusion weight
-reproduces the corresponding functional norm bitwise.  The results are not
-bitwise those of the unfused ops (``(x - mu) / std`` per view, summed):
+A layer fixes its views, their weights and which guards apply when it is
+built; its ``forward`` checks the guards (`DegenerateInputError` where
+statistics would cover fewer than two elements) and folds batch statistics
+into the running values.  `PlainNorm` has one view and no weight;
+`MultiViewNorm` has all three with per-channel weights (initialized to
+ones).  A view with weight zero adds exact zeros, so a one-hot fusion
+weight reproduces the corresponding `PlainNorm` bitwise.  The results are
+not bitwise those of the unfused ops (``(x - mu) / std`` per view, summed):
 they agree to a few ulp.
 
 Batch normalization is the only stateful view: training mode normalizes
@@ -47,9 +45,9 @@ MOMENTUM = 0.1
 
 # reduction axes of each view, and the error raised when they span fewer than two elements
 _VIEWS = {
-    "bn": ((0, 2, 3), "batch_norm: batch statistics need n*h*w >= 2 per channel, got {0}*{2}*{3}"),
-    "ln": ((1,), "layer_norm: needs C >= 2 channels, got {1}"),
-    "in": ((2, 3), "instance_norm: needs h*w >= 2 spatial positions, got {2}x{3}"),
+    "bn": ((0, 2, 3), "batch norm: batch statistics need n*h*w >= 2 per channel, got {0}*{2}*{3}"),
+    "ln": ((1,), "layer norm: needs C >= 2 channels, got {1}"),
+    "in": ((2, 3), "instance norm: needs h*w >= 2 spatial positions, got {2}x{3}"),
 }
 
 
@@ -63,79 +61,17 @@ def _guard(x, kind):
         raise DegenerateInputError(message.format(*x.shape))
 
 
-class _Views:
-    """The fixed part of a norm call over `kinds` with `weights` (a tensor or None each).
-
-    Built once per layer (and once per functional norm), so a call neither
-    rebuilds the views' axes nor re-derives which guards apply.  A weighted
-    ``in`` view is unguarded: on 1x1 maps it contributes exactly zero.
-    """
-
-    __slots__ = ("axes", "weights", "bn", "ln", "guard_in")
-
-    def __init__(self, kinds, weights):
-        self.axes = tuple(_VIEWS[k][0] for k in kinds)
-        self.weights = tuple(weights)
-        self.bn = "bn" in kinds
-        self.ln = "ln" in kinds
-        self.guard_in = any(k == "in" and w is None for k, w in zip(kinds, weights))
-
-
-def _norm(x, views, state=None, training=True, gamma=None, beta=None):
-    """``gamma * sum_v weight_v * view_v + beta`` over the `_Views` `views`.
-
-    A ``bn`` view reads and updates `state`'s running buffers: training mode
-    folds the batch statistics into them in place, ``MOMENTUM`` of the batch
-    to ``1 - MOMENTUM`` of the old value; inference mode normalizes with
-    them as constants.  The ``ln`` guard fires after the running buffers are
-    updated.
-    """
-    if views.bn and training:
-        _guard(x, "bn")
-    if views.guard_in:
-        _guard(x, "in")
-    running = (state.run_mean, state.run_var) if views.bn and not training else None
-    var, m = variance(x, views.axes, EPS, running)
-    if views.bn and training:
-        for buf, stat in zip((state.run_mean, state.run_var), m.channel):
-            buf *= 1.0 - MOMENTUM
-            buf += MOMENTUM * stat
-    if views.ln:
-        _guard(x, "ln")
-    return normalize(x, m, sqrt(add(var, EPS)), views.weights, gamma, beta)
-
-
-_BATCH, _LAYER, _INSTANCE = (_Views((kind,), (None,)) for kind in ("bn", "ln", "in"))
-
-
-def batch_norm(x, state, training):
-    """Channelwise standardization (pre-affine).
-
-    `state` carries run_mean/run_var buffers (either a plain BN layer or
-    the multi-view layer).  Training mode uses batch statistics over
-    (n, h, w) per channel and folds them into the running values; inference
-    mode uses the running values as constants.
-    """
-    return _norm(x, _BATCH, state, training)
-
-
-def layer_norm(x):
-    """Per-pixel standardization across channels (pre-affine)."""
-    return _norm(x, _LAYER)
-
-
-def instance_norm(x):
-    """Per-(sample, channel) spatial standardization (pre-affine)."""
-    return _norm(x, _INSTANCE)
-
-
 class _ViewSum(Module):
     """The body of both norm layers: ``gamma * sum_v weight_v * view_v + beta`` as one node.
 
     Registers one weight ``alpha_<kind>`` per view when there are several
     (none for a single view), then ``gamma`` and ``beta``, then the
     ``run_mean``/``run_var`` buffers if a view is ``bn``; checkpoints key on
-    these names in this order.
+    these names in this order.  A ``bn`` view in training mode folds the
+    batch statistics into the running buffers in place, ``MOMENTUM`` of the
+    batch to ``1 - MOMENTUM`` of the old value; in inference mode it
+    normalizes with them as constants.  The ``ln`` guard fires after the
+    running buffers are updated.
     """
 
     def __init__(self, channels, kinds):
@@ -150,7 +86,13 @@ class _ViewSum(Module):
         if "bn" in kinds:
             self.buffer("run_mean", np.zeros(channels))
             self.buffer("run_var", np.ones(channels))
-        self._views = _Views(kinds, weights)
+        # the fixed part of a call: the views' axes and weights, and which guards apply;
+        # a weighted ``in`` view is unguarded, on 1x1 maps it contributes exactly zero
+        self._axes = tuple(_VIEWS[k][0] for k in kinds)
+        self._weights = tuple(weights)
+        self._bn = "bn" in kinds
+        self._ln = "ln" in kinds
+        self._guard_in = kinds == ("in",)
 
     @property
     def run_mean(self):
@@ -163,7 +105,20 @@ class _ViewSum(Module):
     def forward(self, x, training=False):
         if x.shape[1] != self.channels:
             raise ValueError(f"norm built for {self.channels} channels, input has {x.shape[1]}")
-        return _norm(x, self._views, self, training, self.gamma, self.beta)
+        bn_batch = self._bn and training
+        if bn_batch:
+            _guard(x, "bn")
+        if self._guard_in:
+            _guard(x, "in")
+        running = (self.run_mean, self.run_var) if self._bn and not training else None
+        var, m = variance(x, self._axes, EPS, running)
+        if bn_batch:
+            for buf, stat in zip((self.run_mean, self.run_var), m.channel):
+                buf *= 1.0 - MOMENTUM
+                buf += MOMENTUM * stat
+        if self._ln:
+            _guard(x, "ln")
+        return normalize(x, m, sqrt(add(var, EPS)), self._weights, self.gamma, self.beta)
 
 
 class PlainNorm(_ViewSum):
@@ -193,7 +148,7 @@ class MultiViewNorm(_ViewSum):
 
     def __init__(self, channels):
         super().__init__(channels, ("bn", "ln", "in"))
-        self.alpha_bn, self.alpha_ln, self.alpha_in = self._views.weights
+        self.alpha_bn, self.alpha_ln, self.alpha_in = self._weights
 
 
 def make_norm(kind, channels):

@@ -680,12 +680,14 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
       data only for u in [max(0, p-h+1), min(kh, p+h)), likewise for
       columns; both depthwise kernels skip the other taps, and their weight
       gradient is exactly zero;
-    - everything else (stem, downsample, grouped, strided): ``_general``,
-      im2col and one batched matmul.  When n > w_out the batch axis is the
+    - any other dense call (groups == 1: stem, downsample): ``_general``,
+      im2col and one matmul.  When n > w_out the batch axis is the
       innermost of the padded input, the columns and the col2im buffer, so
       their copies move runs of n elements, not of w_out; otherwise it is
       the outermost.  At n = 1 the two orders are the same arrays.
 
+    Any other call (1 < groups < c_in, or a depthwise call that is strided,
+    changes the map size or has c_out != c_in) raises ``ShapeError``.
     ``analysis.cost_report`` counts nominal MACs whatever a kernel skips or adds.
     """
     sh, sw = _pair(stride)
@@ -717,8 +719,14 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     elif unit_stride and groups == cin == cout and (hout, wout) == (h, wd):
         depthwise = _depthwise_unrolled if h * wd <= max(n, _UNROLL_MAX_HW) else _depthwise_banded
         out, grads = depthwise(x.data, w.data, ph, pw)
+    elif groups == 1:
+        out, grads = _general(x.data, w.data, (sh, sw), (ph, pw), (hout, wout))
     else:
-        out, grads = _general(x.data, w.data, (sh, sw), (ph, pw), groups, (hout, wout))
+        raise ShapeError(
+            f"conv2d: groups={groups} with c_in={cin}, c_out={cout}, stride ({sh}, {sw}) and output "
+            f"({hout}, {wout}) from ({h}, {wd}) is not supported; conv2d runs dense calls (groups=1) "
+            "and stride-1 depthwise calls that keep the map size (groups=c_in=c_out)"
+        )
     if b is not None:
         out += b.data
 
@@ -811,9 +819,7 @@ def _depthwise_banded(x, w, ph, pw):
         buf = np.zeros((c, n, hh + kr - 1, nt * t + kc - 1), dtype)
         buf[:, :, p : p + hh, q : q + ww] = a.transpose(1, 0, 2, 3)
         sc, sn, sr, se = buf.strides
-        windows = np.lib.stride_tricks.as_strided(
-            buf, (c, n, hh, nt, kr, span), (sc, sn, sr, se * t, sr, se), writeable=False
-        )
+        windows = np.ndarray((c, n, hh, nt, kr, span), dtype, buffer=buf, strides=(sc, sn, sr, se * t, sr, se))
         return windows.reshape(c, n * hh * nt, kr * span)
 
     def apply(a, kernel):
@@ -835,9 +841,7 @@ def _depthwise_banded(x, w, ph, pw):
             gband = np.matmul(columns(x).transpose(0, 2, 1), gp.reshape(c, -1, t))
             # tap (l, v) is the sum over o of band entry (l * span + o + v, o)
             s0, e = gband.strides[0], gband.itemsize
-            diag = np.lib.stride_tricks.as_strided(
-                gband, (c, kr, kc, t), (s0, span * t * e, t * e, (t + 1) * e), writeable=False
-            )
+            diag = np.ndarray((c, kr, kc, t), gband.dtype, buffer=gband, strides=(s0, span * t * e, t * e, (t + 1) * e))
             gw = np.zeros(w_shape, g.dtype)
             frame = gw.transpose(0, 1, 3, 2) if transposed else gw
             frame[:, 0, r0 : kh - r0, c0 : kw - c0] = diag.sum(axis=3)
@@ -900,13 +904,12 @@ def _depthwise_unrolled(x, w, ph, pw):
     return out.reshape(x.shape), grads
 
 
-def _general(x, w, stride, pad, groups, out_hw):
+def _general(x, w, stride, pad, out_hw):
     sh, sw = stride
     ph, pw = pad
     hout, wout = out_hw
     n, cin, h, wd = x.shape
-    cout, cin_g, kh, kw = w.shape
-    cout_g = cout // groups
+    cout, _, kh, kw = w.shape
     hp, wp = h + 2 * ph, wd + 2 * pw
     # The batch axis goes innermost when it is the longer run (`last`): the padded
     # buffers are then (c_in, hp, wp, n) and a column runs over (h_out, w_out, n), so
@@ -918,7 +921,6 @@ def _general(x, w, stride, pad, groups, out_hw):
         tail, to_nchw, from_nchw = (hout, wout, n), (3, 0, 1, 2), (1, 2, 3, 0)
     else:
         tail, to_nchw, from_nchw = (n, hout, wout), (1, 0, 2, 3), (1, 0, 2, 3)
-    cols_shape = (groups, cin_g * kh * kw, n * hout * wout)
 
     def padded():
         """A zeroed buffer and its (n, c_in, hp, wp) view."""
@@ -931,21 +933,21 @@ def _general(x, w, stride, pad, groups, out_hw):
         xp[:, :, ph : ph + h, pw : pw + wd] = x
         sn, sc, srow, scol = xp.strides
         steps = (srow * sh, scol * sw, sn) if last else (sn, srow * sh, scol * sw)
-        patches = np.ndarray(  # the window view on the buffer; as_strided costs ten times as much per call
-            (groups, cin_g, kh, kw, *tail), x.dtype, buffer=buf, strides=(sc * cin_g, sc, srow, scol, *steps)
+        patches = np.ndarray(  # the window view on the buffer, a tenth of the cost of a stride-tricks view
+            (cin, kh, kw, *tail), x.dtype, buffer=buf, strides=(sc, srow, scol, *steps)
         )
-        return patches.reshape(cols_shape)  # copies the window view
+        return patches.reshape(cin * kh * kw, -1)  # copies the window view
 
-    wg = w.reshape(groups, cout_g, cin_g * kh * kw)
-    out = np.ascontiguousarray(np.matmul(wg, columns()).reshape(cout, *tail).transpose(to_nchw))
+    w2 = w.reshape(cout, cin * kh * kw)
+    out = np.ascontiguousarray(np.matmul(w2, columns()).reshape(cout, *tail).transpose(to_nchw))
 
     def grads(g, need_x, need_w):
-        gg = g.transpose(from_nchw).reshape(groups, cout_g, -1)
+        g2 = g.transpose(from_nchw).reshape(cout, -1)
         gx = gw = None
         if need_w:
-            gw = np.matmul(gg, columns().transpose(0, 2, 1)).reshape(w.shape)
+            gw = np.matmul(g2, columns().T).reshape(w.shape)
         if need_x:
-            gcols = np.matmul(wg.transpose(0, 2, 1), gg).reshape(cin, kh, kw, *tail)
+            gcols = np.matmul(w2.T, g2).reshape(cin, kh, kw, *tail)
             gcols = gcols.transpose(1, 2, *((0, 3, 4, 5)[i] for i in to_nchw))  # (kh, kw, n, c_in, h_out, w_out)
             _, gxp = padded()
             for u in range(kh):

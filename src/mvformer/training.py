@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import save_checkpoint
+from .checkpoint import CheckpointFormatError, save_checkpoint
 from .data import SyntheticDataset, SyntheticSpec
 from .mixer import ConfigError
 from .model import ModelConfig, build_model, model_config, stage_map_sizes
@@ -232,13 +232,22 @@ def model_meta(mc):
     return meta
 
 
+def _parse_meta(meta, key, parse):
+    try:
+        return parse(meta[key])
+    except ValueError as exc:
+        raise CheckpointFormatError(f"checkpoint meta {key!r} has a bad value: {meta[key]!r}") from exc
+
+
 def model_from_meta(meta):
-    """ModelConfig from checkpoint metadata; a missing required key raises KeyError."""
-    return ModelConfig(**{
-        field: parse(meta[key])
-        for key, field, parse in _MODEL_META
-        if key in meta or key != "model.ablation"
-    })
+    """ModelConfig from checkpoint metadata; a missing or unparsable key raises CheckpointFormatError."""
+    fields = {}
+    for key, field, parse in _MODEL_META:
+        if key in meta:
+            fields[field] = _parse_meta(meta, key, parse)
+        elif key != "model.ablation":
+            raise CheckpointFormatError(f"checkpoint meta lacks {key!r}")
+    return ModelConfig(**fields)
 
 
 def data_meta(spec):
@@ -246,10 +255,9 @@ def data_meta(spec):
 
 
 def data_from_meta(meta, overrides=None):
-    """SyntheticSpec from metadata; a missing key takes the spec's default."""
-    fields = {
-        key: _PARSERS[key](meta[f"data.{key}"]) for key in _DATA_KEYS if f"data.{key}" in meta
-    }
+    """SyntheticSpec from metadata; a missing key takes the spec's default, an unparsable one
+    raises CheckpointFormatError."""
+    fields = {key: _parse_meta(meta, f"data.{key}", _PARSERS[key]) for key in _DATA_KEYS if f"data.{key}" in meta}
     return SyntheticSpec(**{**fields, **(overrides or {})})
 
 

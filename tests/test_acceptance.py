@@ -17,7 +17,7 @@ from mvformer.gradcheck import run_checks
 from mvformer.imageio import read_ppm, write_ppm
 from mvformer.mixer import make_stage_spec
 from mvformer.model import build_model, model_config
-from mvformer.norm import MultiViewNorm, batch_norm, instance_norm, layer_norm
+from mvformer.norm import MultiViewNorm, PlainNorm
 from mvformer.optim import AdamW
 from mvformer.tensor import Tensor
 from mvformer.training import (
@@ -88,15 +88,9 @@ def test_criterion_4_normalization_statistics():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(1.5, 2.5, size=(8, 16, 16, 16)).astype(np.float32))
     start = time.monotonic()
-    cases = {
-        "bn": (batch_norm(x, MultiViewNorm(16), training=True), (0, 2, 3)),
-        "ln": (layer_norm(x), (1,)),
-        "in": (instance_norm(x), (2, 3)),
-    }
-    ok = True
     worst_mean = worst_var = 0.0
-    for out, axes in cases.values():
-        mu, var = moments(out, axes)
+    for kind, axes in (("bn", (0, 2, 3)), ("ln", (1,)), ("in", (2, 3))):
+        mu, var = moments(PlainNorm(16, kind).forward(x, training=True), axes)
         worst_mean = max(worst_mean, float(np.abs(mu.data).max()))
         worst_var = max(worst_var, float(np.abs(var.data - 1.0).max()))
     elapsed = time.monotonic() - start
@@ -113,17 +107,13 @@ def test_criterion_5_one_hot_equivalence():
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(size=(4, 8, 6, 6)).astype(np.float32))
     results = []
-    for which, reference in (
-        ("alpha_bn", lambda layer: batch_norm(x, layer, training=True)),
-        ("alpha_ln", lambda layer: layer_norm(x)),
-        ("alpha_in", lambda layer: instance_norm(x)),
-    ):
+    for kind in ("bn", "ln", "in"):
         layer = MultiViewNorm(8)
         for name in ("alpha_bn", "alpha_ln", "alpha_in"):
-            value = 1.0 if name == which else 0.0
+            value = 1.0 if name == f"alpha_{kind}" else 0.0
             getattr(layer, name).data = np.full((1, 8, 1, 1), value, dtype=np.float32)
         got = layer.forward(x, training=True).data
-        want = reference(layer).data
+        want = PlainNorm(8, kind).forward(x, training=True).data  # at its initial affine
         results.append(np.array_equal(got, want))
     report(5, all(results), f"bitwise one-hot equivalence bn/ln/in = {results}")
 

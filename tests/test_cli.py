@@ -9,9 +9,13 @@ import numpy as np
 import pytest
 
 import mvformer.mixer as mixer_mod
+from mvformer.checkpoint import save_checkpoint
 from mvformer.cli import main
+from mvformer.data import SyntheticSpec
 from mvformer.imageio import read_ppm, write_ppm
+from mvformer.model import build_model, model_config
 from mvformer.tensor import _node
+from mvformer.training import data_meta, model_meta
 
 XT_GOLDEN_CSV = """name,params,macs
 embed1,9472,29503488
@@ -335,6 +339,20 @@ class TestNormImage:
         assert captured.out == "" and not out.exists()
 
 
+# (command, edit to a micro checkpoint's meta or None for no meta block, the key the error names);
+# dump-alphas reads no data.* key
+META_FAULTS = [
+    (command, edit, key)
+    for command in ("eval", "dump-alphas")
+    for edit, key in [
+        (None, "model.embed_dims"),
+        ({"model.mlp_ratio": None}, "model.mlp_ratio"),
+        ({"model.depths": "1,x,2,1"}, "model.depths"),
+        ({"model.drop_path_rate": ""}, "model.drop_path_rate"),
+    ]
+] + [("eval", {"data.image_size": "1.5"}, "data.image_size"), ("eval", {"data.noise": "lots"}, "data.noise")]
+
+
 class TestUsage:
     def test_no_command_is_usage_error(self):
         assert main([]) == 2
@@ -348,6 +366,16 @@ class TestUsage:
         path.write_bytes(b"MVFK\x01\x00")
         assert main([command, "--checkpoint", str(path)]) == 2
         assert "truncated header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,edit,key", META_FAULTS, ids=[f"{c}-{k}" for c, _, k in META_FAULTS])
+    def test_malformed_checkpoint_meta_names_the_key(self, tmp_path, capsys, command, edit, key):
+        mc = model_config("micro", num_classes=4)
+        meta = {} if edit is None else {**model_meta(mc), **data_meta(SyntheticSpec()), **edit}
+        path = tmp_path / "meta.ckpt"
+        save_checkpoint(path, build_model(mc, seed=0), meta={k: v for k, v in meta.items() if v is not None})
+        assert main([command, "--checkpoint", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "checkpoint meta" in captured.err and repr(key) in captured.err
 
     @pytest.mark.parametrize(
         "module,name",

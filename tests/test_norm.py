@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvformer.norm import (
-    DegenerateInputError,
-    MultiViewNorm,
-    PlainNorm,
-    batch_norm,
-    instance_norm,
-    layer_norm,
-    make_norm,
-)
+from mvformer.norm import DegenerateInputError, MultiViewNorm, PlainNorm, make_norm
 from mvformer import norm, tensor
 from mvformer.tensor import Tensor, add, backward, div, grad_enabled, mul, sqrt, sub, tsum, square
 from oracles import (
@@ -47,6 +39,11 @@ def channel(values):
 
 def bn_state(c):
     return PlainNorm(c, "bn")
+
+
+def plain(kind, x):
+    """`x` through a fresh training-mode `PlainNorm` of `kind` at its initial affine (gamma = 1, beta = 0)."""
+    return PlainNorm(x.shape[1], kind).cast_(x.dtype).forward(x, training=True)
 
 
 def op_nodes(out):
@@ -129,20 +126,20 @@ class TestStandardize:
 class TestBatchNorm:
     def test_constant_input_near_zero(self):
         x = Tensor(np.full((2, 3, 4, 4), 7.0, dtype=np.float32))
-        out = batch_norm(x, bn_state(3), training=True)
+        out = bn_state(3).forward(x, training=True)
         assert np.abs(out.data).max() < 1e-2
 
     def test_two_point_closed_form(self):
         data = np.zeros((2, 1, 1, 2), dtype=np.float32)
         data[..., 1] = 2.0
-        out = batch_norm(Tensor(data), bn_state(1), training=True)
+        out = bn_state(1).forward(Tensor(data), training=True)
         np.testing.assert_allclose(out.data[..., 0], -TWO_POINT, rtol=1e-6)
         np.testing.assert_allclose(out.data[..., 1], TWO_POINT, rtol=1e-6)
 
     def test_output_stats_oracle(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(2.0, 3.0, size=(8, 16, 16, 16)).astype(np.float32))
-        out = batch_norm(x, bn_state(16), training=True)
+        out = bn_state(16).forward(x, training=True)
         mu, var = moments(out, (0, 2, 3))
         assert np.abs(mu.data).max() < 1e-5
         assert np.abs(var.data - 1.0).max() < 1e-3
@@ -153,7 +150,7 @@ class TestBatchNorm:
         x = rng.normal(size=(4, 2, 3, 3)).astype(np.float32)
         mu = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))  # population variance
-        batch_norm(Tensor(x), st_, training=True)
+        st_.forward(Tensor(x), training=True)
         np.testing.assert_allclose(st_.run_mean, 0.1 * mu, rtol=1e-5, atol=1e-7)
         np.testing.assert_allclose(st_.run_var, 0.9 * 1.0 + 0.1 * var, rtol=1e-5)
 
@@ -170,7 +167,7 @@ class TestBatchNorm:
         st_.run_mean[:] = 2.0
         st_.run_var[:] = 4.0
         x = Tensor(np.full((1, 1, 1, 2), 4.0, dtype=np.float32))
-        out = batch_norm(x, st_, training=False)
+        out = st_.forward(x, training=False)
         np.testing.assert_allclose(out.data, (4.0 - 2.0) / np.sqrt(4.0 + EPS), rtol=1e-6)
 
     def test_inference_is_per_channel_affine(self):
@@ -181,20 +178,20 @@ class TestBatchNorm:
         st_.run_var[:] = [1.0, 0.25, 9.0]
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
-        f = lambda arr: batch_norm(Tensor(arr), st_, training=False).data
+        f = lambda arr: st_.forward(Tensor(arr), training=False).data
         zero = f(np.zeros_like(x))
         np.testing.assert_allclose(f(2 * x) - zero, 2 * (f(x) - zero), rtol=1e-4, atol=1e-5)
 
     def test_degenerate_batch_rejected(self):
         with pytest.raises(DegenerateInputError, match="n\\*h\\*w"):
-            batch_norm(Tensor(np.ones((1, 3, 1, 1))), bn_state(3), training=True)
+            bn_state(3).forward(Tensor(np.ones((1, 3, 1, 1))), training=True)
 
 
 class TestLayerNorm:
     def test_two_point_closed_form(self):
         data = np.zeros((1, 2, 1, 1), dtype=np.float32)
         data[0, 1] = 2.0
-        out = layer_norm(Tensor(data))
+        out = plain("ln", Tensor(data))
         np.testing.assert_allclose(
             out.data.reshape(2), [-TWO_POINT, TWO_POINT], rtol=1e-6
         )
@@ -203,42 +200,42 @@ class TestLayerNorm:
         rng = np.random.default_rng(3)
         plane = rng.normal(size=(2, 1, 4, 4)).astype(np.float32)
         x = Tensor(np.repeat(plane, 5, axis=1))
-        assert np.abs(layer_norm(x).data).max() < 1e-2
+        assert np.abs(plain("ln", x).data).max() < 1e-2
 
     def test_output_stats_oracle(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(-1.0, 2.0, size=(8, 16, 16, 16)).astype(np.float32))
-        mu, var = moments(layer_norm(x), (1,))
+        mu, var = moments(plain("ln", x), (1,))
         assert np.abs(mu.data).max() < 1e-5
         assert np.abs(var.data - 1.0).max() < 1e-3
 
     def test_single_channel_rejected(self):
         with pytest.raises(DegenerateInputError, match="C >= 2"):
-            layer_norm(Tensor(np.ones((1, 1, 4, 4))))
+            plain("ln", Tensor(np.ones((1, 1, 4, 4))))
 
 
 class TestInstanceNorm:
     def test_spatially_constant_is_zero(self):
         x = Tensor(np.broadcast_to(np.arange(6, dtype=np.float32).reshape(2, 3, 1, 1), (2, 3, 4, 4)).copy())
-        assert np.abs(instance_norm(x).data).max() < 1e-2
+        assert np.abs(plain("in", x).data).max() < 1e-2
 
     def test_half_and_half_closed_form(self):
         data = np.zeros((1, 1, 2, 2), dtype=np.float32)
         data[0, 0, 1] = 2.0
-        out = instance_norm(Tensor(data)).data
+        out = plain("in", Tensor(data)).data
         np.testing.assert_allclose(out[0, 0, 0], -TWO_POINT, rtol=1e-6)
         np.testing.assert_allclose(out[0, 0, 1], TWO_POINT, rtol=1e-6)
 
     def test_output_stats_oracle(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(0.5, 1.5, size=(8, 16, 16, 16)).astype(np.float32))
-        mu, var = moments(instance_norm(x), (2, 3))
+        mu, var = moments(plain("in", x), (2, 3))
         assert np.abs(mu.data).max() < 1e-5
         assert np.abs(var.data - 1.0).max() < 1e-3
 
     def test_single_pixel_rejected(self):
         with pytest.raises(DegenerateInputError, match="h\\*w"):
-            instance_norm(Tensor(np.ones((2, 3, 1, 1))))
+            plain("in", Tensor(np.ones((2, 3, 1, 1))))
 
 
 class TestApplyAffine:
@@ -283,12 +280,10 @@ def random_plain(kind, c, dtype, rng):
 
 
 def plain_composite(layer, x, training):
-    """The functional norm of the layer's kind, then the unfused oracle affine."""
-    if layer.kind == "bn":
-        y = batch_norm(x, layer, training)
-    else:
-        y = (layer_norm if layer.kind == "ln" else instance_norm)(x)
-    return apply_affine(y, layer.gamma, layer.beta)
+    """The layer's kind at its initial affine, on the layer's running buffers, then the unfused oracle affine."""
+    standard = PlainNorm(layer.channels, layer.kind).cast_(x.dtype)
+    standard._buffers = layer._buffers  # a bn view reads and folds into the layer's own buffers
+    return apply_affine(standard.forward(x, training), layer.gamma, layer.beta)
 
 
 class TestPlainNorm:
@@ -517,7 +512,7 @@ class TestMultiViewNorm:
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(4, 6, 5, 5)).astype(np.float32))
         layer = one_hot_mvn(6, "alpha_bn")
-        want = batch_norm(x, layer, training=True).data
+        want = plain("bn", x).data
         got = layer.forward(x, training=True).data
         assert np.array_equal(got, want)
 
@@ -525,24 +520,20 @@ class TestMultiViewNorm:
         rng = np.random.default_rng(9)
         x = Tensor(rng.normal(size=(4, 6, 5, 5)).astype(np.float32))
         layer = one_hot_mvn(6, "alpha_ln")
-        assert np.array_equal(layer.forward(x, training=True).data, layer_norm(x).data)
+        assert np.array_equal(layer.forward(x, training=True).data, plain("ln", x).data)
 
     def test_one_hot_in_bitwise(self):
         rng = np.random.default_rng(10)
         x = Tensor(rng.normal(size=(4, 6, 5, 5)).astype(np.float32))
         layer = one_hot_mvn(6, "alpha_in")
-        assert np.array_equal(layer.forward(x, training=True).data, instance_norm(x).data)
+        assert np.array_equal(layer.forward(x, training=True).data, plain("in", x).data)
 
     def test_ones_init_is_raw_sum_of_views(self):
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(4, 6, 5, 5)).astype(np.float32))
         layer = MultiViewNorm(6)
         got = layer.forward(x, training=True).data
-        want = (
-            batch_norm(x, layer, training=True).data
-            + layer_norm(x).data
-            + instance_norm(x).data
-        )
+        want = plain("bn", x).data + plain("ln", x).data + plain("in", x).data
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
 
     def test_linear_in_view_weights(self):
@@ -629,7 +620,7 @@ class TestMultiViewNorm:
     def test_inference_freezes_bn_only(self):
         rng = np.random.default_rng(15)
         layer = MultiViewNorm(3)
-        batch_norm(Tensor(rng.normal(size=(4, 3, 4, 4)).astype(np.float32)), layer, True)
+        layer.forward(Tensor(rng.normal(size=(4, 3, 4, 4)).astype(np.float32)), training=True)
         frozen = dict(run_mean=layer.run_mean.copy(), run_var=layer.run_var.copy())
         x = Tensor(rng.normal(size=(2, 3, 4, 4)).astype(np.float32))
         out1 = layer.forward(x, training=False).data

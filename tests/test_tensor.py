@@ -80,7 +80,7 @@ class TestConv2d:
             ((2, 3, 6, 7), (4, 3, 3, 3), (1, 1), (1, 1), 1),
             ((1, 4, 8, 8), (4, 1, 3, 3), (1, 1), (1, 1), 4),
             ((2, 3, 9, 9), (5, 3, 7, 7), (4, 4), (2, 2), 1),
-            ((1, 6, 5, 5), (6, 3, 1, 1), (1, 1), (0, 0), 2),
+            ((2, 2, 9, 7), (2, 1, 5, 3), (1, 1), (2, 1), 2),  # kh > kw > 1: the band on a transposed view
             ((1, 2, 6, 6), (2, 1, 5, 1), (1, 1), (2, 0), 2),
             ((1, 2, 6, 6), (2, 1, 1, 5), (1, 1), (0, 2), 2),
             # depthwise kernels larger than the map: most taps read only padding
@@ -91,9 +91,9 @@ class TestConv2d:
             ((2, 3, 2, 2), (3, 1, 13, 1), (1, 1), (6, 0), 3),
             # pointwise with bias at batch > 1
             ((3, 5, 4, 6), (7, 5, 1, 1), (1, 1), (0, 0), 1),
-            # depthwise weights on the general path: strided, and shrinking output
-            ((2, 4, 7, 7), (4, 1, 3, 3), (2, 2), (1, 1), 4),
-            ((2, 4, 6, 6), (4, 1, 3, 3), (1, 1), (0, 0), 4),
+            # rectangular depthwise kernels with both sides > 1, banded and unrolled
+            ((2, 4, 7, 9), (4, 1, 3, 5), (1, 1), (1, 2), 4),
+            ((8, 4, 3, 5), (4, 1, 5, 3), (1, 1), (2, 1), 4),
             # depthwise with n >= h*w: the unrolled map-matrix kernel
             ((64, 2, 8, 8), (2, 1, 7, 7), (1, 1), (3, 3), 2),
             ((16, 3, 4, 4), (3, 1, 3, 3), (1, 1), (1, 1), 3),
@@ -134,9 +134,9 @@ class TestConv2d:
             ((2, 4, 8, 8), (4, 1, 7, 7), 1, 3, 4, "_depthwise_banded"),
             ((2, 3, 8, 4), (3, 1, 27, 1), 1, (13, 0), 3, "_depthwise_banded"),
             ((2, 3, 8, 8), (4, 3, 3, 3), 2, 1, 1, "_general"),  # downsample
-            ((2, 4, 7, 7), (4, 1, 3, 3), 2, 1, 4, "_general"),  # strided depthwise
-            ((2, 4, 6, 6), (4, 1, 3, 3), 1, 0, 4, "_general"),  # depthwise, output shrinks
-            ((1, 6, 5, 5), (6, 3, 1, 1), 1, 0, 2, "_general"),  # grouped pointwise
+            ((2, 3, 6, 6), (5, 3, 3, 3), 1, 1, 1, "_general"),  # dense, stride 1
+            ((2, 3, 6, 6), (4, 3, 1, 1), 2, 0, 1, "_general"),  # strided 1x1
+            ((2, 1, 6, 6), (1, 1, 3, 3), 1, 1, 1, "_depthwise_banded"),  # c_in == c_out == 1: depthwise first
             ((2, 3, 5, 5), (4, 3, 1, 1), 1, 1, 1, "_general"),  # padded 1x1
             ((4, 3, 4, 4), (3, 1, 3, 3), 1, 1, 3, "_depthwise_unrolled"),  # h*w == 16 > n
             ((3, 3, 1, 17), (3, 1, 3, 3), 1, 1, 3, "_depthwise_banded"),  # h*w == 17 > n
@@ -183,7 +183,7 @@ class TestConv2d:
 
     # (x, kernel, stride, pad, groups): the micro stem and downsamples at the training
     # batch (n > w_out: the batch axis innermost) and at the gradient check's (innermost
-    # only on the 2x2 map), a grouped strided call with n > w_out, and batch 1
+    # only on the 2x2 map), an odd map with n > w_out, and batch 1
     GENERAL_CALLS = [
         ((64, 3, 32, 32), (8, 3, 7, 7), 4, 2, 1),
         ((64, 8, 8, 8), (16, 8, 3, 3), 2, 1, 1),
@@ -192,7 +192,7 @@ class TestConv2d:
         ((2, 3, 32, 32), (8, 3, 7, 7), 4, 2, 1),
         ((2, 8, 8, 8), (16, 8, 3, 3), 2, 1, 1),
         ((2, 32, 2, 2), (64, 32, 3, 3), 2, 1, 1),
-        ((9, 6, 9, 9), (8, 3, 3, 3), 2, 1, 2),
+        ((9, 6, 9, 9), (8, 6, 3, 3), 2, 1, 1),
         ((1, 3, 20, 20), (8, 3, 7, 7), 4, 2, 1),
     ]
 
@@ -255,6 +255,35 @@ class TestConv2d:
             conv2d(x, Tensor(np.zeros((3, 1, 1, 1))), groups=3)
         with pytest.raises(ShapeError, match="too small"):
             conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+
+    @pytest.mark.parametrize(
+        "shape,kernel,stride,pad,groups",
+        [
+            ((1, 6, 5, 5), (6, 3, 1, 1), 1, 0, 2),
+            ((2, 4, 7, 7), (6, 2, 3, 3), 2, 1, 2),
+            ((9, 6, 9, 9), (8, 3, 3, 3), 2, 1, 2),
+            ((5, 4, 7, 7), (6, 2, 3, 3), 2, 1, 2),
+            ((2, 4, 7, 7), (4, 1, 3, 3), 2, 1, 4),
+            ((2, 4, 6, 6), (4, 1, 3, 3), 1, 0, 4),
+            ((2, 4, 6, 6), (8, 1, 3, 3), 1, 1, 4),
+        ],
+        ids=[
+            "grouped-pointwise",
+            "grouped-strided",
+            "grouped-strided-n9",
+            "grouped-strided-n5",
+            "depthwise-strided",
+            "depthwise-shrinking",
+            "depthwise-multiplier",
+        ],
+    )
+    def test_unsupported_forms_rejected(self, monkeypatch, shape, kernel, stride, pad, groups):
+        """Grouped calls with 1 < groups < c_in, and depthwise calls that are strided, change
+        the map size or have c_out != c_in, name the supported forms and run no kernel."""
+        for name in ("_pointwise", "_depthwise_banded", "_depthwise_unrolled", "_general"):
+            monkeypatch.setattr(tensor, name, None)
+        with pytest.raises(ShapeError, match=r"dense calls \(groups=1\) and stride-1 depthwise"):
+            conv2d(Tensor(np.ones(shape)), Tensor(np.ones(kernel)), stride=stride, pad=pad, groups=groups)
 
 
 class TestMoments:
@@ -721,11 +750,11 @@ class TestBackward:
         [
             ((2, 4, 6, 6), (6, 4, 3, 3), 2, 1, 1),  # downsample
             ((2, 3, 11, 11), (4, 3, 7, 7), 4, 2, 1),  # stem
-            ((2, 4, 7, 7), (6, 2, 3, 3), 2, 1, 2),  # grouped, strided
+            ((2, 4, 7, 7), (6, 4, 3, 3), 2, 1, 1),  # odd map
             # n > w_out: the batch axis innermost in the columns
             ((5, 4, 6, 6), (6, 4, 3, 3), 2, 1, 1),
             ((5, 3, 11, 11), (4, 3, 7, 7), 4, 2, 1),
-            ((5, 4, 7, 7), (6, 2, 3, 3), 2, 1, 2),
+            ((5, 4, 7, 7), (6, 4, 3, 3), 2, 1, 1),
             ((3, 4, 2, 2), (6, 4, 3, 3), 2, 1, 1),
         ],
     )

@@ -10,7 +10,7 @@ import pytest
 import mvformer.norm as norm_mod
 import mvformer.training as training
 from oracles import numeric_grad
-from mvformer.checkpoint import load_checkpoint, read_arrays
+from mvformer.checkpoint import CheckpointFormatError, load_checkpoint, read_arrays
 from mvformer.data import SyntheticDataset, SyntheticSpec
 from mvformer.mixer import ABLATION_MODES, ConfigError
 from mvformer.model import NORM_KINDS, PRESETS, ModelConfig, build_model, model_config
@@ -236,7 +236,7 @@ class TestRunMetadata:
     def test_missing_required_model_key_is_key_error(self):
         meta = model_meta(model_config("micro"))
         del meta["model.mlp_ratio"]
-        with pytest.raises(KeyError, match="model.mlp_ratio"):
+        with pytest.raises(CheckpointFormatError, match="model.mlp_ratio"):
             model_from_meta(meta)
 
     @pytest.mark.parametrize(
