@@ -1,10 +1,14 @@
-"""Live memory held by the tape of one micro training forward.
+"""Live memory held by the tape of one micro training forward, and xT's peaks.
 
 Builds the micro model (MVN norms) and a batch of 64 random 32x32 images,
 then runs one training-mode forward and the label-smoothed loss under
 ``tracemalloc``.  Prints the bytes still allocated while the loss, and so
 the whole tape, is alive, and the number of grad-requiring tape nodes,
 leaves included.
+
+A second line gives xT's traced peaks: while building the model (its
+float32 weights included), and during one batch-1 224x224 eval forward,
+counted above the weights already held.
 
     PYTHONPATH=src python scripts/activation_memory.py
 """
@@ -40,6 +44,18 @@ def main():
     live, _ = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     print(f"live_mb {live / 1e6:.2f}  tape_nodes {tape_nodes(loss)}")
+    del model, images, loss
+
+    tracemalloc.start()
+    model = build_model(model_config("xT"), seed=0)
+    build_peak = tracemalloc.get_traced_memory()[1]
+    image = Tensor(rng.uniform(0, 1, (1, 3, 224, 224)).astype(np.float32))
+    tracemalloc.reset_peak()
+    held = tracemalloc.get_traced_memory()[0]
+    model.forward(image, training=False)
+    forward_peak = tracemalloc.get_traced_memory()[1] - held
+    tracemalloc.stop()
+    print(f"xT build_peak_mb {build_peak / 1e6:.2f}  eval_forward_peak_mb {forward_peak / 1e6:.2f}")
 
 
 if __name__ == "__main__":

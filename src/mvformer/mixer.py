@@ -157,15 +157,30 @@ def decomposed_depthwise_conv(x, w_h, w_v, bias=None):
     return conv2d(out, w_v, bias, stride=1, pad=(0, k // 2), groups=groups)
 
 
+_INIT_CHUNK = 1 << 16  # float64 normals drawn at a time by _trunc_normal
+
+
 def _trunc_normal(rng, shape, std=0.02):
-    """Normal(0, std) resampled until within 2 std, like common ViT init."""
-    out = rng.standard_normal(shape) * std
+    """Normal(0, std) resampled until within 2 std, like common ViT init.
+
+    The float64 normals are drawn in chunks straight into the float32
+    result, so no full-size float64 copy is ever held; the values, the
+    redraw order and the generator's final state are those of one
+    full-size draw.
+    """
+    out = np.empty(shape, np.float32)
     flat = out.reshape(-1)
-    redraw = np.flatnonzero(np.abs(flat) > 2 * std)
+    redraw = [np.empty(0, np.intp)]
+    for start in range(0, flat.size, _INIT_CHUNK):
+        chunk = rng.standard_normal(min(_INIT_CHUNK, flat.size - start)) * std
+        flat[start : start + chunk.size] = chunk
+        redraw.append(start + np.flatnonzero(np.abs(chunk) > 2 * std))
+    redraw = np.concatenate(redraw)
     while redraw.size:
-        flat[redraw] = rng.standard_normal(redraw.size) * std
-        redraw = redraw[np.abs(flat[redraw]) > 2 * std]
-    return out.astype(np.float32)
+        values = rng.standard_normal(redraw.size) * std
+        flat[redraw] = values
+        redraw = redraw[np.abs(values) > 2 * std]
+    return out
 
 
 class TokenMixer(Module):

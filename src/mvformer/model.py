@@ -98,6 +98,10 @@ class ModelConfig:
         for d in self.depths:
             if d < 1:
                 raise ConfigError(f"stage depths must be >= 1, got {d}")
+        if self.mlp_ratio < 1:
+            raise ConfigError(f"mlp_ratio must be >= 1, got {self.mlp_ratio}")
+        if self.num_classes < 1:
+            raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
         if self.block_norm not in NORM_KINDS:
             raise ConfigError(f"block_norm must be one of {NORM_KINDS}, got {self.block_norm!r}")
         if not 0.0 <= self.drop_path_rate < 1.0:

@@ -674,12 +674,14 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     - the same with larger maps: ``_depthwise_banded``, each kernel row lowered
       to a band matrix along the width.  Output tiles of t = min(8, w)
       columns read windows of t + kw - 1 padded columns over every kernel
-      row, copied into one column matrix and multiplied by a
-      (rows * (t + kw - 1), t) band per channel in one batched matmul;
-      k x 1 filters run on a transposed view.  On an h-row map with pad p, kernel row u reaches
-      data only for u in [max(0, p-h+1), min(kh, p+h)), likewise for
-      columns; both depthwise kernels skip the other taps, and their weight
-      gradient is exactly zero;
+      row, copied into a column matrix and multiplied by a
+      (rows * (t + kw - 1), t) band per channel: one batched matmul per
+      block of channels, the blocks equal and as few as keep each column
+      matrix within 2**21 values (8 MB in float32), all writing into one
+      output; k x 1 filters run on a transposed view.  On an h-row map with
+      pad p, kernel row u reaches data only for u in [max(0, p-h+1),
+      min(kh, p+h)), likewise for columns; both depthwise kernels skip the
+      other taps, and their weight gradient is exactly zero;
     - any other dense call (groups == 1: stem, downsample): ``_general``,
       im2col and one matmul.  When n > w_out the batch axis is the
       innermost of the padded input, the columns and the col2im buffer, so
@@ -776,6 +778,7 @@ def _pointwise(x, w):
 
 
 _BAND_TILE = 8
+_BAND_BLOCK = 1 << 21  # column-matrix values per channel block of the banded kernel (8 MB in float32)
 _UNROLL_MAX_HW = 16  # below this many pixels the unrolled depthwise kernel wins at any batch size
 
 
@@ -813,20 +816,28 @@ def _depthwise_banded(x, w, ph, pw):
     span = t + kc - 1
     table = _band_table(kr, kc, t)
     dtype = np.result_type(x, w)
+    # channels go through in equal blocks whose column matrices hold at most _BAND_BLOCK values
+    nb = -(-c // max(1, _BAND_BLOCK // (n * hh * nt * kr * span)))
+    step = -(-c // nb)
+    blocks = [slice(i, i + step) for i in range(0, c, step)]
 
     def columns(a):
-        """(c, n*hh*nt, kr*span) windows of `a`, zero-padded, one row per output tile."""
-        buf = np.zeros((c, n, hh + kr - 1, nt * t + kc - 1), dtype)
+        """(cb, n*hh*nt, kr*span) windows of the (n, cb, hh, ww) `a`, zero-padded, one row per output tile."""
+        cb = a.shape[1]
+        buf = np.zeros((cb, n, hh + kr - 1, nt * t + kc - 1), dtype)
         buf[:, :, p : p + hh, q : q + ww] = a.transpose(1, 0, 2, 3)
         sc, sn, sr, se = buf.strides
-        windows = np.ndarray((c, n, hh, nt, kr, span), dtype, buffer=buf, strides=(sc, sn, sr, se * t, sr, se))
-        return windows.reshape(c, n * hh * nt, kr * span)
+        windows = np.ndarray((cb, n, hh, nt, kr, span), dtype, buffer=buf, strides=(sc, sn, sr, se * t, sr, se))
+        return windows.reshape(cb, n * hh * nt, kr * span)
 
     def apply(a, kernel):
         """`a` cross-correlated with the (c, kr, kc) `kernel`, as (n, c, h, wd)."""
         wz = np.zeros((c, kr * kc + 1), kernel.dtype)
         wz[:, :-1] = kernel.reshape(c, -1)
-        o = np.matmul(columns(a), wz[:, table]).reshape(c, n, hh, nt * t)[..., :ww]
+        o = np.empty((c, n * hh * nt, t), dtype)
+        for blk in blocks:
+            np.matmul(columns(a[:, blk]), wz[blk][:, table], out=o[blk])
+        o = o.reshape(c, n, hh, nt * t)[..., :ww]
         return np.ascontiguousarray(o.transpose(1, 0, 3, 2) if transposed else o.transpose(1, 0, 2, 3))
 
     def grads(g, need_x, need_w):
@@ -836,15 +847,19 @@ def _depthwise_banded(x, w, ph, pw):
         if need_x:
             gx = apply(g, wc[:, ::-1, ::-1])
         if need_w:
-            gp = np.zeros((c, n, hh, nt * t), g.dtype)
-            gp[..., :ww] = g.transpose(1, 0, 2, 3)
-            gband = np.matmul(columns(x).transpose(0, 2, 1), gp.reshape(c, -1, t))
-            # tap (l, v) is the sum over o of band entry (l * span + o + v, o)
-            s0, e = gband.strides[0], gband.itemsize
-            diag = np.ndarray((c, kr, kc, t), gband.dtype, buffer=gband, strides=(s0, span * t * e, t * e, (t + 1) * e))
             gw = np.zeros(w_shape, g.dtype)
-            frame = gw.transpose(0, 1, 3, 2) if transposed else gw
-            frame[:, 0, r0 : kh - r0, c0 : kw - c0] = diag.sum(axis=3)
+            cropped = (gw.transpose(0, 1, 3, 2) if transposed else gw)[:, 0, r0 : kh - r0, c0 : kw - c0]
+            for blk in blocks:
+                gb = g[:, blk].transpose(1, 0, 2, 3)
+                gp = np.zeros(gb.shape[:3] + (nt * t,), g.dtype)
+                gp[..., :ww] = gb
+                gband = np.matmul(columns(x[:, blk]).transpose(0, 2, 1), gp.reshape(len(gp), -1, t))
+                # tap (l, v) is the sum over o of band entry (l * span + o + v, o)
+                s0, e = gband.strides[0], gband.itemsize
+                diag = np.ndarray(
+                    (len(gp), kr, kc, t), gband.dtype, buffer=gband, strides=(s0, span * t * e, t * e, (t + 1) * e)
+                )
+                cropped[blk] = diag.sum(axis=3)
         return gx, gw
 
     return apply(x, wc), grads

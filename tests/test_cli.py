@@ -377,6 +377,19 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == "" and "checkpoint meta" in captured.err and repr(key) in captured.err
 
+    @pytest.mark.parametrize("command", ["eval", "dump-alphas"])
+    @pytest.mark.parametrize(
+        "key,value", [("mlp_ratio", "0"), ("mlp_ratio", "-1"), ("num_classes", "0"), ("num_classes", "-2")]
+    )
+    def test_non_positive_width_in_checkpoint_meta_names_the_key(self, tmp_path, capsys, command, key, value):
+        mc = model_config("micro", num_classes=4)
+        meta = {**model_meta(mc), **data_meta(SyntheticSpec()), f"model.{key}": value}
+        path = tmp_path / "meta.ckpt"
+        save_checkpoint(path, build_model(mc, seed=0), meta=meta)
+        assert main([command, "--checkpoint", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{key} must be >= 1, got {value}" in captured.err
+
     @pytest.mark.parametrize(
         "module,name",
         [

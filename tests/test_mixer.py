@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import conv2d_oracle, max_rel_err, trunc_normal_oracle
 from mvformer.mixer import (
+    _INIT_CHUNK,
     ConfigError,
     StarReLU,
     TokenMixer,
@@ -40,7 +41,18 @@ class TestStarRelu:
 class TestTruncNormal:
     @pytest.mark.parametrize("seed", [0, 1, 4242])
     @pytest.mark.parametrize(
-        "shape,std", [((64, 8, 1, 1), 0.02), ((320, 1, 7, 7), 0.02), ((3, 5), 1.0), ((1,), 0.5)]
+        "shape,std",
+        [
+            ((64, 8, 1, 1), 0.02),
+            ((320, 1, 7, 7), 0.02),
+            ((3, 5), 1.0),
+            ((1,), 0.5),
+            # across the init chunk boundary: one chunk + 1, an exact multiple, xT's largest weights
+            ((_INIT_CHUNK + 1,), 0.02),
+            ((4, _INIT_CHUNK // 2, 1, 1), 0.02),
+            ((2048, 512, 1, 1), 0.02),
+            ((3, _INIT_CHUNK + 7), 1.0),  # ~4.6% of draws land outside 2 std: thousands of redraws
+        ],
     )
     def test_matches_oracle_and_generator_state(self, seed, shape, std):
         fast_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)

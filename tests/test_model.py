@@ -1,5 +1,7 @@
 """Model assembly tests: residual wiring, embeddings, determinism, oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,9 @@ from mvformer.model import (
 )
 from mvformer.tensor import Tensor, add, backward, conv2d, global_avg_pool, mul, residual
 from mvformer.training import ce_label_smoothing
+
+
+BUILD_MARGIN = 6 * 2**20  # bytes: buffers, biases and one init chunk; xT's largest weight in float64 is 16 MB
 
 
 def micro(num_classes=4, **overrides):
@@ -54,6 +59,25 @@ class TestPresets:
     def test_odd_dims_rejected(self):
         with pytest.raises(ConfigError, match="even"):
             ModelConfig(embed_dims=(7, 16, 32, 64), depths=(1, 1, 1, 1))
+
+    @pytest.mark.parametrize(
+        "key,value", [("mlp_ratio", 0), ("mlp_ratio", -1), ("num_classes", 0), ("num_classes", -2)]
+    )
+    def test_non_positive_widths_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be >= 1, got {value}"):
+            model_config("micro", **{key: value})
+
+    def test_build_holds_no_float64_init_copies(self):
+        # weights are drawn straight into float32: building xT peaks at its parameter bytes plus a
+        # few MB, not at the full-size float64 draws (which peaked ~26 MB above them)
+        tracemalloc.start()
+        try:
+            model = build_model(model_config("xT"), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(p.data.nbytes for _, p in model.named_parameters())
+        assert peak < param_bytes + BUILD_MARGIN
 
     def test_drop_ramp_is_linear_over_depth(self):
         cfg = model_config("xT")

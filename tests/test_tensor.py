@@ -157,6 +157,41 @@ class TestConv2d:
         assert used == [path]
         assert out.data.flags.c_contiguous
 
+    @pytest.mark.parametrize(
+        "shape,kernel,pad,values,budget",
+        [
+            # xT's stage-1 7x7: 56 rows x 7 tiles, each reading 7 kernel rows x 14 columns; 2 blocks
+            ((1, 64, 56, 56), (64, 1, 7, 7), (3, 3), 56 * 7 * 7 * 14, None),
+            # k x 1 on the transposed view: 56 x 7 tiles of 62 columns; uneven blocks (50, 49)
+            ((1, 99, 56, 56), (99, 1, 55, 1), (27, 0), 56 * 7 * 62, None),
+            # a smaller budget: 11 blocks, the last one short
+            ((1, 64, 56, 56), (64, 1, 7, 7), (3, 3), 56 * 7 * 7 * 14, 1 << 18),
+        ],
+    )
+    def test_banded_channel_blocks_equal_per_channel_calls(self, monkeypatch, shape, kernel, pad, values, budget):
+        if budget is not None:
+            monkeypatch.setattr(tensor, "_BAND_BLOCK", budget)
+        c = shape[1]
+        assert c * values > tensor._BAND_BLOCK > values  # several channels a block, several blocks
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=shape).astype(np.float32)
+        w = rng.normal(size=kernel).astype(np.float32)
+        gy = rng.normal(size=shape).astype(np.float32)
+        out, grads = tensor._depthwise_banded(x, w, *pad)
+        gx, gw = grads(gy, True, True)
+        for i in range(c):
+            one = slice(i, i + 1)
+            out1, grads1 = tensor._depthwise_banded(x[:, one], w[one], *pad)
+            gx1, gw1 = grads1(gy[:, one], True, True)
+            assert out[:, one].tobytes() == out1.tobytes() and gx[:, one].tobytes() == gx1.tobytes()
+            assert gw[one].tobytes() == gw1.tobytes()
+        sel = [0, c // 2, c - 1]
+        x64, w64 = x[:, sel].astype(np.float64), w[sel].astype(np.float64)
+        np.testing.assert_allclose(out[:, sel], conv2d_oracle(x64, w64, None, (1, 1), pad, 3), rtol=1e-5, atol=1e-5)
+        want_gx, want_gw = conv2d_grads_oracle(x64, w64, gy[:, sel].astype(np.float64), (1, 1), pad, 3)
+        for got, want in ((gx[:, sel], want_gx), (gw[sel], want_gw)):
+            np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4 * np.abs(want).max())
+
     @pytest.mark.parametrize("pad", [1, 2])
     def test_strided_conv_keeps_no_padded_copy(self, pad):
         """The stem/downsample kernel re-pads `x` in its backward instead of keeping a padded copy,
