@@ -124,12 +124,23 @@ def grad_enabled(flag):
 
 
 def _node(data, parents, backward_fn):
-    """Create an op output; the tape link exists only if grad is on and a parent needs it."""
-    out = Tensor(data)
+    """Wrap the array an op made as its output; the tape link exists only if grad is on and a parent needs it.
+
+    `data` must be a rank-4 float32 or float64 ndarray.  It is not checked:
+    ``Tensor(...)`` checks every array built outside an op, and an op's
+    arithmetic on such arrays gives another.
+    """
+    out = object.__new__(Tensor)
+    out.data = data
+    out.grad = None
     if _grad_on and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
+    else:
+        out.requires_grad = False
+        out._parents = ()
+        out._backward = None
     return out
 
 
@@ -226,18 +237,6 @@ def add(a, b):
     return _binary(a, b, np.add, lambda g, x, y, z: g, lambda g, x, y, z: g)
 
 
-def sub(a, b):
-    return _binary(a, b, np.subtract, lambda g, x, y, z: g, lambda g, x, y, z: -g)
-
-
-def mul(a, b):
-    return _binary(a, b, np.multiply, lambda g, x, y, z: g * y, lambda g, x, y, z: g * x)
-
-
-def div(a, b):
-    return _binary(a, b, np.divide, lambda g, x, y, z: g / y, lambda g, x, y, z: -g * z / y)
-
-
 def _unary(x, data, grad):
     """One-input node with output array `data`; ``grad(g, x, out)`` is the input gradient."""
     return _node(data, (x,), lambda g, acc: acc(x, grad(g, x.data, data)))
@@ -249,14 +248,6 @@ def square(x):
 
 def sqrt(x):
     return _unary(x, np.sqrt(x.data), lambda g, a, z: g * (0.5 / z))
-
-
-def exp(x):
-    return _unary(x, np.exp(x.data), lambda g, a, z: g * z)
-
-
-def log(x):
-    return _unary(x, np.log(x.data), lambda g, a, z: g / a)
 
 
 # -- fused elementwise ops: one node and one fresh array each, computed in the
@@ -313,6 +304,33 @@ def residual(x, branch, scale=None, keep=None):
 
     parents = (branch, x) if scale is None else (branch, scale, x)  # the composite's visiting order
     return _node(out, parents, bw)
+
+
+def cross_entropy(logits, q):
+    """Mean cross-entropy ``-sum(q * log_softmax(logits)) / n`` of (n, K, 1, 1) logits, one tape node.
+
+    `q` is a constant (n, K, 1, 1) array of target rows.  The log-softmax
+    shift is the detached row maximum, which leaves the gradient exact.  The
+    composite is ``mul(tsum(mul(q, logp)), -1/n)`` with ``logp = sub(a,
+    log(tsum(exp(a), (1,))))`` on the shifted logits ``a``.  The node keeps
+    `q`, ``e = exp(a)`` and its row sums ``s``, and gives `logits` ``glp +
+    (gs / s) e``, with ``glp = g (-1/n) q`` and ``gs`` the row sums of
+    ``-glp``.
+    """
+    n = logits.shape[0]
+    c = _constant(-1.0 / n, logits.dtype).data
+    a = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.exp(a)
+    s = _sum_keep(e, (1,))
+    logp = a - np.log(s)
+    data = _sum_keep(q * logp, (0, 1, 2, 3)) * c
+
+    def bw(g, acc):
+        glp = np.broadcast_to(g * c, q.shape) * q
+        gs = _sum_keep(-glp, (1,)) / s
+        acc(logits, glp + np.broadcast_to(gs, e.shape) * e)
+
+    return _node(data, (logits,), bw)
 
 
 # -- reductions ---------------------------------------------------------------
@@ -652,6 +670,51 @@ def _pair(v):
     return int(v), int(v)
 
 
+@functools.lru_cache(maxsize=256)
+def _conv_plan(x_shape, w_shape, b_shape, stride, pad, groups):
+    """The kernel a ``conv2d`` call of these shapes runs, once the call is checked.
+
+    `stride` and `pad` are int pairs.  Returns the kernel's name in this
+    module and its arguments after the input and kernel arrays.  Cached, so each call signature is checked and
+    routed once; a bad one raises ``ShapeError`` on every call, as
+    exceptions are not cached.
+    """
+    (sh, sw), (ph, pw) = stride, pad
+    n, cin, h, wd = x_shape
+    cout, cin_g, kh, kw = w_shape
+    if groups < 1 or cin % groups or cout % groups:
+        raise ShapeError(f"conv2d: groups={groups} must divide c_in={cin} and c_out={cout}")
+    if cin // groups != cin_g:
+        raise ShapeError(
+            f"conv2d: weight expects {cin_g} channels per group, input supplies {cin // groups} "
+            f"(c_in={cin}, groups={groups})"
+        )
+    if kh < 1 or kw < 1:
+        raise ShapeError(f"conv2d: kernel dims must be >= 1, got ({kh}, {kw})")
+    hout = (h + 2 * ph - kh) // sh + 1
+    wout = (wd + 2 * pw - kw) // sw + 1
+    if hout < 1 or wout < 1:
+        raise ShapeError(
+            f"conv2d: input spatial ({h}, {wd}) too small for kernel ({kh}, {kw}) "
+            f"with pad ({ph}, {pw}), stride ({sh}, {sw})"
+        )
+    if b_shape is not None and b_shape != (1, cout, 1, 1):
+        raise ShapeError(f"conv2d: bias must be (1, {cout}, 1, 1), got {b_shape}")
+
+    unit_stride = sh == sw == 1
+    if unit_stride and groups == 1 and kh == kw == 1 and ph == pw == 0:
+        return "_pointwise", ()
+    if unit_stride and groups == cin == cout and (hout, wout) == (h, wd):
+        return ("_depthwise_unrolled" if h * wd <= max(n, _UNROLL_MAX_HW) else "_depthwise_banded"), (ph, pw)
+    if groups == 1:
+        return "_general", ((sh, sw), (ph, pw), (hout, wout))
+    raise ShapeError(
+        f"conv2d: groups={groups} with c_in={cin}, c_out={cout}, stride ({sh}, {sw}) and output "
+        f"({hout}, {wout}) from ({h}, {wd}) is not supported; conv2d runs dense calls (groups=1) "
+        "and stride-1 depthwise calls that keep the map size (groups=c_in=c_out)"
+    )
+
+
 def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     """Cross-correlation of `x` with kernel `w` (no kernel flip).
 
@@ -659,7 +722,8 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     per-channel (1, c_out, 1, 1) tensor.  Output spatial dims follow the
     floor convention: (h + 2*pad - kh) // stride + 1.
 
-    The kernel is chosen from the call's shapes; each case has one
+    The kernel is chosen from the call's shapes, once per signature (the
+    cached ``_conv_plan``); each case has one
     implementation and the output is always a fresh C-contiguous array:
 
     - ``_pointwise`` (1x1, stride 1, pad 0, groups == 1): one matmul over
@@ -692,43 +756,9 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     changes the map size or has c_out != c_in) raises ``ShapeError``.
     ``analysis.cost_report`` counts nominal MACs whatever a kernel skips or adds.
     """
-    sh, sw = _pair(stride)
-    ph, pw = _pair(pad)
-    n, cin, h, wd = x.shape
-    cout, cin_g, kh, kw = w.shape
-    if groups < 1 or cin % groups or cout % groups:
-        raise ShapeError(f"conv2d: groups={groups} must divide c_in={cin} and c_out={cout}")
-    if cin // groups != cin_g:
-        raise ShapeError(
-            f"conv2d: weight expects {cin_g} channels per group, input supplies {cin // groups} "
-            f"(c_in={cin}, groups={groups})"
-        )
-    if kh < 1 or kw < 1:
-        raise ShapeError(f"conv2d: kernel dims must be >= 1, got ({kh}, {kw})")
-    hout = (h + 2 * ph - kh) // sh + 1
-    wout = (wd + 2 * pw - kw) // sw + 1
-    if hout < 1 or wout < 1:
-        raise ShapeError(
-            f"conv2d: input spatial ({h}, {wd}) too small for kernel ({kh}, {kw}) "
-            f"with pad ({ph}, {pw}), stride ({sh}, {sw})"
-        )
-    if b is not None and b.shape != (1, cout, 1, 1):
-        raise ShapeError(f"conv2d: bias must be (1, {cout}, 1, 1), got {b.shape}")
-
-    unit_stride = sh == sw == 1
-    if unit_stride and groups == 1 and kh == kw == 1 and ph == pw == 0:
-        out, grads = _pointwise(x.data, w.data)
-    elif unit_stride and groups == cin == cout and (hout, wout) == (h, wd):
-        depthwise = _depthwise_unrolled if h * wd <= max(n, _UNROLL_MAX_HW) else _depthwise_banded
-        out, grads = depthwise(x.data, w.data, ph, pw)
-    elif groups == 1:
-        out, grads = _general(x.data, w.data, (sh, sw), (ph, pw), (hout, wout))
-    else:
-        raise ShapeError(
-            f"conv2d: groups={groups} with c_in={cin}, c_out={cout}, stride ({sh}, {sw}) and output "
-            f"({hout}, {wout}) from ({h}, {wd}) is not supported; conv2d runs dense calls (groups=1) "
-            "and stride-1 depthwise calls that keep the map size (groups=c_in=c_out)"
-        )
+    b_shape = None if b is None else b.shape
+    kernel, args = _conv_plan(x.shape, w.shape, b_shape, _pair(stride), _pair(pad), groups)
+    out, grads = globals()[kernel](x.data, w.data, *args)  # looked up per call, so a patched kernel runs
     if b is not None:
         out += b.data
 
@@ -959,8 +989,8 @@ def _general(x, w, stride, pad, out_hw):
     def grads(g, need_x, need_w):
         g2 = g.transpose(from_nchw).reshape(cout, -1)
         gx = gw = None
-        if need_w:
-            gw = np.matmul(g2, columns().T).reshape(w.shape)
+        if need_w:  # (K, P) @ (P, c_out), returned transposed: the faster BLAS form of g2 @ cols.T
+            gw = np.matmul(columns(), g2.T).T.reshape(w.shape)
         if need_x:
             gcols = np.matmul(w2.T, g2).reshape(cin, kh, kw, *tail)
             gcols = gcols.transpose(1, 2, *((0, 3, 4, 5)[i] for i in to_nchw))  # (kh, kw, n, c_in, h_out, w_out)

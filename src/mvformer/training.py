@@ -20,7 +20,7 @@ from .data import SyntheticDataset, SyntheticSpec
 from .mixer import ConfigError
 from .model import ModelConfig, build_model, model_config, stage_map_sizes
 from .optim import AdamW, NumericsError, cosine_lr
-from .tensor import Tensor, backward, exp, log, mul, sub, tsum
+from .tensor import backward, cross_entropy
 
 
 # -- loss -----------------------------------------------------------
@@ -29,8 +29,7 @@ from .tensor import Tensor, backward, exp, log, mul, sub, tsum
 def ce_label_smoothing(logits, targets, smoothing=0.0):
     """Mean cross-entropy against (1-eps)*onehot + eps/K targets.
 
-    `logits` is (n, K, 1, 1); the log-softmax shift uses the detached row
-    maximum, which leaves the gradient exact.
+    `logits` is (n, K, 1, 1); the loss is one ``tensor.cross_entropy`` node.
     """
     n, k = logits.shape[0], logits.shape[1]
     if k < 2:
@@ -44,10 +43,7 @@ def ce_label_smoothing(logits, targets, smoothing=0.0):
         raise IndexError(f"target labels must lie in [0, {k})")
     q = np.full((n, k, 1, 1), smoothing / k, dtype=logits.dtype)
     q[np.arange(n), targets, 0, 0] += 1.0 - smoothing
-    shift = logits.data.max(axis=1, keepdims=True)
-    shifted = sub(logits, Tensor(shift))
-    logp = sub(shifted, log(tsum(exp(shifted), (1,))))
-    return mul(tsum(mul(Tensor(q), logp)), -1.0 / n)
+    return cross_entropy(logits, q)
 
 
 # -- configuration ----------------------------------------------------------------

@@ -8,7 +8,29 @@ import numpy as np
 
 from mvformer import norm
 from mvformer.optim import NumericsError
-from mvformer.tensor import ShapeError, Tensor, _node, add, div, mean, mul, sqrt, square, sub
+from mvformer.tensor import ShapeError, Tensor, _binary, _node, _unary, add, mean, sqrt, square, tsum
+
+# Elementwise tape ops that the library's fused nodes replaced; the composites below are built from them.
+
+
+def sub(a, b):
+    return _binary(a, b, np.subtract, lambda g, x, y, z: g, lambda g, x, y, z: -g)
+
+
+def mul(a, b):
+    return _binary(a, b, np.multiply, lambda g, x, y, z: g * y, lambda g, x, y, z: g * x)
+
+
+def div(a, b):
+    return _binary(a, b, np.divide, lambda g, x, y, z: g / y, lambda g, x, y, z: -g * z / y)
+
+
+def exp(x):
+    return _unary(x, np.exp(x.data), lambda g, a, z: g * z)
+
+
+def log(x):
+    return _unary(x, np.log(x.data), lambda g, a, z: g / a)
 
 
 def _windows(x_shape, w_shape, stride, pad, groups):
@@ -122,6 +144,15 @@ def residual_oracle(x, branch, scale=None, keep=None):
     if keep is not None:
         branch = mul(branch, Tensor(keep))
     return add(branch, x)
+
+
+def ce_oracle(logits, q):
+    """Mean cross-entropy of `logits` against target rows `q` from plain tape ops: the unfused form
+    of ``tensor.cross_entropy``, with the detached row maximum as the log-softmax shift."""
+    n = logits.shape[0]
+    shifted = sub(logits, Tensor(logits.data.max(axis=1, keepdims=True)))
+    logp = sub(shifted, log(tsum(exp(shifted), (1,))))
+    return mul(tsum(mul(Tensor(q), logp)), -1.0 / n)
 
 
 def apply_affine(x, gamma, beta):

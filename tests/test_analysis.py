@@ -55,9 +55,8 @@ class TestCounts:
         assert rep.total_macs > 0  # formula exercised below against execution
 
     def test_macs_match_instrumented_forward(self, monkeypatch):
-        """Count MACs from the convolutions actually executed."""
-        cfg = model_config("micro", num_classes=4)
-        model = build_model(cfg, seed=0)
+        """Count MACs from the convolutions actually executed, at micro 32x32 and xT 224x224,
+        through the ``conv2d`` name each caller imports: no convolution runs past it."""
         counted = [0]
         real_conv = mixer_mod.conv2d
 
@@ -70,9 +69,13 @@ class TestCounts:
 
         monkeypatch.setattr(mixer_mod, "conv2d", counting_conv)
         monkeypatch.setattr(model_mod, "conv2d", counting_conv)
-        x = Tensor(np.random.default_rng(0).uniform(0, 1, (1, 3, 32, 32)).astype(np.float32))
-        model.forward(x, training=False)
-        assert counted[0] == cost_report(cfg, 32).total_macs
+        for preset, hw in (("micro", 32), ("xT", 224)):
+            cfg = model_config(preset, num_classes=4)
+            model = build_model(cfg, seed=0)
+            counted[0] = 0
+            x = Tensor(np.random.default_rng(0).uniform(0, 1, (1, 3, hw, hw)).astype(np.float32))
+            model.forward(x, training=False)
+            assert counted[0] == cost_report(cfg, hw).total_macs, preset
 
     def test_block_macs_scale_quadratically_with_resolution(self):
         cfg = model_config("xT")

@@ -7,7 +7,7 @@ import pytest
 
 import mvformer.mixer as mixer_mod
 import mvformer.model as model_mod
-from oracles import residual_oracle, star_relu_oracle
+from oracles import mul, residual_oracle, star_relu_oracle
 from mvformer.gradcheck import DEFAULT_TOLERANCE, check_gradients
 from mvformer.mixer import ConfigError, make_stage_spec
 from mvformer.model import (
@@ -19,7 +19,7 @@ from mvformer.model import (
     drop_path,
     model_config,
 )
-from mvformer.tensor import Tensor, add, backward, conv2d, global_avg_pool, mul, residual
+from mvformer.tensor import Tensor, add, backward, conv2d, global_avg_pool, residual
 from mvformer.training import ce_label_smoothing
 
 

@@ -6,16 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvformer.tensor as tensor
+from mvformer.model import build_model, model_config
+from mvformer.training import ce_label_smoothing
 from oracles import (
     conv2d_grads_oracle,
     conv2d_oracle,
+    div,
     max_rel_err,
     moments,
     moments_oracle,
+    mul,
     numeric_grad,
     relu,
     residual_oracle,
     star_relu_oracle,
+    sub,
     ulp_err,
     view_stats,
 )
@@ -28,17 +33,14 @@ from mvformer.tensor import (
     channel_concat,
     channel_split,
     conv2d,
-    div,
     global_avg_pool,
     grad_enabled,
     mean,
-    mul,
     normalize,
     residual,
     sqrt,
     star_relu,
     square,
-    sub,
     tsum,
     variance,
 )
@@ -237,7 +239,11 @@ class TestConv2d:
         ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v),
     )
     def test_general_both_orders_against_oracle(self, monkeypatch, shape, kernel, stride, pad, groups):
-        """Output and every gradient of ``_general``, whichever order its columns take."""
+        """Output and every gradient of ``_general``, whichever order its columns take, against the
+        oracles.  The weight gradient, computed as ``(cols @ g2.T).T``, must also equal ``g2 @ cols.T``
+        byte for byte in float32 and float64: that is the same-bits claim for the product order.  It
+        holds for the OpenBLAS build numpy's wheels ship (scipy-openblas 0.3.x); whether two GEMM calls
+        agree bit for bit depends on the BLAS, so on another BLAS only the oracle check is portable."""
         used = []
         real = tensor._general
         monkeypatch.setattr(tensor, "_general", lambda *a: used.append(1) or real(*a))
@@ -254,6 +260,52 @@ class TestConv2d:
         gx, gw = conv2d_grads_oracle(x.data, w.data, gy, (stride, stride), (pad, pad), groups)
         for t, g in ((x, gx), (w, gw), (b, gy.sum(axis=(0, 2, 3), keepdims=True))):
             np.testing.assert_allclose(t.grad, g, rtol=1e-4, atol=1e-4 * np.abs(g).max())
+        assert w.grad.tobytes() == self.general_weight_grad(x.data, gy, kernel, stride, pad).tobytes()
+        x64, gy64 = x.data.astype(np.float64), gy.astype(np.float64)
+        w64 = Tensor(w.data.astype(np.float64), requires_grad=True)
+        backward(tsum(mul(conv2d(Tensor(x64), w64, stride=stride, pad=pad), Tensor(gy64))))
+        assert w64.grad.tobytes() == self.general_weight_grad(x64, gy64, kernel, stride, pad).tobytes()
+
+    @staticmethod
+    def general_weight_grad(x, gy, kernel, stride, pad):
+        """``np.matmul(g2, cols.T)``: the output gradient times the transposed im2col matrix, both in
+        ``_general``'s column order (the batch innermost when n > w_out), as a (c_out, c_in, kh, kw) array."""
+        n, _, hout, wout = gy.shape
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        win = np.lib.stride_tricks.sliding_window_view(xp, kernel[2:], axis=(2, 3))[:, :, ::stride, ::stride]
+        order = ((1, 4, 5, 2, 3, 0), (1, 2, 3, 0)) if n > wout else ((1, 4, 5, 0, 2, 3), (1, 0, 2, 3))
+        cols = win[:, :, :hout, :wout].transpose(order[0]).reshape(np.prod(kernel[1:]), -1)
+        g2 = gy.transpose(order[1]).reshape(kernel[0], -1)
+        return np.matmul(g2, cols.T).reshape(kernel)
+
+    def test_bad_signature_raises_on_every_call(self):
+        """A cached plan does not cache a failure away: the second bad call raises the same error."""
+        x = Tensor(np.zeros((1, 4, 3, 3)))
+        w = Tensor(np.zeros((2, 3, 1, 1)))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ShapeError, match="channels per group") as err:
+                conv2d(x, w)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_list_stride_and_pad_equal_tuples(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(2, 3, 9, 9)))
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)))
+        want = conv2d(x, w, stride=(2, 2), pad=(1, 1)).data
+        assert conv2d(x, w, stride=[2, 2], pad=[1, 1]).data.tobytes() == want.tobytes()
+
+    def test_kernel_patched_after_plan_runs(self, monkeypatch):
+        """The plan names its kernel; conv2d looks it up per call, so a kernel replaced after the
+        signature was planned is the one that runs."""
+        x = Tensor(np.ones((2, 3, 8, 8)))
+        w = Tensor(np.ones((4, 3, 3, 3)))
+        want = conv2d(x, w, stride=2, pad=1).data
+        used = []
+        real = tensor._general
+        monkeypatch.setattr(tensor, "_general", lambda *a: used.append(1) or real(*a))
+        assert np.array_equal(conv2d(x, w, stride=2, pad=1).data, want) and used == [1]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [1, 2, 64])
@@ -939,3 +991,38 @@ class TestDeterminism:
     def test_rank_enforced(self):
         with pytest.raises(ShapeError, match="rank-4"):
             Tensor(np.zeros((3, 3)))
+
+
+class TestOpOutputs:
+    """``_node`` wraps an op's array unchecked, so every op output must already be a valid tensor."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        nodes = []
+        real = tensor._node
+        monkeypatch.setattr(tensor, "_node", lambda *a: nodes.append(real(*a)) or nodes[-1])
+        return nodes
+
+    @staticmethod
+    def check(nodes, taped):
+        assert nodes
+        for t in nodes:  # reading a slot never set raises AttributeError
+            assert type(t.data) is np.ndarray and t.data.ndim == 4 and t.data.dtype in (np.float32, np.float64)
+            assert t.grad is None and type(t._parents) is tuple and t.requires_grad is taped
+            assert (t._backward is not None) is taped and (len(t._parents) > 0) is taped
+
+    def test_taped_micro_step(self, monkeypatch):
+        model = build_model(model_config("micro", num_classes=4), seed=0)
+        nodes = self.recorded(monkeypatch)
+        x = Tensor(np.random.default_rng(0).uniform(0, 1, (4, 3, 32, 32)).astype(np.float32))
+        loss = ce_label_smoothing(model.forward(x, training=True), np.array([0, 1, 2, 3]), 0.1)
+        assert nodes[-1] is loss
+        self.check(nodes, taped=True)
+        backward(loss)
+
+    def test_tape_free_xt_forward(self, monkeypatch):
+        model = build_model(model_config("xT"), seed=0)
+        nodes = self.recorded(monkeypatch)
+        logits = model.forward(Tensor(np.zeros((1, 3, 224, 224), np.float32)), training=False)
+        assert nodes[-1] is logits
+        self.check(nodes, taped=False)

@@ -9,7 +9,7 @@ import pytest
 
 import mvformer.norm as norm_mod
 import mvformer.training as training
-from oracles import numeric_grad
+from oracles import ce_oracle, numeric_grad
 from mvformer.checkpoint import CheckpointFormatError, load_checkpoint, read_arrays
 from mvformer.data import SyntheticDataset, SyntheticSpec
 from mvformer.mixer import ABLATION_MODES, ConfigError
@@ -66,6 +66,25 @@ class TestCrossEntropy:
         num = numeric_grad(lambda: loss().item(), logits.data)
         denom = np.maximum(np.maximum(np.abs(logits.grad), np.abs(num)), 1e-4)
         assert (np.abs(logits.grad - num) / denom).max() < 1e-3
+
+    @pytest.mark.parametrize("n,k", [(2, 4), (64, 10), (1, 1000), (3, 2)])
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_node_equals_composite_bitwise(self, n, k, smoothing, dtype):
+        """The loss is one node on the logits, and its value and logits gradient are the unfused
+        composite's bytes."""
+        rng = np.random.default_rng(n * k)
+        data = (4.0 * rng.normal(size=(n, k, 1, 1))).astype(dtype)
+        targets = rng.integers(0, k, n)
+        q = np.full((n, k, 1, 1), smoothing / k, dtype=dtype)
+        q[np.arange(n), targets, 0, 0] += 1.0 - smoothing
+        logits, ref = Tensor(data, requires_grad=True), Tensor(data.copy(), requires_grad=True)
+        loss, want = ce_label_smoothing(logits, targets, smoothing), ce_oracle(ref, q)
+        assert loss._parents == (logits,) and loss.dtype == dtype
+        assert loss.data.tobytes() == want.data.tobytes()
+        backward(loss)
+        backward(want)
+        assert logits.grad.dtype == dtype and logits.grad.tobytes() == ref.grad.tobytes()
 
     def test_bad_targets_rejected(self):
         logits = Tensor(np.zeros((2, 3, 1, 1)))
