@@ -184,8 +184,8 @@ def load_checkpoint(path, model, opt=None):
     leaves the model and the optimizer as they were.  A file is rejected if
     it lacks an entry or stores one of another shape, or if it stores a
     ``param/`` or ``buffer/`` entry the model lacks (an ``opt/`` entry the
-    optimizer lacks, when one is given).  Parameters, buffers and moments
-    keep their arrays: each is overwritten in place.
+    optimizer lacks, when one is given), or an optimizer step count that is
+    not an integer >= 0.  Parameters, buffers and moments are overwritten in place.
     """
     arrays = read_arrays(path)
     entries = _entries(model, opt)
@@ -203,8 +203,11 @@ def load_checkpoint(path, model, opt=None):
         owner = "optimizer" if stray.startswith("opt/") else "model"
         raise CheckpointFormatError(f"{owner} lacks checkpoint entry {stray!r}")
     if opt is not None:
+        step = arrays["opt/step"]
+        if step.dtype.kind not in "iu" or step[0] < 0:
+            raise CheckpointFormatError(f"optimizer step count must be an integer >= 0, got {step.dtype} {step[0]}")
         opt.check_params()
-        opt.step_count = int(arrays["opt/step"][0])  # its entry holds a snapshot, not the counter
+        opt.step_count = int(step[0])  # its entry holds a snapshot, not the counter
     for key, _, arr in entries:
         np.copyto(arr, arrays[key], casting="unsafe")  # converts like astype, so nothing raises midway
     model.zero_grad()

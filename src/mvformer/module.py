@@ -80,7 +80,7 @@ class Module:
             p.tensor.grad = None
 
     def cast_(self, dtype):
-        """Convert every parameter and buffer in place (gradient checks run in float64)."""
+        """Rebind each parameter and buffer to a converted copy; an optimizer built earlier rejects its next step."""
         for _, p in self.named_parameters():
             p.tensor.data = p.tensor.data.astype(dtype)
             p.tensor.grad = None

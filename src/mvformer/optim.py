@@ -4,11 +4,12 @@ Decay is applied multiplicatively before the moment update, and only to
 parameters flagged for it (kernel/dense weights); norm weights, view
 weights, residual scales, activation scalars, and biases are exempt.
 
-The moments live in two flat arrays, one span per parameter, with the
-decayed parameters laid out first; ``m[name]`` and ``v[name]`` are reshaped
-views into them.  A step gathers the gradients and the parameters into flat
-arrays, checks every gradient before it changes anything, and runs the
-update as a fixed handful of whole-array passes.
+The parameters and the two moments live in three flat arrays, one span per
+parameter, with the decayed parameters laid out first; each parameter's
+``data``, ``m[name]`` and ``v[name]`` are reshaped views into them.  A step
+gathers the gradients into a flat array, checks every gradient and
+parameter before it changes anything, and runs the update in place as a
+fixed handful of whole-array passes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class NumericsError(ArithmeticError):
 
 
 class OptimizerStoreError(TypeError):
-    """A parameter or gradient whose dtype or shape no longer fits the optimizer's store."""
+    """A parameter no longer the view the optimizer's store handed out, or a gradient that does not fit it."""
 
 
 class AdamW:
@@ -36,10 +37,11 @@ class AdamW:
         v <- b2 * v + (1 - b2) * g^2
         p <- p - lr * mhat / (sqrt(vhat) + eps)
 
-    with the constants b1 = 0.9, b2 = 0.999 and eps = 1e-8.  Each parameter's
-    ``data`` is rebound to a view of one fresh array per step.  Decay flags
-    are read once, at construction; every parameter must share one dtype,
-    which is the store's.
+    with the constants b1 = 0.9, b2 = 0.999 and eps = 1e-8.  Construction
+    rebinds each parameter's ``data`` to a view of one flat store, and every
+    step updates the store in place, so a parameter rebound afterwards (by
+    ``Module.cast_``, say) is rejected.  Decay flags are read once, at
+    construction; every parameter must share one dtype, which is the store's.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -56,36 +58,33 @@ class AdamW:
         self.dtype = self.named_params[0][1].data.dtype
         # decayed first (a stable sort), so decoupled decay is one prefix multiply
         self._layout = sorted(self.named_params, key=lambda item: not item[1].decay)
-        span, end = {}, 0
-        for name, p in self._layout:
-            span[name] = (end, end + p.data.size, p.data.shape)
-            end += p.data.size
-        self._spans = list(span.values())
-        self._decayed = sum(p.data.size for _, p in self._layout if p.decay)
-        self._m = np.zeros(end, self.dtype)
-        self._v = np.zeros_like(self._m)
-        self._g = np.empty_like(self._m)
-        self._scratch = np.empty_like(self._m)
+        self._p = np.concatenate([p.data for _, p in self._layout], axis=None)
+        self._m, self._v = np.zeros_like(self._p), np.zeros_like(self._p)
+        self._g, self._scratch = np.empty_like(self._p), np.empty_like(self._p)
         self._zeros = np.zeros(max(p.data.size for _, p in self._layout), self.dtype)
-        self.m, self.v = {}, {}
-        for name, _ in self.named_params:
-            lo, hi, shape = span[name]
-            self.m[name] = self._m[lo:hi].reshape(shape)
-            self.v[name] = self._v[lo:hi].reshape(shape)
+        self._decayed = sum(p.data.size for _, p in self._layout if p.decay)
+        self._views, self.m, self.v = [], {}, {}
+        end = 0
+        for name, p in self._layout:
+            lo, end, shape = end, end + p.data.size, p.data.shape
+            p.tensor.data = self._p[lo:end].reshape(shape)
+            self._views.append(p.data)
+            self.m[name] = self._m[lo:end].reshape(shape)
+            self.v[name] = self._v[lo:end].reshape(shape)
 
     def step(self, lr):
         grads = [
-            self._zeros[: hi - lo] if p.grad is None else p.grad
-            for (_, p), (lo, hi, _) in zip(self._layout, self._spans)
+            self._zeros[: view.size] if p.grad is None else p.grad
+            for (_, p), view in zip(self._layout, self._views)
         ]
-        g = self._gather(grads, self._g, "gradient of")
+        g = self._gather(grads)
         if not np.isfinite(g).all():
             raise NumericsError(f"non-finite gradient for parameter {self._first_nonfinite()!r}")
-        p = self.check_params()
+        self.check_params()
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
-        m, v, s = self._m, self._v, self._scratch
+        p, m, v, s = self._p, self._m, self._v, self._scratch
         # the formula's expressions in a per-parameter loop's order, so results are bitwise equal
         if self.weight_decay:
             p[: self._decayed] *= np.float32(1.0 - lr * self.weight_decay)
@@ -103,26 +102,24 @@ class AdamW:
         np.divide(g, s, out=g)
         np.multiply(g, lr, out=g)
         np.subtract(p, g, out=p)
-        for (_, param), (lo, hi, shape) in zip(self._layout, self._spans):
-            param.tensor.data = p[lo:hi].reshape(shape)
 
     def check_params(self):
-        """The parameters gathered into one fresh flat array, in store order.
+        """Raise OptimizerStoreError unless every parameter's ``data`` is still its view of the store."""
+        for (name, p), view in zip(self._layout, self._views):
+            if p.data is not view:
+                raise OptimizerStoreError(
+                    f"parameter {name!r} is {p.data.dtype} {p.data.shape}, rebound off the optimizer store"
+                )
 
-        Raises OptimizerStoreError if a parameter's dtype or shape no longer
-        fits its span of the store.
-        """
-        return self._gather([p.data for _, p in self._layout], np.empty_like(self._m), "parameter")
-
-    def _gather(self, arrays, out, what):
+    def _gather(self, grads):
         try:
-            return np.concatenate(arrays, axis=None, out=out, casting="no")
+            return np.concatenate(grads, axis=None, out=self._g, casting="no")
         except (TypeError, ValueError):
-            for (name, _), a, (_, _, shape) in zip(self._layout, arrays, self._spans):
-                if a.dtype != self.dtype or a.shape != shape:
+            for (name, _), a, view in zip(self._layout, grads, self._views):
+                if a.dtype != self.dtype or a.shape != view.shape:
                     raise OptimizerStoreError(
-                        f"{what} {name!r} is {a.dtype} {a.shape}; "
-                        f"the optimizer store holds {self.dtype} {shape}"
+                        f"gradient of {name!r} is {a.dtype} {a.shape}; "
+                        f"the optimizer store holds {self.dtype} {view.shape}"
                     ) from None
             raise
 

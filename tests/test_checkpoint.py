@@ -161,6 +161,10 @@ class TestGuards:
             (lambda arrays: arrays.pop("opt/step"), "lacks optimizer step count"),
             (lambda arrays: arrays.update({"opt/m/head_fc2_b": np.zeros((4,), np.float32)}),
              r"entry 'opt/m/head_fc2_b': checkpoint shape \(4,\) != model shape \(1, 4, 1, 1\)"),
+            # a step of -1 would make the next bias correction divide by zero
+            (lambda arrays: arrays.update({"opt/step": np.array([-1], np.int64)}), "optimizer step count"),
+            (lambda arrays: arrays.update({"opt/step": np.array([2.7])}), "optimizer step count"),
+            (lambda arrays: arrays.update({"opt/step": np.array([np.nan])}), "optimizer step count"),
         ],
     )
     def test_bad_optimizer_entry_changes_nothing(self, tmp_path, edit, message):

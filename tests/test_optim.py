@@ -1,11 +1,12 @@
 """Optimizer arithmetic, schedule shape, and decay-exemption flags."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mvformer.checkpoint import save_checkpoint
+from mvformer.checkpoint import load_checkpoint, save_checkpoint
 from mvformer.model import build_model, model_config
 from mvformer.module import Module
 from mvformer.optim import AdamW, NumericsError, OptimizerStoreError, cosine_lr
@@ -162,6 +163,54 @@ class TestFlatStep:
             assert opt.m[name] is m and opt.v[name] is v
             assert m.any() and v.any(), name
 
+    def test_params_stay_views_of_one_store(self):
+        opt = AdamW(list(micro_model().named_parameters()))
+        held = {name: p.data for name, p in opt.named_params}
+        store = held[opt.named_params[0][0]].base
+        assert store is not None and store.size == sum(a.size for a in held.values())
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            set_grads(opt, random_grads(opt, rng))
+            opt.step(1e-3)
+            for name, p in opt.named_params:
+                assert p.data is held[name] and p.data.base is store, name
+
+    def test_rebound_param_rejected_and_nothing_changes(self, tmp_path):
+        # a rebind that keeps dtype and shape must be caught too: the store no longer reaches it
+        model = micro_model()
+        opt = AdamW(list(model.named_parameters()))
+        rng = np.random.default_rng(6)
+        older = tmp_path / "older.ckpt"
+        save_checkpoint(older, model, opt)
+        set_grads(opt, random_grads(opt, rng))
+        opt.step(1e-3)
+        name, p = opt.named_params[7]
+        p.tensor.data = p.data.copy()
+        set_grads(opt, random_grads(opt, rng))
+        before = tmp_path / "before.ckpt"
+        save_checkpoint(before, model, opt)
+        with pytest.raises(OptimizerStoreError, match=f"parameter '{name}' is float32"):
+            opt.step(1e-3)
+        with pytest.raises(OptimizerStoreError, match=f"parameter '{name}' is float32"):
+            load_checkpoint(older, model, opt)
+        after = tmp_path / "after.ckpt"
+        save_checkpoint(after, model, opt)
+        assert opt.step_count == 1
+        assert after.read_bytes() == before.read_bytes()
+
+    def test_steady_step_allocates_under_half_the_store(self):
+        opt = AdamW(list(micro_model().named_parameters()))
+        set_grads(opt, random_grads(opt, np.random.default_rng(7)))
+        opt.step(1e-3)
+        store_bytes = sum(p.data.nbytes for _, p in opt.named_params)
+        tracemalloc.start()
+        try:
+            opt.step(1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < store_bytes / 2, (peak, store_bytes)
+
     def test_param_dtype_change_is_named_error(self):
         model = micro_model()
         opt = AdamW(list(model.named_parameters()))
@@ -194,8 +243,6 @@ class TestDecayFlags:
         model = build_model(model_config("micro", num_classes=4), seed=0)
         decayed = [n for n, p in model.named_parameters() if p.decay]
         assert decayed
-        for name in decayed:
-            _, p = dict(model.named_parameters())[name], None
         params = dict(model.named_parameters())
         for name in decayed:
             shape = params[name].data.shape
