@@ -17,8 +17,8 @@ Every norm is one body on shared statistics, four tape nodes:
 
 A layer fixes its views, their weights and which guards apply when it is
 built; its ``forward`` checks the guards (`DegenerateInputError` where
-statistics would cover fewer than two elements) and folds batch statistics
-into the running values.  `PlainNorm` has one view and no weight;
+statistics would cover fewer than two elements), once per input shape and
+mode, and folds batch statistics into the running values.  `PlainNorm` has one view and no weight;
 `MultiViewNorm` has all three with per-channel weights (initialized to
 ones).  A view with weight zero adds exact zeros, so a one-hot fusion
 weight reproduces the corresponding `PlainNorm` bitwise.  The results are
@@ -34,6 +34,8 @@ are constants of every norm.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -55,10 +57,27 @@ class DegenerateInputError(ValueError):
     """Normalization over a reduction extent too small to carry statistics."""
 
 
-def _guard(x, kind):
+@functools.lru_cache(maxsize=256)
+def _guard(shape, kind):
+    """Raise `DegenerateInputError` if view `kind` of `shape` spans fewer than two elements.
+
+    Cached, like the checks below: a shape is checked once, and a bad one
+    raises on every call, as exceptions are not cached.
+    """
     axes, message = _VIEWS[kind]
-    if _count(x.shape, axes) < 2:
-        raise DegenerateInputError(message.format(*x.shape))
+    if _count(shape, axes) < 2:
+        raise DegenerateInputError(message.format(*shape))
+
+
+@functools.lru_cache(maxsize=256)
+def _check(channels, kinds, shape, training):
+    """The checks a norm call makes before its statistics, once per signature."""
+    if shape[1] != channels:
+        raise ValueError(f"norm built for {channels} channels, input has {shape[1]}")
+    if training and "bn" in kinds:
+        _guard(shape, "bn")
+    if kinds == ("in",):  # a weighted ``in`` view is unguarded, on 1x1 maps it contributes exactly zero
+        _guard(shape, "in")
 
 
 class _ViewSum(Module):
@@ -86,13 +105,12 @@ class _ViewSum(Module):
         if "bn" in kinds:
             self.buffer("run_mean", np.zeros(channels))
             self.buffer("run_var", np.ones(channels))
-        # the fixed part of a call: the views' axes and weights, and which guards apply;
-        # a weighted ``in`` view is unguarded, on 1x1 maps it contributes exactly zero
+        # the fixed part of a call: the views, their axes and weights
+        self._kinds = kinds
         self._axes = tuple(_VIEWS[k][0] for k in kinds)
         self._weights = tuple(weights)
         self._bn = "bn" in kinds
         self._ln = "ln" in kinds
-        self._guard_in = kinds == ("in",)
 
     @property
     def run_mean(self):
@@ -103,21 +121,15 @@ class _ViewSum(Module):
         return self._buffers["run_var"]
 
     def forward(self, x, training=False):
-        if x.shape[1] != self.channels:
-            raise ValueError(f"norm built for {self.channels} channels, input has {x.shape[1]}")
-        bn_batch = self._bn and training
-        if bn_batch:
-            _guard(x, "bn")
-        if self._guard_in:
-            _guard(x, "in")
+        _check(self.channels, self._kinds, x.shape, training)
         running = (self.run_mean, self.run_var) if self._bn and not training else None
         var, m = variance(x, self._axes, EPS, running)
-        if bn_batch:
+        if self._bn and training:
             for buf, stat in zip((self.run_mean, self.run_var), m.channel):
                 buf *= 1.0 - MOMENTUM
                 buf += MOMENTUM * stat
         if self._ln:
-            _guard(x, "ln")
+            _guard(x.shape, "ln")
         return normalize(x, m, sqrt(add(var, EPS)), self._weights, self.gamma, self.beta)
 
 

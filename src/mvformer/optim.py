@@ -78,7 +78,11 @@ class AdamW:
             for (_, p), view in zip(self._layout, self._views)
         ]
         g = self._gather(grads)
-        if not np.isfinite(g).all():
+        # a finite sum proves every entry finite; only a non-finite one (NaN, inf, or
+        # an overflow of finite entries) pays for the elementwise check
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = g.sum()
+        if not np.isfinite(total) and not np.isfinite(g).all():
             raise NumericsError(f"non-finite gradient for parameter {self._first_nonfinite()!r}")
         self.check_params()
         self.step_count += 1

@@ -439,9 +439,12 @@ def variance(x, views, eps, running=None):
     view's ``2 (x - mu_v) / count_v`` times its incoming gradient, summed over
     the views (centred values sum to zero, so the means add nothing).
     """
-    layout = _plan(tuple(map(tuple, views)), x.shape)
+    try:
+        layout = _plan(views, x.shape)
+    except TypeError:  # views given as lists cannot key the cache
+        layout = _plan(tuple(map(tuple, views)), x.shape)
     (i_map, at_map), (i_ch, at_ch), (i_pix, at_pix) = layout
-    xd = np.ascontiguousarray(x.data)
+    xd = x.data if x.data.flags.c_contiguous else np.ascontiguousarray(x.data)
     n, c, h, w = xd.shape
     hw = h * w
     m = Moments()
@@ -610,55 +613,70 @@ def global_avg_pool(x):
 # -- channel split / concat ----------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
+def _split_plan(channels, sizes):
+    """The ``(:, lo:hi)`` index of each part of a ``channel_split`` of `channels` by `sizes`, once checked.
+
+    Cached, so each signature is checked once; a bad one raises on every call.
+    """
+    sizes = [int(s) for s in sizes]
+    if any(s < 0 for s in sizes):
+        raise ShapeError(f"negative split size in {sizes}")
+    if sum(sizes) != channels:
+        raise ShapeError(f"split sizes {sizes} sum to {sum(sizes)}, input has {channels} channels")
+    bounds, hi = [], 0
+    for s in sizes:
+        lo, hi = hi, hi + s
+        bounds.append((slice(None), slice(lo, hi)))
+    return tuple(bounds)
+
+
 def channel_split(x, sizes):
     """Slice `x` along the channel axis into len(sizes) tensors.
 
     Zero sizes yield empty (n, 0, h, w) tensors that downstream code skips;
     concatenating the outputs in order reproduces `x` bitwise.
     """
-    sizes = [int(s) for s in sizes]
-    if any(s < 0 for s in sizes):
-        raise ShapeError(f"negative split size in {sizes}")
-    if sum(sizes) != x.shape[1]:
-        raise ShapeError(f"split sizes {sizes} sum to {sum(sizes)}, input has {x.shape[1]} channels")
     parts = []
-    offset = 0
-    for s in sizes:
-        lo, hi = offset, offset + s
-        offset = hi
-        data = x.data[:, lo:hi]
+    for index in _split_plan(x.shape[1], tuple(sizes)):
 
-        def bw(g, acc, lo=lo, hi=hi):
+        def bw(g, acc, index=index):
             full = np.zeros_like(x.data)
-            full[:, lo:hi] = g
+            full[index] = g
             acc(x, full)
 
-        parts.append(_node(data, (x,), bw))
+        parts.append(_node(x.data[index], (x,), bw))
     return parts
+
+
+@functools.lru_cache(maxsize=256)
+def _concat_plan(shapes):
+    """The ``(:, lo:hi)`` index of each part of a ``channel_concat`` of parts of `shapes`, once checked.
+
+    Cached like `_split_plan`.
+    """
+    if not shapes:
+        raise ShapeError("channel_concat needs at least one part")
+    ref = shapes[0]
+    for i, shape in enumerate(shapes[1:], start=1):
+        for axis in (0, 2, 3):
+            if shape[axis] != ref[axis]:
+                raise ShapeError(f"channel_concat part {i} disagrees on axis {axis}: {shape} vs {ref}")
+    return _split_plan(sum(s[1] for s in shapes), tuple(s[1] for s in shapes))
 
 
 def channel_concat(parts):
     """Stack tensors along the channel axis, in argument order."""
-    parts = list(parts)
-    if not parts:
-        raise ShapeError("channel_concat needs at least one part")
-    ref = parts[0]
-    for i, p in enumerate(parts[1:], start=1):
-        for axis in (0, 2, 3):
-            if p.shape[axis] != ref.shape[axis]:
-                raise ShapeError(
-                    f"channel_concat part {i} disagrees on axis {axis}: "
-                    f"{p.shape} vs {ref.shape}"
-                )
+    parts = tuple(parts)
+    bounds = _concat_plan(tuple(p.shape for p in parts))
     data = np.concatenate([p.data for p in parts], axis=1)
-    bounds = np.cumsum([0] + [p.shape[1] for p in parts])
 
     def bw(g, acc):
-        for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+        for p, index in zip(parts, bounds):
             if p.requires_grad:
-                acc(p, g[:, lo:hi])
+                acc(p, g[index])
 
-    return _node(data, tuple(parts), bw)
+    return _node(data, parts, bw)
 
 
 # -- convolution -----------------------------------------------------------------
@@ -674,12 +692,13 @@ def _pair(v):
 def _conv_plan(x_shape, w_shape, b_shape, stride, pad, groups):
     """The kernel a ``conv2d`` call of these shapes runs, once the call is checked.
 
-    `stride` and `pad` are int pairs.  Returns the kernel's name in this
-    module and its arguments after the input and kernel arrays.  Cached, so each call signature is checked and
-    routed once; a bad one raises ``ShapeError`` on every call, as
-    exceptions are not cached.
+    `stride` and `pad` are ``conv2d``'s arguments as given, an int or a pair
+    each, so a hit pairs nothing.  Returns the kernel's name in this module
+    and its arguments after the input and kernel arrays.  Cached, so each
+    call signature is checked and routed once; a bad one raises
+    ``ShapeError`` on every call, as exceptions are not cached.
     """
-    (sh, sw), (ph, pw) = stride, pad
+    (sh, sw), (ph, pw) = _pair(stride), _pair(pad)
     n, cin, h, wd = x_shape
     cout, cin_g, kh, kw = w_shape
     if groups < 1 or cin % groups or cout % groups:
@@ -757,7 +776,10 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     ``analysis.cost_report`` counts nominal MACs whatever a kernel skips or adds.
     """
     b_shape = None if b is None else b.shape
-    kernel, args = _conv_plan(x.shape, w.shape, b_shape, _pair(stride), _pair(pad), groups)
+    try:
+        kernel, args = _conv_plan(x.shape, w.shape, b_shape, stride, pad, groups)
+    except TypeError:  # a list stride or pad cannot key the cache
+        kernel, args = _conv_plan(x.shape, w.shape, b_shape, _pair(stride), _pair(pad), groups)
     out, grads = globals()[kernel](x.data, w.data, *args)  # looked up per call, so a patched kernel runs
     if b is not None:
         out += b.data

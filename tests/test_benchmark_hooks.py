@@ -18,7 +18,11 @@ from mvformer.training import TrainConfig
 
 PATCHED = [
     ("norm", "sqrt"),
+    ("norm", "add"),
     ("mixer", "conv2d"),
+    ("mixer", "channel_split"),
+    ("mixer", "channel_concat"),
+    ("model", "conv2d"),
     ("mixer", "star_relu"),
     ("training", "ce_label_smoothing"),
     ("training", "save_checkpoint"),

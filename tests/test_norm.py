@@ -389,6 +389,35 @@ class TestPlainNorm:
         with pytest.raises(ValueError, match="unknown norm kind"):
             PlainNorm(4, "gn")
 
+    @pytest.mark.parametrize(
+        "make,shape",
+        [
+            (lambda: PlainNorm(3, "bn"), (1, 3, 1, 1)),
+            (lambda: PlainNorm(1, "ln"), (2, 1, 3, 3)),
+            (lambda: PlainNorm(3, "in"), (2, 3, 1, 1)),
+            (lambda: MultiViewNorm(1), (2, 1, 3, 3)),
+            (lambda: MultiViewNorm(4), (2, 3, 2, 2)),
+        ],
+        ids=["bn", "ln", "in", "mvn-ln", "mvn-channels"],
+    )
+    def test_bad_input_raises_alike_every_call(self, make, shape):
+        """The checks are cached per signature, their failures are not."""
+        layer = make()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                layer.forward(Tensor(np.ones(shape, dtype=np.float32)), training=True)
+            messages.append((type(err.value), str(err.value)))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("make", [lambda: PlainNorm(3, "bn"), lambda: MultiViewNorm(3)], ids=["bn", "mvn"])
+    def test_shape_accepted_in_eval_still_guarded_in_training(self, make):
+        layer = make()
+        x = Tensor(np.ones((1, 3, 1, 1), dtype=np.float32))
+        layer.forward(x, training=False)
+        with pytest.raises(DegenerateInputError, match="n\\*h\\*w"):
+            layer.forward(x, training=True)
+
 
 MVN_PARAMS = ("alpha_bn", "alpha_ln", "alpha_in", "gamma", "beta")
 

@@ -211,6 +211,44 @@ class TestFlatStep:
             tracemalloc.stop()
         assert peak < store_bytes / 2, (peak, store_bytes)
 
+    @pytest.mark.parametrize("bad", [(np.nan,), (np.inf,), (-np.inf,), (np.inf, -np.inf)])
+    def test_nonfinite_entry_names_first_parameter(self, bad):
+        # the entries may cancel in a sum (inf - inf), or sit in one parameter
+        opt = AdamW(list(micro_model().named_parameters()))
+        grads = random_grads(opt, np.random.default_rng(8))
+        names = [name for name, _ in opt.named_params]
+        for name, value in zip(names[5::9], bad):
+            grads[name].flat[-1] = value
+        set_grads(opt, grads)
+        with pytest.raises(NumericsError, match=f"parameter '{names[5]}'"):
+            opt.step(1e-3)
+        assert opt.step_count == 0
+
+    def test_finite_gradient_whose_sum_overflows_steps(self):
+        opt = AdamW(list(micro_model().named_parameters()))
+        grads = random_grads(opt, np.random.default_rng(9))
+        for name, _ in opt.named_params[:4]:
+            grads[name].flat[0] = np.finfo(np.float32).max
+        set_grads(opt, grads)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.concatenate(list(grads.values()), axis=None).sum())
+            opt.step(1e-3)
+        assert opt.step_count == 1
+
+    def test_steady_step_allocates_no_gradient_mask(self):
+        # an elementwise finiteness mask of the flat gradient would be one byte per entry
+        opt = AdamW(list(micro_model().named_parameters()))
+        set_grads(opt, random_grads(opt, np.random.default_rng(10)))
+        opt.step(1e-3)
+        entries = sum(p.data.size for _, p in opt.named_params)
+        tracemalloc.start()
+        try:
+            opt.step(1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < entries / 4, (peak, entries)
+
     def test_param_dtype_change_is_named_error(self):
         model = micro_model()
         opt = AdamW(list(model.named_parameters()))

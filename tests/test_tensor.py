@@ -290,11 +290,21 @@ class TestConv2d:
         assert messages[0] == messages[1]
 
     def test_list_stride_and_pad_equal_tuples(self):
+        """The plan is keyed on the raw arguments: an int, a tuple and a list give the same kernel and bits."""
         rng = np.random.default_rng(3)
-        x = Tensor(rng.normal(size=(2, 3, 9, 9)))
-        w = Tensor(rng.normal(size=(4, 3, 3, 3)))
-        want = conv2d(x, w, stride=(2, 2), pad=(1, 1)).data
-        assert conv2d(x, w, stride=[2, 2], pad=[1, 1]).data.tobytes() == want.tobytes()
+        cases = [  # shape, kernel, stride, pad, groups: dense strided, depthwise, depthwise k x 1, pointwise
+            ((2, 3, 9, 9), (4, 3, 3, 3), 2, 1, 1),
+            ((2, 4, 6, 6), (4, 1, 3, 3), 1, 1, 4),
+            ((2, 4, 6, 6), (4, 1, 7, 1), 1, (3, 0), 4),
+            ((2, 3, 5, 5), (6, 3, 1, 1), 1, 0, 1),
+        ]
+        pair = lambda v: v if isinstance(v, tuple) else (v, v)  # noqa: E731
+        for shape, kernel, stride, pad, groups in cases:
+            x = Tensor(rng.normal(size=shape))
+            w = Tensor(rng.normal(size=kernel))
+            spellings = [(stride, pad), (pair(stride), pair(pad)), (list(pair(stride)), list(pair(pad)))]
+            outs = {conv2d(x, w, stride=s, pad=p, groups=groups).data.tobytes() for s, p in spellings}
+            assert len(outs) == 1, (shape, kernel)
 
     def test_kernel_patched_after_plan_runs(self, monkeypatch):
         """The plan names its kernel; conv2d looks it up per call, so a kernel replaced after the
@@ -541,6 +551,25 @@ class TestSplitConcat:
         b = Tensor(np.ones((1, 1, 3, 2)))
         with pytest.raises(ShapeError, match="axis 2"):
             channel_concat([a, b])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: channel_split(Tensor(np.ones((1, 8, 1, 1))), [4, 3]),
+            lambda: channel_split(Tensor(np.ones((1, 8, 1, 1))), (9, -1)),
+            lambda: channel_concat([Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((2, 1, 2, 2)))]),
+            lambda: channel_concat([]),
+        ],
+        ids=["split-sum", "split-negative", "concat-batch", "concat-empty"],
+    )
+    def test_bad_call_raises_alike_every_call(self, call):
+        """The checks are cached per signature, their failures are not."""
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ShapeError) as err:
+                call()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
     @given(
         st.integers(0, 2**32 - 1),
