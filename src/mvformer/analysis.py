@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DOWN_GEOMETRY, HEAD_MLP_RATIO, RES_SCALE_STAGES, STEM_GEOMETRY, ModelConfig, MVFormer, stage_map_sizes
+from .model import DOWN_GEOMETRY, HEAD_MLP_RATIO, RES_SCALE_STAGES, STEM_GEOMETRY, stage_map_sizes
 from .norm import DegenerateInputError, MultiViewNorm, PlainNorm
 from .tensor import Tensor, grad_enabled
 
@@ -106,11 +106,7 @@ def _block_costs(cfg, stage, hw):
 
 
 def cost_report(cfg, input_hw=224):
-    """Per-module parameter and MAC breakdown for one (config, resolution)."""
-    if isinstance(cfg, MVFormer):
-        cfg = cfg.cfg
-    if not isinstance(cfg, ModelConfig):
-        raise TypeError(f"expected ModelConfig or model, got {type(cfg).__name__}")
+    """Per-module parameter and MAC breakdown for one (`ModelConfig`, resolution)."""
     rows = []
     cin = cfg.input_channels
     for stage, size in zip((1, 2, 3, 4), stage_map_sizes(input_hw)):

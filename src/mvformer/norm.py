@@ -16,9 +16,14 @@ Every norm is one body on shared statistics, four tape nodes:
   few per-(n, c) and per-pixel sums.
 
 A layer fixes its views, their weights and which guards apply when it is
-built; its ``forward`` checks the guards (`DegenerateInputError` where
-statistics would cover fewer than two elements), once per input shape and
-mode, and folds batch statistics into the running values.  `PlainNorm` has one view and no weight;
+built.  Its views are its kinds, an ordered subset of ``("bn", "ln",
+"in")``, and ``variance`` packs their statistics in that order.  Its
+``forward`` makes every check first, once per input shape and mode: the
+channel count, then `DegenerateInputError` where statistics would cover
+fewer than two elements and ``ShapeError`` where they would cover none.  A
+rejected call computes nothing and leaves the parameters and running
+values as they were; an accepted one folds batch statistics into the
+running values.  `PlainNorm` has one view and no weight;
 `MultiViewNorm` has all three with per-channel weights (initialized to
 ones).  A view with weight zero adds exact zeros, so a one-hot fusion
 weight reproduces the corresponding `PlainNorm` bitwise.  The results are
@@ -40,12 +45,13 @@ import functools
 import numpy as np
 
 from .module import Module
-from .tensor import _count, add, normalize, sqrt, variance
+from .tensor import ShapeError, _count, add, normalize, sqrt, variance
 
 EPS = 1e-5
 MOMENTUM = 0.1
 
-# reduction axes of each view, and the error raised when they span fewer than two elements
+# reduction axes of each view (counted by the checks, named when empty), and the error raised
+# when they span fewer than two elements
 _VIEWS = {
     "bn": ((0, 2, 3), "batch norm: batch statistics need n*h*w >= 2 per channel, got {0}*{2}*{3}"),
     "ln": ((1,), "layer norm: needs C >= 2 channels, got {1}"),
@@ -58,26 +64,27 @@ class DegenerateInputError(ValueError):
 
 
 @functools.lru_cache(maxsize=256)
-def _guard(shape, kind):
-    """Raise `DegenerateInputError` if view `kind` of `shape` spans fewer than two elements.
-
-    Cached, like the checks below: a shape is checked once, and a bad one
-    raises on every call, as exceptions are not cached.
-    """
-    axes, message = _VIEWS[kind]
-    if _count(shape, axes) < 2:
-        raise DegenerateInputError(message.format(*shape))
-
-
-@functools.lru_cache(maxsize=256)
 def _check(channels, kinds, shape, training):
-    """The checks a norm call makes before its statistics, once per signature."""
+    """Every check of a norm call, once per signature, before anything is computed.
+
+    In order: the channel count; the ``bn`` guard in training and the guard
+    of a plain ``in`` view (a weighted ``in`` view is unguarded, on 1x1 maps
+    it contributes exactly zero); an empty extent of any view; the ``ln``
+    guard.  Cached: a signature is checked once, and a bad one raises on
+    every call, as exceptions are not cached.
+    """
     if shape[1] != channels:
         raise ValueError(f"norm built for {channels} channels, input has {shape[1]}")
-    if training and "bn" in kinds:
-        _guard(shape, "bn")
-    if kinds == ("in",):  # a weighted ``in`` view is unguarded, on 1x1 maps it contributes exactly zero
-        _guard(shape, "in")
+    count = {k: _count(shape, _VIEWS[k][0]) for k in kinds}
+    guarded = [k for k in kinds if k == "bn" and training or kinds == ("in",)]
+    for k in guarded:
+        if count[k] < 2:
+            raise DegenerateInputError(_VIEWS[k][1].format(*shape))
+    for k in kinds:
+        if count[k] == 0:
+            raise ShapeError(f"variance over empty extent (axes {_VIEWS[k][0]} of shape {shape})")
+    if "ln" in kinds and count["ln"] < 2:
+        raise DegenerateInputError(_VIEWS["ln"][1].format(*shape))
 
 
 class _ViewSum(Module):
@@ -89,8 +96,8 @@ class _ViewSum(Module):
     these names in this order.  A ``bn`` view in training mode folds the
     batch statistics into the running buffers in place, ``MOMENTUM`` of the
     batch to ``1 - MOMENTUM`` of the old value; in inference mode it
-    normalizes with them as constants.  The ``ln`` guard fires after the
-    running buffers are updated.
+    normalizes with them as constants.  Every check runs before that fold,
+    so a rejected call leaves the buffers untouched.
     """
 
     def __init__(self, channels, kinds):
@@ -105,12 +112,10 @@ class _ViewSum(Module):
         if "bn" in kinds:
             self.buffer("run_mean", np.zeros(channels))
             self.buffer("run_var", np.ones(channels))
-        # the fixed part of a call: the views, their axes and weights
+        # the fixed part of a call: the views and their weights
         self._kinds = kinds
-        self._axes = tuple(_VIEWS[k][0] for k in kinds)
         self._weights = tuple(weights)
         self._bn = "bn" in kinds
-        self._ln = "ln" in kinds
 
     @property
     def run_mean(self):
@@ -123,13 +128,11 @@ class _ViewSum(Module):
     def forward(self, x, training=False):
         _check(self.channels, self._kinds, x.shape, training)
         running = (self.run_mean, self.run_var) if self._bn and not training else None
-        var, m = variance(x, self._axes, EPS, running)
+        var, m = variance(x, self._kinds, EPS, running)
         if self._bn and training:
-            for buf, stat in zip((self.run_mean, self.run_var), m.channel):
+            for buf, stat in zip((self.run_mean, self.run_var), m.stats["bn"]):
                 buf *= 1.0 - MOMENTUM
                 buf += MOMENTUM * stat
-        if self._ln:
-            _guard(x.shape, "ln")
         return normalize(x, m, sqrt(add(var, EPS)), self._weights, self.gamma, self.beta)
 
 

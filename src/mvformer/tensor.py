@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import types
 
 import numpy as np
 
@@ -221,8 +222,11 @@ def _binary(a, b, fn, grad_a, grad_b):
     """
     a = _as_tensor(a)
     b = _as_tensor(b, like=a)
-    _check_broadcast(a.shape, b.shape)
-    data = fn(a.data, b.data)
+    try:
+        data = fn(a.data, b.data)
+    except ValueError:
+        _check_broadcast(a.shape, b.shape)  # names the axis numpy could not broadcast
+        raise
 
     def bw(g, acc):
         if a.requires_grad:
@@ -374,85 +378,72 @@ def mean(x, axes=None):
 
 # -- normalization --------------------------------------------------------------
 
-# the reduction axes of the three normalization views
-_MAP, _CHANNEL, _PIXEL = (2, 3), (0, 2, 3), (1,)
-
 
 @functools.lru_cache(maxsize=256)
-def _plan(views, shape):
-    """Where the statistics of a ``variance`` call's views on `shape` sit, once they are checked.
+def _layout(kinds, shape):
+    """Where each view of a ``variance`` call on `shape` sits in its packed variances.
 
-    Returns the layout: for the per-map, per-channel and per-pixel view in
-    turn its ``(index, slice)`` in the packed statistics, ``(None, None)``
-    when absent.  Cached, so a layer's views are checked once per input
-    shape.
+    Returns a read-only ``{kind: slice}`` in the order of `kinds`: ``bn``
+    has one variance per channel, ``ln`` one per pixel and ``in`` one per
+    map.  Pure and cached, every call shares the result; the norm layer
+    checks its calls.
     """
-    views = tuple(_norm_axes(a) for a in views)
-    if not views:
-        raise ShapeError("variance needs at least one view")
     n, c, h, w = shape
-    size = {_MAP: n * c, _CHANNEL: c, _PIXEL: n * h * w}
-    found, start = {}, 0
-    for i, a in enumerate(views):
-        if a not in size or a in found:
-            raise ShapeError(f"variance: views must be distinct among {(_MAP, _CHANNEL, _PIXEL)}, got {views}")
-        if _count(shape, a) == 0:
-            raise ShapeError(f"variance over empty extent (axes {a} of shape {shape})")
-        found[a] = (i, slice(start, start + size[a]))
-        start += size[a]
-    return tuple(found.get(a, (None, None)) for a in (_MAP, _CHANNEL, _PIXEL))
+    size = {"bn": c, "ln": n * h * w, "in": n * c}
+    at, start = {}, 0
+    for kind in kinds:
+        at[kind] = slice(start, start + size[kind])
+        start += size[kind]
+    return types.MappingProxyType(at)
 
 
 class Moments:
     """The plain arrays `variance` computes and `normalize` reads; no tape links.
 
-    ``layout``: `_plan`'s ``(index, slice)`` of the per-map, per-channel and
-    per-pixel view in the packed statistics.
-    ``map``, ``channel`` and ``pixel``: each view's ``(mean, variance)`` as
-    flat arrays, (n*c,), (c,) and (n, h*w), or None.  ``xc``: `x` centred on
-    its per-map means, present with a per-map or per-channel view, and
-    ``shift`` the per-map minus the per-channel means, (n, c, 1, 1).  ``z``:
-    the per-pixel view's standardized values.  ``const``: the per-channel
-    statistics are given constants.
+    ``at``: each view's slice of the packed variances, keyed by kind in the
+    call's order.  ``stats``: each view's ``(mean, variance)`` as flat
+    arrays, keyed by kind: ``bn`` per channel (c,), ``ln`` per pixel (n, h*w)
+    and ``in`` per map (n*c,).  ``xc``: `x` centred on its per-map means,
+    present with a ``bn`` or ``in`` view, and ``shift`` the per-map minus the
+    per-channel means, (n, c, 1, 1).  ``z``: the ``ln`` view's standardized
+    values.  ``const``: the ``bn`` statistics are given constants.
     """
 
-    __slots__ = ("layout", "map", "channel", "pixel", "xc", "shift", "z", "const")
+    __slots__ = ("at", "stats", "xc", "shift", "z", "const")
 
 
-def variance(x, views, eps, running=None):
-    """Population variances of `x` over several views, packed into one tape node.
+def variance(x, kinds, eps, running=None):
+    """Population variances of `x` over the norm views `kinds`, packed into one tape node.
 
-    Each view is a reduction-axis set: (2, 3) per map, (0, 2, 3) per channel
-    or (1,) per pixel.  Returns ``(var, m)``: a (1, 1, 1, k) tensor holding
-    every view's variance, flattened in the order given, whose only parent is
-    `x`, and the `Moments` that `normalize` reads.
+    `kinds` is an ordered subset of ``("bn", "ln", "in")``: batch statistics
+    per channel over (0, 2, 3), layer statistics per pixel over (1,) and
+    instance statistics per map over (2, 3).  The caller checks that each
+    extent is non-empty.  Returns ``(var, m)``: a (1, 1, 1, k) tensor
+    holding every view's variances, flattened in the order of `kinds`, whose
+    only parent is `x`, and the `Moments` that `normalize` reads.
 
-    `x` is centred once on its per-map means.  The per-channel moments are the
+    `x` is centred once on its per-map means.  The ``bn`` moments are the
     per-map ones combined over the batch (the pairwise update of Chan, Golub
     and LeVeque, 1979), so they take no full-size pass of their own.
     `running`, a ``(mean, var)`` pair of per-channel (c,) arrays, makes the
-    per-channel view constant: its variance is packed as given and gets no
-    gradient.  The per-pixel view is centred and squared in one more pass and
+    ``bn`` view constant: its variance is packed as given and gets no
+    gradient.  The ``ln`` view is centred and squared in one more pass and
     standardized here with ``sqrt(var + eps)``, in place.  Every sum is one
     matrix-vector product on a 2-D or 3-D reshape of C-contiguous data (a
     non-contiguous `x` is copied first).  The gradient is each
     view's ``2 (x - mu_v) / count_v`` times its incoming gradient, summed over
     the views (centred values sum to zero, so the means add nothing).
     """
-    try:
-        layout = _plan(views, x.shape)
-    except TypeError:  # views given as lists cannot key the cache
-        layout = _plan(tuple(map(tuple, views)), x.shape)
-    (i_map, at_map), (i_ch, at_ch), (i_pix, at_pix) = layout
+    at = _layout(kinds, x.shape)
     xd = x.data if x.data.flags.c_contiguous else np.ascontiguousarray(x.data)
     n, c, h, w = xd.shape
     hw = h * w
     m = Moments()
-    m.layout = layout
-    m.const = const = running is not None and at_ch is not None
-    m.map = m.channel = m.pixel = xc = shift = z = std_pixel = sq = None
-    parts = [None] * len(views)
-    if at_map is not None or at_ch is not None:
+    m.at = at
+    m.const = const = running is not None and "bn" in at
+    m.stats = stats = {}
+    xc = shift = z = std_ln = sq = None
+    if "in" in at or "bn" in at:
         mu = _row_sums(xd.reshape(n * c, hw))
         mu /= hw
         mu4 = mu.reshape(n, c, 1, 1)
@@ -460,9 +451,9 @@ def variance(x, views, eps, running=None):
         sq = xc * xc
         var = _row_sums(sq.reshape(n * c, hw))
         var /= hw
-        if at_map is not None:
-            m.map = parts[i_map] = mu, var
-    if at_ch is not None:
+        if "in" in at:
+            stats["in"] = mu, var
+    if "bn" in at:
         if const:
             mu_c, var_c = running
         else:
@@ -473,26 +464,26 @@ def variance(x, views, eps, running=None):
             s = shift.reshape(n, c)
             var_c = _col_sums(var.reshape(n, c) + s * s)
             var_c /= n
-        m.channel = parts[i_ch] = mu_c, var_c
-    if at_pix is not None:
+        stats["bn"] = mu_c, var_c
+    if "ln" in at:
         mu_p = _col_sums(xd.reshape(n, c, hw))
         mu_p /= c
         xl = xd - mu_p.reshape(n, 1, h, w)
         sq = np.multiply(xl, xl, out=sq)
         var_p = _col_sums(sq.reshape(n, c, hw))
         var_p /= c
-        std_pixel = np.sqrt(var_p + eps)
-        z = np.multiply(xl, (1.0 / std_pixel).reshape(n, 1, h, w), out=xl)
-        m.pixel = parts[i_pix] = mu_p, var_p
+        std_ln = np.sqrt(var_p + eps)
+        z = np.multiply(xl, (1.0 / std_ln).reshape(n, 1, h, w), out=xl)
+        stats["ln"] = mu_p, var_p
     m.xc, m.shift, m.z = xc, shift, z
-    data = np.concatenate([v for _, v in parts], axis=None).reshape(1, 1, 1, -1)
+    data = np.concatenate([stats[kind][1] for kind in at], axis=None).reshape(1, 1, 1, -1)
 
     def bw(g, acc):
         g = g.reshape(-1)
-        gc = None if at_ch is None or const else g[at_ch].reshape(c, 1, 1)
+        gc = None if "bn" not in at or const else g[at["bn"]].reshape(c, 1, 1)
         gx = None
-        if at_map is not None or gc is not None:
-            k = g[at_map].reshape(n, c, 1, 1) * (2.0 / hw) if at_map is not None else 0.0
+        if "in" in at or gc is not None:
+            k = g[at["in"]].reshape(n, c, 1, 1) * (2.0 / hw) if "in" in at else 0.0
             if gc is not None:  # x - mu is xc + shift
                 kc = gc * (2.0 / (n * hw))
                 k = k + kc
@@ -500,65 +491,65 @@ def variance(x, views, eps, running=None):
             if gc is not None:
                 gx += shift * kc
         if z is not None:
-            t = z * (g[at_pix].reshape(n, hw) * std_pixel * (2.0 / c)).reshape(n, 1, h, w)
+            t = z * (g[at["ln"]].reshape(n, hw) * std_ln * (2.0 / c)).reshape(n, 1, h, w)
             gx = t if gx is None else np.add(gx, t, out=gx)
         acc(x, gx)
 
-    constant = const and at_map is None and at_pix is None
+    constant = const and len(at) == 1
     return _node(data, () if constant else (x,), bw), m
 
 
-def normalize(x, m, std, weights, gamma=None, beta=None):
+def normalize(x, m, std, weights, gamma, beta):
     """``gamma * sum_v weight_v * (x - mu_v) / std_v + beta``, recorded as one tape node.
 
     `m` and `std` come from ``variance``: `std` is ``sqrt(var + eps)`` of its
-    packed variances.  `weights` holds a tensor or None per view; `gamma`
-    and `beta` are optional tensors.  With ``r = 1 / std``, the per-map and
-    per-channel views are affine in ``xc`` per (n, c), so the output is
-    ``xc * scale + offset + pixel_w * z`` with (n, c, 1, 1) arrays `scale`
-    and `offset` and ``pixel_w = gamma * weight`` of the per-pixel view.  A per-map view of 1x1 maps is
+    packed variances.  `weights` holds a tensor, or None for a weight of
+    one, per view in the order of the call's kinds; `gamma` and `beta` are
+    (1, c, 1, 1) tensors.  With ``r = 1 / std``, the ``in`` and ``bn`` views
+    are affine in ``xc`` per (n, c), so the output is ``xc * scale + offset +
+    ln_w * z`` with (n, c, 1, 1) arrays `scale` and `offset` and ``ln_w =
+    gamma * weight`` of the ``ln`` view.  An ``in`` view of 1x1 maps is
     identically zero and drops out exactly, from the output and every
     gradient.
 
     The backward is closed-form.  Every weight, gamma, beta and std gradient
     comes from the per-(n, c) sums of g, ``g * xc`` and ``g * z`` and the
-    per-pixel channel sums of ``pixel_w * g`` and ``pixel_w * g * z``.  `x`
+    per-pixel channel sums of ``ln_w * g`` and ``ln_w * g * z``.  `x`
     receives each view's gradient with its mean's gradient folded in (none
-    for constant per-channel statistics): ``g * scale + q + (pixel_w * g -
-    mean_c(pixel_w * g)) * r`` with q per (n, c).  Only ``xc`` and ``z`` are kept; without a tape the
+    for constant ``bn`` statistics): ``g * scale + q + (ln_w * g -
+    mean_c(ln_w * g)) * r`` with q per (n, c).  Only ``xc`` and ``z`` are kept; without a tape the
     output is written over them.
     """
-    parents = [x, std] + [t for t in (*weights, gamma, beta) if t is not None]
+    parents = [x, std] + [t for t in weights if t is not None] + [gamma, beta]
     tape = _grad_on and any(p.requires_grad for p in parents)
     n, c, h, wd = x.shape
     hw = h * wd
-    (i_map, at_map), (i_ch, at_ch), (i_pix, at_pix) = m.layout
-    xc, z, shift = m.xc, m.z, m.shift
+    at, xc, z, shift = m.at, m.xc, m.z, m.shift
     r = (1.0 / std.data).reshape(-1)
-    one = _ones(c, x.dtype).reshape(1, c, 1, 1)  # a missing weight or gamma multiplies exactly
-    gd = one if gamma is None else gamma.data
-    w = [one if t is None else t.data for t in weights]
-    coef_map = coef_ch = coef_pix = None
-    if at_map is not None:
-        r_map = r[at_map].reshape(n, c, 1, 1)
+    one = _ones(c, x.dtype).reshape(1, c, 1, 1)  # a missing weight multiplies exactly
+    gd = gamma.data
+    w = {kind: one if t is None else t.data for kind, t in zip(at, weights)}
+    coef_in = coef_bn = coef_ln = None
+    if "in" in at:
+        r_in = r[at["in"]].reshape(n, c, 1, 1)
         if hw == 1:
-            r_map = np.zeros_like(r_map)
-        coef_map = gd * (w[i_map] * r_map)
-    if at_ch is not None:
-        r_ch = r[at_ch].reshape(1, c, 1, 1)
-        coef_ch = gd * (w[i_ch] * r_ch)
-    if at_pix is not None:
-        r_pix = r[at_pix].reshape(n, 1, h, wd)
-        coef_pix = gd * w[i_pix]
-    offset = 0.0 if beta is None else beta.data
-    if coef_ch is not None:
-        offset = coef_ch * shift + offset
+            r_in = np.zeros_like(r_in)
+        coef_in = gd * (w["in"] * r_in)
+    if "bn" in at:
+        r_bn = r[at["bn"]].reshape(1, c, 1, 1)
+        coef_bn = gd * (w["bn"] * r_bn)
+    if "ln" in at:
+        r_ln = r[at["ln"]].reshape(n, 1, h, wd)
+        coef_ln = gd * w["ln"]
+    offset = beta.data
+    if coef_bn is not None:
+        offset = coef_bn * shift + offset
     out = None
     if xc is not None:
-        scale = sum(k for k in (coef_map, coef_ch) if k is not None)
+        scale = sum(k for k in (coef_in, coef_bn) if k is not None)
         out = xc * scale if tape else np.multiply(xc, scale, out=xc)
     if z is not None:
-        t = z * coef_pix if tape else np.multiply(z, coef_pix, out=z)
+        t = z * coef_ln if tape else np.multiply(z, coef_ln, out=z)
         out = t if out is None else np.add(out, t, out=out)
     out += offset
 
@@ -566,41 +557,39 @@ def normalize(x, m, std, weights, gamma=None, beta=None):
         g = np.ascontiguousarray(g)
         s0 = _row_sums(g.reshape(n * c, hw)).reshape(n, c, 1, 1)
         s0n = _col_sums(s0.reshape(n, c)).reshape(1, c, 1, 1)  # the batch sum of s0
-        ys = [None] * len(w)  # per view: the sum of g * y_v over all but the channel
-        dstd = [None] * len(w)  # per view: the std gradient
+        ys = {}  # per view: the sum of g * y_v over all but the channel
+        dstd = {}  # per view: the std gradient
         gx = None
         if xc is not None:
             s1 = _row_sums((g * xc).reshape(n * c, hw)).reshape(n, c, 1, 1)
             q = 0.0
-            if at_map is not None:
-                ys[i_map] = _col_sums((r_map * s1).reshape(n, c)).reshape(1, c, 1, 1)
-                dstd[i_map] = -(coef_map * r_map * s1)
-                q = coef_map * s0 * (-1.0 / hw)
-            if at_ch is not None:
-                ys[i_ch] = r_ch * _col_sums((s1 + shift * s0).reshape(n, c)).reshape(1, c, 1, 1)
-                dstd[i_ch] = -(coef_ch * ys[i_ch])
+            if "in" in at:
+                ys["in"] = _col_sums((r_in * s1).reshape(n, c)).reshape(1, c, 1, 1)
+                dstd["in"] = -(coef_in * r_in * s1)
+                q = coef_in * s0 * (-1.0 / hw)
+            if "bn" in at:
+                ys["bn"] = r_bn * _col_sums((s1 + shift * s0).reshape(n, c)).reshape(1, c, 1, 1)
+                dstd["bn"] = -(coef_bn * ys["bn"])
                 if not m.const:
-                    q = q + coef_ch * s0n * (-1.0 / (n * hw))
+                    q = q + coef_bn * s0n * (-1.0 / (n * hw))
             gx = g * scale
             gx += q
         if z is not None:
             gz = g * z
-            pw = coef_pix.reshape(c)
-            ys[i_pix] = _col_sums(_row_sums(gz.reshape(n * c, hw)).reshape(n, c)).reshape(1, c, 1, 1)
-            dstd[i_pix] = np.matmul(pw, gz.reshape(n, c, hw)).reshape(n, 1, h, wd) * -r_pix
-            t = g * coef_pix
-            t -= np.matmul(pw, g.reshape(n, c, hw)).reshape(n, 1, h, wd) * (1.0 / c)
-            t *= r_pix
+            lw = coef_ln.reshape(c)
+            ys["ln"] = _col_sums(_row_sums(gz.reshape(n * c, hw)).reshape(n, c)).reshape(1, c, 1, 1)
+            dstd["ln"] = np.matmul(lw, gz.reshape(n, c, hw)).reshape(n, 1, h, wd) * -r_ln
+            t = g * coef_ln
+            t -= np.matmul(lw, g.reshape(n, c, hw)).reshape(n, 1, h, wd) * (1.0 / c)
+            t *= r_ln
             gx = t if gx is None else np.add(gx, t, out=gx)
         acc(x, gx)
-        acc(std, np.concatenate(dstd, axis=None).reshape(std.shape))
-        for t, y in zip(weights, ys):
+        acc(std, np.concatenate([dstd[kind] for kind in at], axis=None).reshape(std.shape))
+        for kind, t in zip(at, weights):
             if t is not None:
-                acc(t, gd * y)
-        if gamma is not None:
-            acc(gamma, sum(wv * y for wv, y in zip(w, ys)))
-        if beta is not None:
-            acc(beta, s0n)
+                acc(t, gd * ys[kind])
+        acc(gamma, sum(w[kind] * ys[kind] for kind in at))
+        acc(beta, s0n)
 
     return _node(out, parents, bw)
 

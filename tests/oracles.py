@@ -116,14 +116,24 @@ def moments(x, axes):
     return mu, mean(square(sub(x, mu)), axes)
 
 
-def view_stats(m, axes, shape):
-    """One view's ``(mean, variance)`` from ``tensor.variance``'s `Moments`, as keepdims arrays.
+# the reduction axes of each norm view kind, and the kind of each view's axes
+VIEW_AXES = {"bn": (0, 2, 3), "ln": (1,), "in": (2, 3)}
+VIEW_KIND = {axes: kind for kind, axes in VIEW_AXES.items()}
 
-    `Moments` holds them flat, per view kind; `shape` is the input's.
+
+def view_stats(m, kind, shape):
+    """View `kind`'s ``(mean, variance)`` from ``tensor.variance``'s `Moments`, as keepdims arrays.
+
+    `Moments` holds them flat, keyed by kind; `shape` is the input's.
     """
-    pair = {(2, 3): m.map, (0, 2, 3): m.channel, (1,): m.pixel}[axes]
-    keep = tuple(1 if i in axes else d for i, d in enumerate(shape))
-    return tuple(a.reshape(keep) for a in pair)
+    keep = tuple(1 if i in VIEW_AXES[kind] else d for i, d in enumerate(shape))
+    return tuple(a.reshape(keep) for a in m.stats[kind])
+
+
+def identity_affine(x):
+    """``(gamma, beta)`` of ones and zeros for `x`'s channels: the affine ``tensor.normalize`` requires."""
+    shape = (1, x.shape[1], 1, 1)
+    return Tensor(np.ones(shape, x.dtype)), Tensor(np.zeros(shape, x.dtype))
 
 
 def relu(x):

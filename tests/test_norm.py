@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from mvformer.norm import DegenerateInputError, MultiViewNorm, PlainNorm, make_norm
 from mvformer import norm, tensor
-from mvformer.tensor import Tensor, add, backward, grad_enabled, sqrt, tsum, square
+from mvformer.tensor import ShapeError, Tensor, add, backward, grad_enabled, sqrt, tsum, square
 from oracles import (
+    VIEW_KIND,
     apply_affine,
     div,
+    identity_affine,
     max_rel_err,
     moments,
     moments_oracle,
@@ -31,9 +33,11 @@ MVN_ULPS = 16
 
 
 def standardize(x, axes, eps):
-    """One unguarded, unweighted view through the norm body's nodes: ``(y, mu, var)``."""
-    var, m = tensor.variance(x, [axes], eps)
-    return (tensor.normalize(x, m, sqrt(add(var, eps)), [None]), *view_stats(m, axes, x.shape))
+    """The view over `axes`, unguarded and unweighted, through the norm body's nodes: ``(y, mu, var)``."""
+    kind = VIEW_KIND[axes]
+    var, m = tensor.variance(x, (kind,), eps)
+    y = tensor.normalize(x, m, sqrt(add(var, eps)), [None], *identity_affine(x))
+    return (y, *view_stats(m, kind, x.shape))
 
 
 def channel(values):
@@ -410,6 +414,34 @@ class TestPlainNorm:
             messages.append((type(err.value), str(err.value)))
         assert messages[0] == messages[1]
 
+    @pytest.mark.parametrize(
+        "kind,channels,shape,training,error,match",
+        [
+            ("mvn", 4, (2, 3, 2, 2), True, ValueError, "built for 4 channels, input has 3"),
+            ("bn", 4, (1, 4, 1, 1), True, DegenerateInputError, "n\\*h\\*w"),
+            ("mvn", 4, (1, 4, 1, 1), True, DegenerateInputError, "n\\*h\\*w"),
+            ("in", 4, (2, 4, 1, 1), True, DegenerateInputError, "h\\*w"),
+            ("ln", 1, (2, 1, 3, 3), True, DegenerateInputError, "C >= 2"),
+            ("mvn", 1, (2, 1, 3, 3), True, DegenerateInputError, "C >= 2"),
+            ("mvn", 4, (0, 4, 2, 2), False, ShapeError, "empty extent"),
+        ],
+        ids=["channels", "bn-training", "mvn-bn-training", "plain-in", "plain-ln", "mvn-ln", "empty-extent"],
+    )
+    def test_rejected_call_changes_nothing(self, kind, channels, shape, training, error, match):
+        """Every check runs before the statistics and the running-stat fold: a rejected call
+        leaves the layer's parameters and buffers byte-identical."""
+        layer = random_layer(kind, channels, np.float32, 61)
+
+        def state():
+            return [(name, p.data.tobytes()) for name, p in layer.named_parameters()] + [
+                (name, a.tobytes()) for name, a in layer.named_buffers()
+            ]
+
+        before = state()
+        with pytest.raises(error, match=match):
+            layer.forward(Tensor(np.arange(np.prod(shape), dtype=np.float32).reshape(shape)), training=training)
+        assert state() == before
+
     @pytest.mark.parametrize("make", [lambda: PlainNorm(3, "bn"), lambda: MultiViewNorm(3)], ids=["bn", "mvn"])
     def test_shape_accepted_in_eval_still_guarded_in_training(self, make):
         layer = make()
@@ -639,11 +671,11 @@ class TestMultiViewNorm:
             assert max_rel_err(t.grad, numeric_grad(lambda: loss().item(), t.data, h=1e-5)) < 1e-6, name
 
     def test_single_channel_rejected_after_batch_view(self):
-        """The layer view's guard fires after the batch view has folded in its statistics."""
+        """The layer view's guard, checked after the batch view's, still fires before the batch fold."""
         layer = MultiViewNorm(1)
         with pytest.raises(DegenerateInputError, match="C >= 2"):
             layer.forward(Tensor(np.arange(18, dtype=np.float32).reshape(2, 1, 3, 3)), training=True)
-        np.testing.assert_allclose(layer.run_mean, [0.1 * 8.5], rtol=1e-6)
+        assert np.array_equal(layer.run_mean, [0.0]) and np.array_equal(layer.run_var, [1.0])
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="channels"):
