@@ -20,7 +20,8 @@ import numpy as np
 from .mixer import TokenMixer, make_stage_spec
 from .model import Block, build_model, model_config
 from .norm import MultiViewNorm
-from .tensor import Tensor, backward, grad_enabled, square, tsum
+from .tensor import Tensor, backward, cross_entropy, grad_enabled, square, tsum
+from .training import smoothed_targets
 
 DEFAULT_STEP = 1e-3
 DEFAULT_TOLERANCE = 1e-3
@@ -97,23 +98,95 @@ def check_gradients(loss_fn, named_tensors, samples_per_param=4, rng=None):
     return errors
 
 
-def _check_layer(layer, rng, scale, samples_per_param, **forward_kwargs):
-    """Check `layer` in float64 under a sum-of-squares loss on a (2, 8, 5, 5) input
-    named ``x``; its parameters are redrawn at a healthy `scale` for conditioning."""
+def _tensors(*modules):
+    return [p.tensor for m in modules if m is not None for _, p in m.named_parameters()]
+
+
+def block_steps(block):
+    """`block` as two training-mode steps, ``(step, params)`` with the parameters each is first to read."""
+    scales = [t for t in (block.res_scale1, block.res_scale2) if t is not None]
+    return [
+        (partial(block.mixer_half, training=True), scales[:1] + _tensors(block.norm1, block.mixer)),
+        (partial(block.mlp_half, training=True), scales[1:] + _tensors(block.norm2, block.mlp)),
+    ]
+
+
+def model_steps(model):
+    """`model.layers` as training-mode steps in network order, ``(step, params)`` as in `block_steps`.
+
+    Each block is its two halves; each downsample is its norm, if it has
+    one, then its strided conv.  Every parameter outside the head is in
+    exactly one step's `params`.
+    """
+    steps = []
+    for layer in model.layers:
+        if isinstance(layer, Block):
+            steps += block_steps(layer)
+            continue
+        if layer.norm is not None:
+            steps.append((partial(layer.norm.forward, training=True), _tensors(layer.norm)))
+        steps.append((layer.conv, [layer.w, layer.b]))
+    return steps
+
+
+def _suffix(steps, x, finish):
+    """`loss(start)`: `finish` of ``steps[start:]`` run from the cached input of ``steps[start]``.
+
+    Each step's input is computed once here, tape-free; ``inputs[0]`` is `x`
+    itself, so a probe of `x` reaches ``loss(0)``, and ``start`` equal to
+    ``len(steps)`` runs `finish` alone.
+    """
+    inputs = [x]  # inputs[k]: the input of steps[k]; inputs[-1] is finish's
+    with grad_enabled(False):
+        for step, _ in steps:
+            inputs.append(step(inputs[-1]))
+
+    def loss(start):
+        y = inputs[start]
+        for step, _ in steps[start:]:
+            y = step(y)
+        return finish(y)
+
+    return loss
+
+
+def _check_steps(steps, loss, named, samples_per_param, rng):
+    """`check_gradients` of each run of consecutive `named` tensors that share an owning step.
+
+    A tensor's owner is the step whose `params` hold it, or ``len(steps)``
+    (the finishing loss alone) for a tensor in none.  Each run is checked on
+    ``partial(loss, owner)``; the runs keep registry order, so `rng` draws
+    the same probes as one check over all of `named`.
+    """
+    owner = {id(t): k for k, (_, params) in enumerate(steps) for t in params}
+    errors = {}
+    for start, run in groupby(named, key=lambda item: owner.get(id(item[1]), len(steps))):
+        errors.update(check_gradients(
+            partial(loss, start), list(run), samples_per_param=samples_per_param, rng=rng,
+        ))
+    return errors
+
+
+def _check_layer(layer, steps, rng, scale, samples_per_param):
+    """Check `layer`, run as `steps`, in float64 under a sum-of-squares loss on a (2, 8, 5, 5)
+    input named ``x``, which the first step reads; its parameters are redrawn at a healthy
+    `scale` for conditioning."""
     for _, p in layer.cast_(np.float64).named_parameters():
         p.tensor.data = rng.normal(0.0, scale, p.tensor.shape)
     x = Tensor(rng.uniform(-1.0, 1.0, (2, 8, 5, 5)), requires_grad=True)
+    (first, params), *rest = steps
+    steps = [(first, [x] + params), *rest]
     named = [("x", x)] + [(n, p.tensor) for n, p in layer.named_parameters()]
-    return check_gradients(
-        lambda: tsum(square(layer.forward(x, **forward_kwargs))), named,
-        samples_per_param=samples_per_param, rng=rng,
-    )
+    loss = _suffix(steps, x, lambda y: tsum(square(y)))
+    return _check_steps(steps, loss, named, samples_per_param, rng)
 
 
 def check_mvn(seed=0, samples_per_param=4):
     """Gradients of the multi-view norm (training-mode batch statistics)."""
     rng = np.random.default_rng(seed)
-    return _check_layer(MultiViewNorm(8), rng, 0.5, samples_per_param, training=True)
+    mvn = MultiViewNorm(8)
+    steps = [(partial(mvn.forward, training=True), _tensors(mvn))]
+    return _check_layer(mvn, steps, rng, 0.5, samples_per_param)
 
 
 def check_mvtm(seed=0, samples_per_param=4):
@@ -122,64 +195,53 @@ def check_mvtm(seed=0, samples_per_param=4):
     errors = {}
     for stage in (1, 2, 3, 4):
         mixer = TokenMixer(make_stage_spec(stage, 8), rng)
-        for name, err in _check_layer(mixer, rng, 0.3, samples_per_param).items():
+        steps = [(mixer.forward, _tensors(mixer))]
+        for name, err in _check_layer(mixer, steps, rng, 0.3, samples_per_param).items():
             errors[f"stage{stage}.{name}"] = err
     return errors
 
 
 def check_block(seed=0, samples_per_param=4):
-    """Gradients of a full residual block (stage-3 geometry, res-scaled)."""
+    """Gradients of a full residual block (stage-3 geometry, res-scaled).
+
+    The block runs as its two halves (`block_steps`), so a probe of an
+    MLP-half parameter re-runs only that half, from its cached input.
+    """
     rng = np.random.default_rng(seed)
     blk = Block(make_stage_spec(3, 8), "mvn", mlp_ratio=2, use_res_scale=True, drop_prob=0.0, rng=rng)
-    return _check_layer(blk, rng, 0.3, samples_per_param, training=True)
+    return _check_layer(blk, block_steps(blk), rng, 0.3, samples_per_param)
 
 
 def suffix_loss(model, images, targets):
-    """`loss(start)`: the training loss of `model` re-run from the input of ``model.layers[start]``.
+    """`loss(start)`: the training loss of `model` re-run from the input of ``model_steps(model)[start]``.
 
-    Each layer's input is computed once here, tape-free; ``start`` equal to
-    ``len(model.layers)`` runs the head alone.  The layers before ``start``
-    do not depend on the parameters of the layers from ``start`` on, so the
-    loss and those parameters' tape gradients are the same floats as a full
-    ``model.forward(images, training=True)``'s.
+    Each step's input is computed once here, tape-free, and the label-smoothed
+    targets are built once; ``start`` equal to the step count runs the head
+    alone.  The steps before ``start`` do not read the parameters of the steps
+    from ``start`` on, so the loss and those parameters' tape gradients are
+    the same floats as a full ``model.forward(images, training=True)``'s
+    under ``ce_label_smoothing(..., 0.1)``.
     """
-    from .training import ce_label_smoothing  # local import; training uses this module's peers
-
-    inputs = [images]  # inputs[k]: the input of layers[k]; inputs[-1] is the head's
-    with grad_enabled(False):
-        for layer in model.layers:
-            inputs.append(layer.forward(inputs[-1], training=True))
-
-    def loss(start):
-        x = inputs[start]
-        for layer in model.layers[start:]:
-            x = layer.forward(x, training=True)
-        return ce_label_smoothing(model.head(x, training=True), targets, 0.1)
-
-    return loss
+    q = smoothed_targets(targets, model.cfg.num_classes, 0.1, model.head_fc2_w.dtype)
+    return _suffix(model_steps(model), images, lambda x: cross_entropy(model.head(x, training=True), q))
 
 
 def check_model(seed=0, samples_per_param=2):
     """End-to-end gradients of the micro model under the training loss.
 
-    A parameter can only change the layer that owns it and the layers after
-    it, so a probe re-runs only those layers and the head, from the owning
-    layer's cached input (`suffix_loss`).  Parameters are checked in runs of
-    consecutive `named_parameters` entries that share a layer, in registry
-    order, so `rng` draws the same probes as one check over the whole model.
+    A parameter can only change the step that first reads it (its owner in
+    `model_steps`: a block half, a downsample's norm or its conv) and the
+    steps after it, so a probe re-runs only those steps and the head, from
+    the owner's cached input (`suffix_loss`).  Parameters are checked in runs
+    of consecutive `named_parameters` entries that share an owner, in
+    registry order, so `rng` draws the same probes as one check over the
+    whole model.
     """
     rng = np.random.default_rng(seed)
     model = build_model(model_config("micro", num_classes=4), seed=seed).cast_(np.float64)
     loss = suffix_loss(model, Tensor(rng.uniform(0.0, 1.0, (2, 3, 32, 32))), np.array([0, 1]))
-    head = len(model.layers)
-    owner = {id(p.tensor): k for k, layer in enumerate(model.layers) for _, p in layer.named_parameters()}
     named = [(n, p.tensor) for n, p in model.named_parameters()]
-    errors = {}
-    for start, run in groupby(named, key=lambda item: owner.get(id(item[1]), head)):
-        errors.update(check_gradients(
-            partial(loss, start), list(run), samples_per_param=samples_per_param, rng=rng,
-        ))
-    return errors
+    return _check_steps(model_steps(model), loss, named, samples_per_param, rng)
 
 
 CHECKS = {

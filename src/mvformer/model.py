@@ -168,7 +168,13 @@ class Mlp(Module):
 
 
 class Block(Module):
-    """Mixer sub-block and MLP sub-block, each normalized and residual."""
+    """Mixer sub-block and MLP sub-block, each normalized and residual.
+
+    ``forward`` is ``mlp_half(mixer_half(x))``: ``mixer_half`` is ``x +
+    mixer(norm1(x))`` and ``mlp_half`` is ``x + mlp(norm2(x))``, each branch
+    times its residual scale (if any) and its stochastic-depth mask.  The
+    gradient check runs the halves as separate steps.
+    """
 
     def __init__(self, spec, norm_kind, mlp_ratio, use_res_scale, drop_prob, rng):
         super().__init__()
@@ -183,15 +189,24 @@ class Block(Module):
             self.res_scale1 = self.param("res_scale1", np.ones((1, c, 1, 1)), decay=False)
             self.res_scale2 = self.param("res_scale2", np.ones((1, c, 1, 1)), decay=False)
 
-    def forward(self, x, training=False, rng=None):
+    def mixer_half(self, x, training=False, rng=None):
         branch = self.mixer.forward(self.norm1.forward(x, training))
-        x = residual(x, branch, self.res_scale1, drop_path(branch, self.drop_prob, training, rng))
+        return residual(x, branch, self.res_scale1, drop_path(branch, self.drop_prob, training, rng))
+
+    def mlp_half(self, x, training=False, rng=None):
         branch = self.mlp.forward(self.norm2.forward(x, training))
         return residual(x, branch, self.res_scale2, drop_path(branch, self.drop_prob, training, rng))
 
+    def forward(self, x, training=False, rng=None):
+        return self.mlp_half(self.mixer_half(x, training, rng), training, rng)
+
 
 class Downsample(Module):
-    """Strided patch embedding; stages 2-4 pre-normalize their input."""
+    """Strided patch embedding; stages 2-4 pre-normalize their input.
+
+    ``forward`` is ``norm``, if there is one, then ``conv``, the strided
+    convolution alone; the gradient check runs the two as separate steps.
+    """
 
     def __init__(self, cin, cout, kernel, stride, pad, norm_kind, rng):
         super().__init__()
@@ -201,10 +216,13 @@ class Downsample(Module):
         self.w = self.param("w", _trunc_normal(rng, (cout, cin, kernel, kernel)))
         self.b = self.param("b", np.zeros((1, cout, 1, 1)), decay=False)
 
+    def conv(self, x):
+        return conv2d(x, self.w, self.b, stride=self.stride, pad=self.pad)
+
     def forward(self, x, training=False):
         if self.norm is not None:
             x = self.norm.forward(x, training)
-        return conv2d(x, self.w, self.b, stride=self.stride, pad=self.pad)
+        return self.conv(x)
 
 
 class MVFormer(Module):

@@ -26,8 +26,19 @@ from .tensor import backward, cross_entropy
 # -- loss -----------------------------------------------------------
 
 
+def smoothed_targets(targets, classes, smoothing, dtype):
+    """The (n, `classes`, 1, 1) target rows ``(1-eps)*onehot + eps/K`` of integer labels (n,).
+
+    Unchecked: `ce_label_smoothing` validates its arguments and then calls this.
+    """
+    n = len(targets)
+    q = np.full((n, classes, 1, 1), smoothing / classes, dtype=dtype)
+    q[np.arange(n), targets, 0, 0] += 1.0 - smoothing
+    return q
+
+
 def ce_label_smoothing(logits, targets, smoothing=0.0):
-    """Mean cross-entropy against (1-eps)*onehot + eps/K targets.
+    """Mean cross-entropy against (1-eps)*onehot + eps/K targets (`smoothed_targets`).
 
     `logits` is (n, K, 1, 1); the loss is one ``tensor.cross_entropy`` node.
     """
@@ -41,9 +52,7 @@ def ce_label_smoothing(logits, targets, smoothing=0.0):
         raise ValueError(f"targets must be shape ({n},), got {targets.shape}")
     if targets.size and (targets.min() < 0 or targets.max() >= k):
         raise IndexError(f"target labels must lie in [0, {k})")
-    q = np.full((n, k, 1, 1), smoothing / k, dtype=logits.dtype)
-    q[np.arange(n), targets, 0, 0] += 1.0 - smoothing
-    return cross_entropy(logits, q)
+    return cross_entropy(logits, smoothed_targets(targets, k, smoothing, logits.dtype))
 
 
 # -- configuration ----------------------------------------------------------------

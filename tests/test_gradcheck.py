@@ -3,9 +3,19 @@
 import numpy as np
 import pytest
 
-from mvformer.gradcheck import check_block, check_gradients, relative_error, run_checks, suffix_loss
-from mvformer.model import build_model, model_config
-from mvformer.tensor import Tensor, _node, backward, square, tsum
+import mvformer.gradcheck as gradcheck
+import mvformer.model as model_mod
+from mvformer.gradcheck import (
+    check_block,
+    check_gradients,
+    model_steps,
+    relative_error,
+    run_checks,
+    suffix_loss,
+)
+from mvformer.mixer import make_stage_spec
+from mvformer.model import Block, build_model, model_config
+from mvformer.tensor import Tensor, _node, backward, grad_enabled, square, tsum
 from mvformer.training import ce_label_smoothing
 
 
@@ -86,14 +96,39 @@ class TestRunners:
         b = check_block(seed=2, samples_per_param=1)
         assert a == b
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_block_rows_equal_one_check_of_the_whole_block(self, seed):
+        """Splitting the block into two cached steps changes no probe and no float of its rows."""
+        rng = np.random.default_rng(seed)
+        blk = Block(make_stage_spec(3, 8), "mvn", mlp_ratio=2, use_res_scale=True, drop_prob=0.0, rng=rng)
+        for _, p in blk.cast_(np.float64).named_parameters():
+            p.tensor.data = rng.normal(0.0, 0.3, p.tensor.shape)
+        x = Tensor(rng.uniform(-1.0, 1.0, (2, 8, 5, 5)), requires_grad=True)
+        named = [("x", x)] + [(n, p.tensor) for n, p in blk.named_parameters()]
+        whole = check_gradients(lambda: tsum(square(blk.forward(x, training=True))), named, rng=rng)
+        split = check_block(seed=seed)
+        assert list(split) == list(whole)
+        assert [v.hex() for v in split.values()] == [v.hex() for v in whole.values()]
+
+
+def micro_model(seed, res_scale_stages=model_mod.RES_SCALE_STAGES):
+    """A float64 micro model (4 classes), its res-scaled stages as given."""
+    saved = model_mod.RES_SCALE_STAGES
+    model_mod.RES_SCALE_STAGES = res_scale_stages
+    try:
+        model = build_model(model_config("micro", num_classes=4), seed=seed)
+    finally:
+        model_mod.RES_SCALE_STAGES = saved
+    return model.cast_(np.float64)
+
 
 class TestSuffixLoss:
-    """Re-running the micro model from a layer's cached input changes no float."""
+    """Re-running the micro model from a step's cached input changes no float."""
 
     @pytest.fixture(scope="class")
     def micro(self):
         rng = np.random.default_rng(11)
-        model = build_model(model_config("micro", num_classes=4), seed=11).cast_(np.float64)
+        model = micro_model(11)
         x = Tensor(rng.uniform(0.0, 1.0, (2, 3, 32, 32)))
         targets = np.array([0, 1])
         loss = suffix_loss(model, x, targets)
@@ -103,18 +138,72 @@ class TestSuffixLoss:
         assert all(g is not None for g in grads.values())
         return model, loss, full, grads
 
-    def test_loss_equals_full_forward_from_every_layer(self, micro):
+    def test_loss_equals_full_forward_from_every_step(self, micro):
         model, loss, full, _ = micro
-        for start in range(len(model.layers) + 1):
+        for start in range(len(model_steps(model)) + 1):
             assert np.array_equal(loss(start).data, full.data), start
 
-    def test_layer_gradients_equal_full_tape(self, micro):
+    def test_step_gradients_equal_full_tape(self, micro):
         model, loss, _, grads = micro
-        in_layers = {id(p.tensor) for layer in model.layers for _, p in layer.named_parameters()}
-        head = [p for _, p in model.named_parameters() if id(p.tensor) not in in_layers]
-        for start, layer in enumerate(model.layers + [None]):
-            params = head if layer is None else [p for _, p in layer.named_parameters()]
+        steps = model_steps(model)
+        in_steps = {id(t) for _, params in steps for t in params}
+        head = [p.tensor for _, p in model.named_parameters() if id(p.tensor) not in in_steps]
+        assert head
+        for start, params in enumerate([params for _, params in steps] + [head]):
             model.zero_grad()
             backward(loss(start))
-            for p in params:
-                assert np.array_equal(p.tensor.grad, grads[id(p.tensor)]), start
+            for t in params:
+                assert np.array_equal(t.grad, grads[id(t)]), start
+
+    def test_targets_built_once(self, monkeypatch):
+        built = []
+        real = gradcheck.smoothed_targets
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(gradcheck, "smoothed_targets", counted)
+        model = micro_model(12)
+        loss = suffix_loss(model, Tensor(np.random.default_rng(12).uniform(0.0, 1.0, (2, 3, 32, 32))), [0, 1])
+        with grad_enabled(False):
+            values = [loss(start).item() for start in (0, 3, 0, len(model_steps(model)))]
+        assert len(built) == 1
+        assert values[0] == values[2]
+
+
+@pytest.mark.parametrize("res_scale_stages", [model_mod.RES_SCALE_STAGES, ()], ids=["res_scaled", "plain"])
+class TestStepOwnership:
+    """Each parameter is owned by the first step that reads it, and by no other."""
+
+    def test_every_parameter_in_exactly_one_step_or_the_head(self, res_scale_stages):
+        model = micro_model(13, res_scale_stages)
+        steps = model_steps(model)
+        owned = [id(t) for _, params in steps for t in params]
+        assert len(owned) == len(set(owned))
+        head = {id(p.tensor) for n, p in model.named_parameters() if n.startswith("head_")}
+        assert set(owned) | head == {id(p.tensor) for _, p in model.named_parameters()}
+        assert not set(owned) & head
+        has_scales = any("res_scale" in n for n, _ in model.named_parameters())
+        assert has_scales == bool(res_scale_stages)
+
+    def test_a_nan_parameter_first_shows_in_its_owner(self, res_scale_stages):
+        model = micro_model(14, res_scale_stages)
+        steps = model_steps(model)
+        x = Tensor(np.random.default_rng(14).uniform(0.0, 1.0, (2, 3, 32, 32)))
+        owner = {id(t): k for k, (_, params) in enumerate(steps) for t in params}
+        for name, p in model.named_parameters():
+            t = p.tensor
+            saved = t.data
+            t.data = np.full_like(saved, np.nan)
+            stop = owner.get(id(t), len(steps))
+            try:
+                with grad_enabled(False):
+                    y = x  # the input of steps[k]: finite up to the owner's
+                    for k, (step, _) in enumerate(steps[:stop]):
+                        y = step(y)
+                        assert np.isfinite(y.data).all(), (name, k)
+                    out = steps[stop][0](y) if stop < len(steps) else model.head(y, training=True)
+                assert not np.isfinite(out.data).all(), name
+            finally:
+                t.data = saved

@@ -150,6 +150,13 @@ class TestBlock:
         want = add(mul(branch2, blk.res_scale2), mid).data
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("res_scale", [True, False])
+    def test_forward_is_the_two_halves_in_turn(self, res_scale):
+        blk = self._block(seed=6, res_scale=res_scale)
+        x = Tensor(np.random.default_rng(7).normal(size=(2, 8, 4, 4)).astype(np.float32))
+        halves = blk.mlp_half(blk.mixer_half(x, training=True), training=True)
+        assert np.array_equal(blk.forward(x, training=True).data, halves.data)
+
     def test_res_scale_absent_when_disabled(self):
         blk = self._block(res_scale=False)
         assert blk.res_scale1 is None and blk.res_scale2 is None
@@ -217,6 +224,13 @@ class TestPatchEmbeds:
         x = Tensor(np.full((1, 3, 32, 32), 2.0, dtype=np.float32))
         out = embed.forward(x).data
         assert np.allclose(out[:, :, 1:-1, 1:-1], 2.0 * 3 * 49)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_forward_is_norm_then_conv(self, training):
+        embed = build_model(micro(), seed=0).embeds[1]
+        x = Tensor(np.random.default_rng(1).normal(size=(2, 8, 8, 8)).astype(np.float32))
+        got = embed.forward(x, training)
+        assert np.array_equal(got.data, embed.conv(embed.norm.forward(x, training)).data)
 
     def test_too_small_input_raises(self):
         model = build_model(micro(), seed=0)

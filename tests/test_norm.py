@@ -169,6 +169,15 @@ class TestBatchNorm:
         assert layer.run_mean is run_mean and layer.run_var is run_var
         assert run_mean.any() and not np.array_equal(run_var, np.ones(2))
 
+    @pytest.mark.parametrize("kind", ["bn", "mvn"])
+    def test_float64_cast_keeps_the_buffers_updating(self, kind):
+        layer = make_norm(kind, 2).cast_(np.float64)
+        layer.forward(Tensor(np.arange(16, dtype=np.float64).reshape(2, 2, 2, 2)), training=True)
+        buffers = dict(layer.named_buffers())
+        assert all(buf.dtype == np.float64 for buf in buffers.values())
+        assert buffers["run_mean"] is layer.run_mean and buffers["run_var"] is layer.run_var
+        assert buffers["run_mean"].any() and not np.array_equal(buffers["run_var"], np.ones(2))
+
     def test_inference_uses_running_stats(self):
         st_ = bn_state(1)
         st_.run_mean[:] = 2.0

@@ -15,7 +15,7 @@ from mvformer.data import SyntheticDataset, SyntheticSpec
 from mvformer.mixer import ABLATION_MODES, ConfigError
 from mvformer.model import NORM_KINDS, PRESETS, ModelConfig, build_model, model_config
 from mvformer.optim import NumericsError
-from mvformer.tensor import Tensor, backward
+from mvformer.tensor import Tensor, backward, cross_entropy
 from mvformer.training import (
     TrainConfig,
     ce_label_smoothing,
@@ -29,6 +29,7 @@ from mvformer.training import (
     resolve_data_spec,
     resolve_model_config,
     run_training,
+    smoothed_targets,
     train_loop,
 )
 
@@ -85,6 +86,22 @@ class TestCrossEntropy:
         backward(loss)
         backward(want)
         assert logits.grad.dtype == dtype and logits.grad.tobytes() == ref.grad.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loss_is_cross_entropy_on_smoothed_targets(self, n, dtype):
+        rng = np.random.default_rng(n)
+        data = rng.normal(size=(n, 5, 1, 1)).astype(dtype)
+        targets = rng.integers(0, 5, n)
+        q = smoothed_targets(targets, 5, 0.1, dtype)
+        assert q.shape == (n, 5, 1, 1) and q.dtype == dtype
+        np.testing.assert_allclose(q.sum(axis=1), 1.0, rtol=1e-6)
+        logits, ref = Tensor(data, requires_grad=True), Tensor(data.copy(), requires_grad=True)
+        loss, want = ce_label_smoothing(logits, targets, 0.1), cross_entropy(ref, q)
+        assert loss.data.tobytes() == want.data.tobytes()
+        backward(loss)
+        backward(want)
+        assert logits.grad.tobytes() == ref.grad.tobytes()
 
     def test_bad_targets_rejected(self):
         logits = Tensor(np.zeros((2, 3, 1, 1)))
