@@ -7,6 +7,9 @@ Prints one digest per line:
 - ``micro_metrics.csv``, ``micro_last.ckpt``, ``micro_best.ckpt``: the
   artifacts of a 2-epoch training run of ``configs/micro.cfg`` (one
   warmup epoch);
+- ``micro_eval``: what ``mvformer eval`` prints for that run's
+  ``best.ckpt``, which rebuilds the model and data from the checkpoint's
+  metadata;
 - ``gradcheck_rows``: the ``(group, parameter, error)`` rows that
   ``mvformer gradcheck --module all`` prints, at full float precision.
 
@@ -21,13 +24,16 @@ Takes a few seconds.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from mvformer.cli import main as cli_main
 from mvformer.gradcheck import run_checks
 from mvformer.model import build_model, model_config
 from mvformer.tensor import Tensor
@@ -54,6 +60,12 @@ def micro_run():
         run_training(cfg, out)
         for name in ("metrics.csv", "last.ckpt", "best.ckpt"):
             yield f"micro_{name}", sha256(Path(out, name).read_bytes())
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli_main(["eval", "--checkpoint", str(Path(out, "best.ckpt"))])
+        if code != 0:
+            raise SystemExit(f"mvformer eval exited {code}")
+        yield "micro_eval", sha256(stdout.getvalue().encode())
 
 
 def gradcheck_rows():

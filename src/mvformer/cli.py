@@ -21,7 +21,7 @@ from .checkpoint import load_checkpoint, read_meta
 from .data import SyntheticDataset
 from .gradcheck import DEFAULT_TOLERANCE, run_checks
 from .imageio import read_ppm, write_ppm
-from .mixer import ABLATION_MODES
+from .mixer import ABLATION_MODES, ConfigError
 from .model import PRESETS, build_model, model_config
 from .optim import NumericsError
 from .training import (
@@ -75,7 +75,13 @@ def _cmd_eval(args):
     model = build_model(model_from_meta(meta), seed=0)
     load_checkpoint(args.checkpoint, model)
     overrides = parse_data_overrides(args.data) if args.data else None
-    dataset = SyntheticDataset(data_from_meta(meta, overrides))
+    spec = data_from_meta(meta, overrides)
+    if spec.classes != model.cfg.num_classes:  # a head of num_classes scores labels in [0, classes)
+        raise ConfigError(
+            f"data classes ({spec.classes}) must match the checkpoint's model.num_classes "
+            f"({model.cfg.num_classes})"
+        )
+    dataset = SyntheticDataset(spec)
     acc = evaluate(model, dataset, dataset.val_indices, args.batch_size)
     print(f"val_acc: {acc:.8g}")
     return 0

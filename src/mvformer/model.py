@@ -83,8 +83,8 @@ class ModelConfig:
     mlp_ratio: int = 4
     num_classes: int = 1000
     input_channels: ClassVar[int] = CHANNELS
-    drop_path_rate: float = 0.0
     block_norm: str = "mvn"
+    drop_path_rate: float = 0.0
     ablation: str | None = None
 
     def __post_init__(self):

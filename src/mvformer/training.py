@@ -9,8 +9,10 @@ documented full-scale profile.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +58,6 @@ def ce_label_smoothing(logits, targets, smoothing=0.0):
 
 
 # -- configuration ----------------------------------------------------------------
-
-
-def _int_tuple(text):
-    return tuple(int(v) for v in text.split(","))
 
 
 @dataclass(frozen=True)
@@ -131,31 +129,44 @@ class TrainConfig:
         resolve_data_spec(self)
 
 
-_SCHEMA = {
-    "model": {
-        "preset": str,
-        "norm": str,
-        "drop_path_rate": float,
-        "embed_dims": _int_tuple,
-        "depths": _int_tuple,
-    },
-    "train": {
-        "epochs": int,
-        "batch_size": int,
-        "base_lr": float,
-        "warmup_epochs": int,
-        "weight_decay": float,
-        "label_smoothing": float,
-        "seed": int,
-    },
-    "data": {
-        "classes": int,
-        "image_size": int,
-        "train_size": int,
-        "val_size": int,
-        "noise": float,
-    },
+# Each config-file section and the TrainConfig fields it sets; every field is in exactly one.
+_SECTIONS = {
+    "model": ("preset", "norm", "drop_path_rate", "embed_dims", "depths"),
+    "train": ("epochs", "batch_size", "base_lr", "warmup_epochs", "weight_decay", "label_smoothing", "seed"),
+    "data": ("classes", "image_size", "train_size", "val_size", "noise"),
 }
+
+
+def _int_tuple(text):
+    return tuple(int(v) for v in text.split(","))
+
+
+def _parser(annotation):
+    """The text parser of a field's type: ``X | None`` parses as X, a tuple as comma-separated ints."""
+    if typing.get_origin(annotation) is tuple:
+        return _int_tuple
+    kinds = [kind for kind in typing.get_args(annotation) if kind is not type(None)]
+    return _parser(kinds[0]) if kinds else annotation  # int, float and str parse as themselves
+
+
+def _parsers(cls):
+    """{field: text parser} of a config dataclass, in field order."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: _parser(hints[f.name]) for f in dataclasses.fields(cls)}
+
+
+def _format(value):
+    """A metadata value as text; `_parsers` reads it back."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+_CONFIG_PARSERS = _parsers(TrainConfig)
+# data.<field> for every SyntheticSpec field; all are TrainConfig fields too (its seed is [train] seed)
+_DATA_PARSERS = _parsers(SyntheticSpec)
+_MODEL_PARSERS = _parsers(ModelConfig)
+# model.<field> for every ModelConfig field, but block_norm is written model.norm;
+# every key is required but model.ablation, which is written only when set
+_MODEL_KEYS = {**{field: f"model.{field}" for field in _MODEL_PARSERS}, "block_norm": "model.norm"}
 
 
 def parse_config_text(text):
@@ -168,7 +179,7 @@ def parse_config_text(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in _SECTIONS:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if section is None:
@@ -177,64 +188,43 @@ def parse_config_text(text):
         if not eq:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, value = key.strip(), value.strip()
-        if key not in _SCHEMA[section]:
+        if key not in _SECTIONS[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
         try:
-            values[key] = _SCHEMA[section][key](value)
+            values[key] = _CONFIG_PARSERS[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
     return TrainConfig(**values)
 
 
 def parse_config(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_config_text(f.read())
-
-
-# Every config key's parser, whatever its section (the data spec's seed is [train] seed).
-_PARSERS = {key: parse for section in _SCHEMA.values() for key, parse in section.items()}
-
-# Every SyntheticSpec field, in metadata order; all are TrainConfig fields too.
-_DATA_KEYS = ("classes", "image_size", "noise", "seed", "train_size", "val_size")
-
-# (metadata key, ModelConfig field, parser), in metadata order.  Every key is
-# required but model.ablation, which is written only when set.
-_MODEL_META = (
-    ("model.embed_dims", "embed_dims", _int_tuple),
-    ("model.depths", "depths", _int_tuple),
-    ("model.mlp_ratio", "mlp_ratio", int),
-    ("model.num_classes", "num_classes", int),
-    ("model.norm", "block_norm", str),
-    ("model.drop_path_rate", "drop_path_rate", float),
-    ("model.ablation", "ablation", str),
-)
+    """Parse a UTF-8 config file (a leading byte-order mark is skipped)."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {os.fspath(path)!r} is not UTF-8 text: {exc}") from exc
+    return parse_config_text(text)
 
 
 def resolve_model_config(cfg):
-    overrides = {
-        name: getattr(cfg, name)
-        for name in ("drop_path_rate", "embed_dims", "depths")
-        if getattr(cfg, name) is not None
-    }
+    names = [name for name in _SECTIONS["model"] if name in _MODEL_PARSERS]  # the preset's overrides
+    overrides = {name: getattr(cfg, name) for name in names if getattr(cfg, name) is not None}
     return model_config(cfg.preset, num_classes=cfg.classes, block_norm=cfg.norm, **overrides)
 
 
 def resolve_data_spec(cfg):
-    return SyntheticSpec(**{key: getattr(cfg, key) for key in _DATA_KEYS})
+    return SyntheticSpec(**{key: getattr(cfg, key) for key in _DATA_PARSERS})
 
 
 # -- checkpoint metadata ----------------------------------------------------------
 
 
 def model_meta(mc):
-    meta = {}
-    for key, field, parse in _MODEL_META:
-        value = getattr(mc, field)
-        if value is not None:
-            meta[key] = ",".join(map(str, value)) if parse is _int_tuple else str(value)
-    return meta
+    values = {key: getattr(mc, field) for field, key in _MODEL_KEYS.items()}
+    return {key: _format(value) for key, value in values.items() if value is not None}
 
 
 def _parse_meta(meta, key, parse):
@@ -247,22 +237,23 @@ def _parse_meta(meta, key, parse):
 def model_from_meta(meta):
     """ModelConfig from checkpoint metadata; a missing or unparsable key raises CheckpointFormatError."""
     fields = {}
-    for key, field, parse in _MODEL_META:
+    for field, key in _MODEL_KEYS.items():
         if key in meta:
-            fields[field] = _parse_meta(meta, key, parse)
+            fields[field] = _parse_meta(meta, key, _MODEL_PARSERS[field])
         elif key != "model.ablation":
             raise CheckpointFormatError(f"checkpoint meta lacks {key!r}")
     return ModelConfig(**fields)
 
 
 def data_meta(spec):
-    return {f"data.{key}": str(getattr(spec, key)) for key in _DATA_KEYS}
+    return {f"data.{key}": _format(getattr(spec, key)) for key in _DATA_PARSERS}
 
 
 def data_from_meta(meta, overrides=None):
     """SyntheticSpec from metadata; a missing key takes the spec's default, an unparsable one
     raises CheckpointFormatError."""
-    fields = {key: _parse_meta(meta, f"data.{key}", _PARSERS[key]) for key in _DATA_KEYS if f"data.{key}" in meta}
+    fields = {key: _parse_meta(meta, f"data.{key}", parse) for key, parse in _DATA_PARSERS.items()
+              if f"data.{key}" in meta}
     return SyntheticSpec(**{**fields, **(overrides or {})})
 
 
@@ -272,10 +263,10 @@ def parse_data_overrides(text):
     for item in filter(None, (part.strip() for part in text.split(","))):
         key, eq, value = item.partition("=")
         key, value = key.strip(), value.strip()
-        if not eq or key not in _DATA_KEYS:
-            raise ConfigError(f"bad data spec item {item!r}; keys: {list(_DATA_KEYS)}")
+        if not eq or key not in _DATA_PARSERS:
+            raise ConfigError(f"bad data spec item {item!r}; keys: {list(_DATA_PARSERS)}")
         try:
-            out[key] = _PARSERS[key](value)
+            out[key] = _DATA_PARSERS[key](value)
         except ValueError as exc:
             raise ConfigError(f"bad value for --data key {key!r}: {value!r}") from exc
     return out

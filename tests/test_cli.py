@@ -124,6 +124,15 @@ class TestTrainEval:
     def test_train_missing_config_is_input_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
 
+    def test_train_undecodable_config_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"[train]\nepochs = 1 # \xe9t\xe9\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"config file {str(cfg)!r} is not UTF-8 text" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_train_instance_norm_on_1x1_map_writes_nothing(self, tmp_path, capsys):
         cfg = tmp_path / "in.cfg"
         cfg.write_text("[model]\nnorm = in\n[train]\nepochs = 1\nwarmup_epochs = 0\n")
@@ -206,6 +215,13 @@ class TestTrainEval:
         captured = capsys.readouterr()
         assert message in captured.err
         assert "val_acc" not in captured.out
+
+    def test_eval_class_count_override_must_match_the_head(self, trained_run, capsys):
+        rc = main(["eval", "--checkpoint", str(trained_run / "last.ckpt"), "--data", "classes=9"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "data classes (9) must match the checkpoint's model.num_classes (4)" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("batch_size", ["-1", "0"])
     def test_eval_nonpositive_batch_size_is_input_error(self, trained_run, capsys, batch_size):
@@ -389,6 +405,16 @@ class TestUsage:
         assert main([command, "--checkpoint", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"{key} must be >= 1, got {value}" in captured.err
+
+    def test_checkpoint_meta_class_counts_must_agree(self, tmp_path, capsys):
+        mc = model_config("micro", num_classes=4)
+        meta = {**model_meta(mc), **data_meta(SyntheticSpec(classes=3))}
+        path = tmp_path / "meta.ckpt"
+        save_checkpoint(path, build_model(mc, seed=0), meta=meta)
+        assert main(["eval", "--checkpoint", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "data classes (3) must match the checkpoint's model.num_classes (4)" in captured.err
 
     @pytest.mark.parametrize(
         "module,name",

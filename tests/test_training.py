@@ -24,6 +24,7 @@ from mvformer.training import (
     evaluate,
     model_from_meta,
     model_meta,
+    parse_config,
     parse_config_text,
     parse_data_overrides,
     resolve_data_spec,
@@ -209,6 +210,33 @@ image_size = 32
         with pytest.raises(ConfigError, match="train_size"):
             TrainConfig(norm="ln", train_size=0)
 
+    def test_every_key_round_trips(self):
+        # a field in no section could never be set from a file
+        sections = [key for keys in training._SECTIONS.values() for key in keys]
+        assert sorted(sections) == sorted(f.name for f in dataclasses.fields(TrainConfig))
+        cfg = TrainConfig(
+            preset="xT", norm="ln", drop_path_rate=0.15, embed_dims=(4, 8, 16, 32), depths=(1, 2, 1, 3),
+            epochs=3, batch_size=8, base_lr=2.5e-4, warmup_epochs=1, weight_decay=0.01,
+            label_smoothing=0.2, seed=5, classes=3, image_size=40, train_size=20, val_size=10, noise=0.125,
+        )
+        assert all(getattr(cfg, f.name) != f.default for f in dataclasses.fields(TrainConfig))
+        text = "".join(
+            f"[{section}]\n" + "".join(f"{key} = {training._format(getattr(cfg, key))}\n" for key in keys)
+            for section, keys in training._SECTIONS.items()
+        )
+        assert parse_config_text(text) == cfg
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + self.GOOD.encode())
+        assert parse_config(path) == parse_config_text(self.GOOD)
+
+    def test_undecodable_file_names_the_path(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"[train]\n# \xff\n")
+        with pytest.raises(ConfigError, match=re.escape(f"config file {str(path)!r} is not UTF-8 text")):
+            parse_config(path)
+
     def test_dims_override(self):
         cfg = parse_config_text("[model]\npreset = micro\nembed_dims = 4,8,16,32\ndepths = 1,1,1,1\n")
         mc = resolve_model_config(cfg)
@@ -263,11 +291,12 @@ class TestRunMetadata:
 
     def test_every_model_field_is_recorded(self):
         # a field without a metadata key cannot be rebuilt by eval or dump-alphas
-        recorded = {field for _, field, _ in training._MODEL_META}
-        assert recorded == {f.name for f in dataclasses.fields(ModelConfig)}
+        meta = model_meta(model_config("micro", ablation="drop-global"))
+        assert len(meta) == len(dataclasses.fields(ModelConfig))
+        assert all(key.startswith("model.") for key in meta)
 
     def test_every_data_field_is_recorded(self):
-        assert set(training._DATA_KEYS) == {f.name for f in dataclasses.fields(SyntheticSpec)}
+        assert list(data_meta(SyntheticSpec())) == [f"data.{f.name}" for f in dataclasses.fields(SyntheticSpec)]
 
     def test_missing_required_model_key_is_key_error(self):
         meta = model_meta(model_config("micro"))
