@@ -35,8 +35,6 @@ from mvformer.model import Block, build_model, model_config
 from mvformer.tensor import Tensor, _node, backward, conv2d, grad_enabled
 from norm_cost import median_us
 
-KERNELS = ("_pointwise", "_depthwise_unrolled", "_depthwise_banded", "_general")
-
 
 def record(run):
     """The distinct conv2d calls `run()` makes, with their counts, in first-call order.
@@ -98,18 +96,8 @@ WORKLOADS = {"micro": micro, "gradcheck": gradcheck_calls, "xT": xt}
 
 def kernel_of(key):
     """The kernel ``conv2d`` routes the call `key` to."""
-    xs, _, ws, _, stride, pad, groups, dtype = key
-    used = []
-    real = {name: getattr(tensor, name) for name in KERNELS}
-    try:
-        for name, fn in real.items():
-            setattr(tensor, name, lambda *a, _n=name, _f=fn: used.append(_n) or _f(*a))
-        with grad_enabled(False):
-            conv2d(Tensor(np.zeros(xs, dtype)), Tensor(np.zeros(ws, dtype)), stride=stride, pad=pad, groups=groups)
-    finally:
-        for name, fn in real.items():
-            setattr(tensor, name, fn)
-    return used[0]
+    xs, _, ws, _, stride, pad, groups, _ = key
+    return tensor._conv_plan(xs, ws, None, stride, pad, groups)[0]
 
 
 def calls_of(key):

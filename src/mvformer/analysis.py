@@ -73,21 +73,11 @@ def _norm_params(kind, channels):
 
 def _mixer_costs(spec, hw):
     c, e = spec.channels, spec.expanded
-    params = e * c + e + 2  # pw1 + StarReLU scalars
-    macs = e * c * hw
-    if spec.dim_local:
-        params += spec.dim_local * 9 + spec.dim_local
-        macs += spec.dim_local * 9 * hw
-    if spec.dim_inter:
-        params += spec.dim_inter * 49 + spec.dim_inter
-        macs += spec.dim_inter * 49 * hw
-    if spec.dim_global:
-        k = spec.global_kernel
-        taps = 2 * k if spec.decomposed else k * k
-        params += spec.dim_global * taps + spec.dim_global
-        macs += spec.dim_global * taps * hw
-    params += c * e + c  # pw2
-    macs += c * e * hw
+    groups = spec.depthwise_groups
+    taps = sum(channels * kh * kw for _, channels, kernels in groups for _, (kh, kw) in kernels)
+    biases = sum(channels for _, channels, _ in groups)
+    params = e * c + e + 2 + taps + biases + c * e + c  # pw1, StarReLU scalars, depthwise, pw2
+    macs = (e * c + taps + c * e) * hw
     return params, macs
 
 

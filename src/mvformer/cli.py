@@ -19,7 +19,7 @@ import numpy as np
 from .analysis import cost_report, display_u8, dump_alpha_profile, normalize_image_grid
 from .checkpoint import load_checkpoint, read_meta
 from .data import SyntheticDataset
-from .gradcheck import DEFAULT_TOLERANCE, run_checks
+from .gradcheck import CHECKS, DEFAULT_TOLERANCE, run_checks
 from .imageio import read_ppm, write_ppm
 from .mixer import ABLATION_MODES, ConfigError
 from .model import PRESETS, build_model, model_config
@@ -193,7 +193,7 @@ def build_parser():
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--module", default="all", choices=["all", "mvn", "mvtm", "block", "model"])
+    p.add_argument("--module", default="all", choices=["all", *CHECKS])
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gradcheck)
 

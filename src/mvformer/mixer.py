@@ -12,8 +12,9 @@ the last stage).  Channel shares per stage:
     stage 3   25 : 50 : 25
     stage 4    0 : 50 : 50
 
-Empty groups own no kernels at all, so parameter and MAC counters see
-exactly the filters that run.
+``StageSpec.depthwise_groups`` is this table, the one the layer builds and
+runs and ``cost_report`` counts.  Empty groups own no kernels at all, so
+parameter and MAC counters see exactly the filters that run.
 """
 
 from __future__ import annotations
@@ -64,8 +65,7 @@ class StageSpec:
 
     Dims are measured on the expanded width 2C (`expanded`); they always
     sum to it.  `decomposed` selects the k x 1 / 1 x k factorized global
-    filter; otherwise the global kernel is a square k x k.  Either way it
-    pads k // 2, so the map keeps its size.
+    filter; otherwise the global kernel is a square k x k.
     """
 
     stage: int
@@ -79,6 +79,22 @@ class StageSpec:
     @property
     def expanded(self):
         return 2 * self.channels
+
+    @property
+    def depthwise_groups(self):
+        """The non-empty depthwise groups in channel order, as ``(name, channels, kernels)``.
+
+        `kernels` lists ``(weight name, (kh, kw))`` for each conv the group runs in turn.  Each
+        pads ``(kh // 2, kw // 2)``, keeping the map's size; the bias ``<name>_b`` rides on the last.
+        """
+        k = self.global_kernel
+        glob = (("global_wh", (k, 1)), ("global_wv", (1, k))) if self.decomposed else (("global_w", (k, k)),)
+        groups = (
+            ("local", self.dim_local, (("local_w", (3, 3)),)),
+            ("inter", self.dim_inter, (("inter_w", (7, 7)),)),
+            ("global", self.dim_global, glob),
+        )
+        return tuple(group for group in groups if group[1])
 
     def __post_init__(self):
         if self.dim_local + self.dim_inter + self.dim_global != self.expanded:
@@ -138,25 +154,6 @@ def ablate_spec(spec, mode):
     )
 
 
-def decomposed_depthwise_conv(x, w_h, w_v, bias=None):
-    """Depthwise (k x 1) then (1 x k) convolution, shape-preserving.
-
-    Equivalent to a full k x k depthwise convolution whose kernel is the
-    outer product of the two vectors; bias (if any) rides on the second
-    half so the pair adds a single constant offset per channel.
-    """
-    k = w_h.shape[2]
-    if w_h.shape[3] != 1 or w_v.shape[2] != 1 or w_v.shape[3] != k:
-        raise ConfigError(
-            f"decomposed kernels must be (k,1) then (1,k); got {w_h.shape[2:]} and {w_v.shape[2:]}"
-        )
-    if k % 2 == 0:
-        raise ConfigError(f"decomposed global kernel must be odd, got {k}")
-    groups = x.shape[1]
-    out = conv2d(x, w_h, None, stride=1, pad=(k // 2, 0), groups=groups)
-    return conv2d(out, w_v, bias, stride=1, pad=(0, k // 2), groups=groups)
-
-
 _INIT_CHUNK = 1 << 16  # float64 normals drawn at a time by _trunc_normal
 
 
@@ -193,40 +190,26 @@ class TokenMixer(Module):
         self.pw1_w = self.param("pw1_w", _trunc_normal(rng, (e, c, 1, 1)))
         self.pw1_b = self.param("pw1_b", np.zeros((1, e, 1, 1)), decay=False)
         self.act = self.child("act", StarReLU())
-        if spec.dim_local:
-            self.local_w = self.param("local_w", _trunc_normal(rng, (spec.dim_local, 1, 3, 3)))
-            self.local_b = self.param("local_b", np.zeros((1, spec.dim_local, 1, 1)), decay=False)
-        if spec.dim_inter:
-            self.inter_w = self.param("inter_w", _trunc_normal(rng, (spec.dim_inter, 1, 7, 7)))
-            self.inter_b = self.param("inter_b", np.zeros((1, spec.dim_inter, 1, 1)), decay=False)
-        if spec.dim_global:
-            k = spec.global_kernel
-            if spec.decomposed:
-                self.global_wh = self.param("global_wh", _trunc_normal(rng, (spec.dim_global, 1, k, 1)))
-                self.global_wv = self.param("global_wv", _trunc_normal(rng, (spec.dim_global, 1, 1, k)))
-            else:
-                self.global_w = self.param("global_w", _trunc_normal(rng, (spec.dim_global, 1, k, k)))
-            self.global_b = self.param("global_b", np.zeros((1, spec.dim_global, 1, 1)), decay=False)
+        # per non-empty group: (channels, [(weight, pad)] in run order, bias of the last conv)
+        self.groups = []
+        for name, channels, kernels in spec.depthwise_groups:
+            convs = [(self.param(w_name, _trunc_normal(rng, (channels, 1, kh, kw))), (kh // 2, kw // 2))
+                     for w_name, (kh, kw) in kernels]
+            bias = self.param(f"{name}_b", np.zeros((1, channels, 1, 1)), decay=False)
+            self.groups.append((channels, convs, bias))
+        self.group_sizes = tuple(channels for channels, _, _ in self.groups)
         self.pw2_w = self.param("pw2_w", _trunc_normal(rng, (c, e, 1, 1)))
         self.pw2_b = self.param("pw2_b", np.zeros((1, c, 1, 1)), decay=False)
 
     def forward(self, x):
-        spec = self.spec
-        if x.shape[1] != spec.channels:
-            raise ConfigError(f"mixer built for {spec.channels} channels, input has {x.shape[1]}")
-        y = conv2d(x, self.pw1_w, self.pw1_b)
-        y = self.act.forward(y)
-        x_l, x_i, x_g = channel_split(y, (spec.dim_local, spec.dim_inter, spec.dim_global))
+        if x.shape[1] != self.spec.channels:
+            raise ConfigError(f"mixer built for {self.spec.channels} channels, input has {x.shape[1]}")
+        y = self.act.forward(conv2d(x, self.pw1_w, self.pw1_b))
         mixed = []
-        if spec.dim_local:
-            mixed.append(conv2d(x_l, self.local_w, self.local_b, pad=1, groups=spec.dim_local))
-        if spec.dim_inter:
-            mixed.append(conv2d(x_i, self.inter_w, self.inter_b, pad=3, groups=spec.dim_inter))
-        if spec.dim_global:
-            if spec.decomposed:
-                mixed.append(decomposed_depthwise_conv(x_g, self.global_wh, self.global_wv, self.global_b))
-            else:
-                k = spec.global_kernel
-                mixed.append(conv2d(x_g, self.global_w, self.global_b, pad=k // 2, groups=spec.dim_global))
+        for part, (channels, convs, bias) in zip(channel_split(y, self.group_sizes), self.groups):
+            for w, pad in convs[:-1]:
+                part = conv2d(part, w, None, pad=pad, groups=channels)
+            w, pad = convs[-1]
+            mixed.append(conv2d(part, w, bias, pad=pad, groups=channels))
         y = channel_concat(mixed) if len(mixed) > 1 else mixed[0]
         return conv2d(y, self.pw2_w, self.pw2_b)

@@ -265,6 +265,8 @@ def parse_data_overrides(text):
         key, value = key.strip(), value.strip()
         if not eq or key not in _DATA_PARSERS:
             raise ConfigError(f"bad data spec item {item!r}; keys: {list(_DATA_PARSERS)}")
+        if key in out:
+            raise ConfigError(f"duplicate --data key {key!r}")
         try:
             out[key] = _DATA_PARSERS[key](value)
         except ValueError as exc:

@@ -38,9 +38,10 @@ class TestCounts:
         assert cost_report(model_config("xT")).total_params == 17_000_658
 
     def test_registry_cross_check_micro(self):
-        cfg = model_config("micro", num_classes=4)
-        model = build_model(cfg, seed=0)
-        assert cost_report(cfg).total_params == model.num_params()
+        for ablation in (None, *mixer_mod.ABLATION_MODES):
+            cfg = model_config("micro", num_classes=4, ablation=ablation)
+            model = build_model(cfg, seed=0)
+            assert cost_report(cfg).total_params == model.num_params(), ablation
 
     def test_registry_cross_check_xt(self):
         cfg = model_config("xT")
@@ -55,8 +56,9 @@ class TestCounts:
         assert rep.total_macs > 0  # formula exercised below against execution
 
     def test_macs_match_instrumented_forward(self, monkeypatch):
-        """Count MACs from the convolutions actually executed, at micro 32x32 and xT 224x224,
-        through the ``conv2d`` name each caller imports: no convolution runs past it."""
+        """Count MACs from the convolutions actually executed, at micro 32x32 (unablated and
+        under each ablation) and xT 224x224, through the ``conv2d`` name each caller imports:
+        no convolution runs past it."""
         counted = [0]
         real_conv = mixer_mod.conv2d
 
@@ -69,13 +71,14 @@ class TestCounts:
 
         monkeypatch.setattr(mixer_mod, "conv2d", counting_conv)
         monkeypatch.setattr(model_mod, "conv2d", counting_conv)
-        for preset, hw in (("micro", 32), ("xT", 224)):
-            cfg = model_config(preset, num_classes=4)
+        runs = [("micro", 32, None), ("xT", 224, None)] + [("micro", 32, m) for m in mixer_mod.ABLATION_MODES]
+        for preset, hw, ablation in runs:
+            cfg = model_config(preset, num_classes=4, ablation=ablation)
             model = build_model(cfg, seed=0)
             counted[0] = 0
             x = Tensor(np.random.default_rng(0).uniform(0, 1, (1, 3, hw, hw)).astype(np.float32))
             model.forward(x, training=False)
-            assert counted[0] == cost_report(cfg, hw).total_macs, preset
+            assert counted[0] == cost_report(cfg, hw).total_macs, (preset, ablation)
 
     def test_block_macs_scale_quadratically_with_resolution(self):
         cfg = model_config("xT")

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, artifact files, and the exit-code contract."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -10,8 +11,9 @@ import pytest
 
 import mvformer.mixer as mixer_mod
 from mvformer.checkpoint import save_checkpoint
-from mvformer.cli import main
+from mvformer.cli import build_parser, main
 from mvformer.data import SyntheticSpec
+from mvformer.gradcheck import CHECKS
 from mvformer.imageio import read_ppm, write_ppm
 from mvformer.model import build_model, model_config
 from mvformer.tensor import _node
@@ -207,6 +209,7 @@ class TestTrainEval:
             ("classes=four", "bad value for --data key 'classes': 'four'"),
             ("noise=lots", "bad value for --data key 'noise': 'lots'"),
             ("seed=-1", "seed must be >= 0, got -1"),
+            ("val_size=8,val_size=16", "duplicate --data key 'val_size'"),
         ],
     )
     def test_eval_bad_data_item_is_input_error(self, trained_run, capsys, data, message):
@@ -214,7 +217,7 @@ class TestTrainEval:
         assert rc == 2
         captured = capsys.readouterr()
         assert message in captured.err
-        assert "val_acc" not in captured.out
+        assert captured.out == ""
 
     def test_eval_class_count_override_must_match_the_head(self, trained_run, capsys):
         rc = main(["eval", "--checkpoint", str(trained_run / "last.ckpt"), "--data", "classes=9"])
@@ -271,6 +274,11 @@ class TestGradcheckCommand:
         main(["gradcheck", "--module", "mvn", "--seed", "4"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_module_choices_are_the_check_groups(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        module = next(a for a in sub.choices["gradcheck"]._actions if a.dest == "module")
+        assert module.choices == ["all", *CHECKS]
 
     def test_negative_seed_is_input_error(self, capsys):
         assert main(["gradcheck", "--module", "mvn", "--seed", "-1"]) == 2

@@ -1,5 +1,7 @@
 """Token-mixer tests: stage table, ablations, decomposed kernels, composition."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,16 +10,16 @@ from hypothesis import strategies as st
 from oracles import conv2d_oracle, max_rel_err, trunc_normal_oracle
 from mvformer.mixer import (
     _INIT_CHUNK,
+    ABLATION_MODES,
     ConfigError,
     StarReLU,
     TokenMixer,
     _trunc_normal,
     ablate_spec,
-    decomposed_depthwise_conv,
     make_stage_spec,
     star_relu,
 )
-from mvformer.tensor import Tensor, backward, square, tsum
+from mvformer.tensor import Tensor, backward, conv2d, square, tsum
 
 
 class TestStarRelu:
@@ -136,6 +138,13 @@ class TestAblations:
 
 
 class TestDecomposedConv:
+    """The global group's factorized filter: a k x 1 then a 1 x k depthwise ``conv2d``."""
+
+    @staticmethod
+    def k1_then_1k(x, wh, wv):
+        k, groups = wh.shape[2], x.shape[1]
+        return conv2d(conv2d(x, wh, pad=(k // 2, 0), groups=groups), wv, pad=(0, k // 2), groups=groups)
+
     def test_unit_impulse_kernels_identity(self):
         rng = np.random.default_rng(0)
         c, k = 3, 5
@@ -144,7 +153,7 @@ class TestDecomposedConv:
         wh[:, 0, k // 2, 0] = 1.0
         wv = np.zeros((c, 1, 1, k), dtype=np.float32)
         wv[:, 0, 0, k // 2] = 1.0
-        out = decomposed_depthwise_conv(x, Tensor(wh), Tensor(wv))
+        out = self.k1_then_1k(x, Tensor(wh), Tensor(wv))
         np.testing.assert_allclose(out.data, x.data, atol=1e-6)
 
     def test_ones_kernels_on_impulse_make_plateau(self):
@@ -152,7 +161,7 @@ class TestDecomposedConv:
         x[0, 0, 3, 3] = 1.0
         wh = Tensor(np.ones((1, 1, 3, 1), dtype=np.float32))
         wv = Tensor(np.ones((1, 1, 1, 3), dtype=np.float32))
-        out = decomposed_depthwise_conv(Tensor(x), wh, wv).data[0, 0]
+        out = self.k1_then_1k(Tensor(x), wh, wv).data[0, 0]
         want = np.zeros((7, 7), dtype=np.float32)
         want[2:5, 2:5] = 1.0
         assert np.array_equal(out, want)
@@ -165,7 +174,7 @@ class TestDecomposedConv:
         row = rng.normal(size=(c, k)).astype(np.float32)
         wh = Tensor(col.reshape(c, 1, k, 1))
         wv = Tensor(row.reshape(c, 1, 1, k))
-        got = decomposed_depthwise_conv(Tensor(x), wh, wv).data
+        got = self.k1_then_1k(Tensor(x), wh, wv).data
         square_kernel = np.einsum("cu,cv->cuv", col, row).reshape(c, 1, k, k)
         want = conv2d_oracle(
             x.astype(np.float64), square_kernel, pad=(k // 2, k // 2), groups=c
@@ -173,11 +182,19 @@ class TestDecomposedConv:
         np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5)
 
     def test_even_kernel_rejected(self):
-        x = Tensor(np.ones((1, 1, 4, 4)))
         with pytest.raises(ConfigError, match="odd"):
-            decomposed_depthwise_conv(
-                x, Tensor(np.ones((1, 1, 4, 1))), Tensor(np.ones((1, 1, 1, 4)))
-            )
+            dataclasses.replace(make_stage_spec(1, 64), global_kernel=12)
+
+
+# every stage, unablated (id: the stage) and under each ablation
+STAGE_MODES = [pytest.param(stage, None, id=str(stage)) for stage in (1, 2, 3, 4)] + [
+    pytest.param(stage, mode, id=f"{stage}-{mode}") for mode in ABLATION_MODES for stage in (1, 2, 3, 4)
+]
+
+
+def stage_spec(stage, channels, mode):
+    spec = make_stage_spec(stage, channels)
+    return spec if mode is None else ablate_spec(spec, mode)
 
 
 def mixer_param_count(spec):
@@ -195,10 +212,10 @@ def mixer_param_count(spec):
 
 
 class TestTokenMixer:
-    @pytest.mark.parametrize("stage", [1, 2, 3, 4])
-    def test_param_count_closed_form(self, stage):
+    @pytest.mark.parametrize("stage,mode", STAGE_MODES)
+    def test_param_count_closed_form(self, stage, mode):
         rng = np.random.default_rng(stage)
-        spec = make_stage_spec(stage, 16)
+        spec = stage_spec(stage, 16, mode)
         mixer = TokenMixer(spec, rng)
         assert mixer.num_params() == mixer_param_count(spec)
 
@@ -218,15 +235,19 @@ class TestTokenMixer:
         out = mixer.forward(Tensor(np.zeros((2, 8, 5, 5), dtype=np.float32)))
         assert np.allclose(out.data, 0.0)
 
-    @pytest.mark.parametrize("stage", [1, 2, 3, 4])
-    def test_composition_oracle(self, stage):
+    @pytest.mark.parametrize("stage,mode", STAGE_MODES)
+    def test_composition_oracle(self, stage, mode):
         """Layer-by-layer numpy reference reproduces the whole forward."""
         rng = np.random.default_rng(10 + stage)
-        spec = make_stage_spec(stage, 8)
+        spec = stage_spec(stage, 8, mode)
         mixer = TokenMixer(spec, rng)
         x = rng.normal(size=(2, 8, 6, 6)).astype(np.float32)
+        for name, p in mixer.named_parameters():  # non-zero biases, so each must sit on its own conv
+            if name.endswith("_b"):
+                p.tensor.data = rng.normal(0, 0.5, p.tensor.shape).astype(np.float32)
+        w = {name: p.data for name, p in mixer.named_parameters()}
 
-        y = conv2d_oracle(x, mixer.pw1_w.data, mixer.pw1_b.data.reshape(-1))
+        y = conv2d_oracle(x, w["pw1_w"], w["pw1_b"].reshape(-1))
         s = mixer.act.scale.data.reshape(())
         b = mixer.act.bias.data.reshape(())
         y = s * np.maximum(y, 0.0) ** 2 + b
@@ -237,27 +258,20 @@ class TestTokenMixer:
             lo += dim
             if dim == 0:
                 continue
+            bias = w[f"{kind}_b"].reshape(-1)
             if kind == "local":
-                parts.append(
-                    conv2d_oracle(chunk, mixer.local_w.data, mixer.local_b.data.reshape(-1), pad=(1, 1), groups=dim)
-                )
+                parts.append(conv2d_oracle(chunk, w["local_w"], bias, pad=(1, 1), groups=dim))
             elif kind == "inter":
-                parts.append(
-                    conv2d_oracle(chunk, mixer.inter_w.data, mixer.inter_b.data.reshape(-1), pad=(3, 3), groups=dim)
-                )
+                parts.append(conv2d_oracle(chunk, w["inter_w"], bias, pad=(3, 3), groups=dim))
             elif spec.decomposed:
                 k = spec.global_kernel
-                half = conv2d_oracle(chunk, mixer.global_wh.data, pad=(k // 2, 0), groups=dim)
-                parts.append(
-                    conv2d_oracle(half, mixer.global_wv.data, mixer.global_b.data.reshape(-1), pad=(0, k // 2), groups=dim)
-                )
+                half = conv2d_oracle(chunk, w["global_wh"], pad=(k // 2, 0), groups=dim)
+                parts.append(conv2d_oracle(half, w["global_wv"], bias, pad=(0, k // 2), groups=dim))
             else:
                 k = spec.global_kernel
-                parts.append(
-                    conv2d_oracle(chunk, mixer.global_w.data, mixer.global_b.data.reshape(-1), pad=(k // 2, k // 2), groups=dim)
-                )
+                parts.append(conv2d_oracle(chunk, w["global_w"], bias, pad=(k // 2, k // 2), groups=dim))
         y = np.concatenate(parts, axis=1)
-        want = conv2d_oracle(y, mixer.pw2_w.data, mixer.pw2_b.data.reshape(-1))
+        want = conv2d_oracle(y, w["pw2_w"], w["pw2_b"].reshape(-1))
 
         got = mixer.forward(Tensor(x)).data
         np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-6)
@@ -278,20 +292,16 @@ class TestTokenMixer:
         mixer.pw2_b.data = np.zeros((1, c, 1, 1), dtype=np.float32)
         mixer.act.scale.data = np.ones((1, 1, 1, 1), dtype=np.float32)
         mixer.act.bias.data = np.zeros((1, 1, 1, 1), dtype=np.float32)
-        for name, w, center in (
-            ("local_w", mixer.local_w, (1, 1)),
-            ("inter_w", mixer.inter_w, (3, 3)),
-        ):
+        params = {name: p.tensor for name, p in mixer.named_parameters()}
+        k = spec.global_kernel
+        # each depthwise kernel a centred unit impulse, each depthwise bias zero
+        centers = {"local_w": (1, 1), "inter_w": (3, 3), "global_wh": (k // 2, 0), "global_wv": (0, k // 2)}
+        for name, center in centers.items():
+            w = params[name]
             w.data = np.zeros_like(w.data)
             w.data[:, 0, center[0], center[1]] = 1.0
-        mixer.local_b.data = np.zeros_like(mixer.local_b.data)
-        mixer.inter_b.data = np.zeros_like(mixer.inter_b.data)
-        k = spec.global_kernel
-        mixer.global_wh.data = np.zeros_like(mixer.global_wh.data)
-        mixer.global_wh.data[:, 0, k // 2, 0] = 1.0
-        mixer.global_wv.data = np.zeros_like(mixer.global_wv.data)
-        mixer.global_wv.data[:, 0, 0, k // 2] = 1.0
-        mixer.global_b.data = np.zeros_like(mixer.global_b.data)
+        for name in ("local_b", "inter_b", "global_b"):
+            params[name].data = np.zeros_like(params[name].data)
 
         x = rng.uniform(0.0, 1.0, size=(2, c, 5, 5)).astype(np.float32)
         out = mixer.forward(Tensor(x)).data

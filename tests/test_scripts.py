@@ -1,6 +1,6 @@
 """Every script under ``scripts/`` imports against the current package and defines ``main``.
 
-The scripts import private names of ``src/`` (``conv_cost.py`` the conv kernels,
+The scripts import private names of ``src/`` (``conv_cost.py`` the conv planner,
 ``norm_cost.py`` the norm layers), and nothing else runs them; a retired name
 then fails here instead of breaking a script silently.  ``norm_cost.py``'s
 two-tree comparison also runs once, against this same tree.
