@@ -70,10 +70,16 @@ def _cmd_train(args):
     return 0
 
 
-def _cmd_eval(args):
-    meta = read_meta(args.checkpoint)
+def _load_model(path):
+    """The checkpoint's metadata and the model it describes, holding its stored weights."""
+    meta = read_meta(path)
     model = build_model(model_from_meta(meta), seed=0)
-    load_checkpoint(args.checkpoint, model)
+    load_checkpoint(path, model)
+    return meta, model
+
+
+def _cmd_eval(args):
+    meta, model = _load_model(args.checkpoint)
     overrides = parse_data_overrides(args.data) if args.data else None
     spec = data_from_meta(meta, overrides)
     if spec.classes != model.cfg.num_classes:  # a head of num_classes scores labels in [0, classes)
@@ -147,8 +153,7 @@ def _cmd_norm_image(args):
 
 
 def _cmd_dump_alphas(args):
-    model = build_model(model_from_meta(read_meta(args.checkpoint)), seed=0)
-    load_checkpoint(args.checkpoint, model)
+    _, model = _load_model(args.checkpoint)
     profile = dump_alpha_profile(model)
     if args.csv:
         profile.to_csv(args.csv)
