@@ -713,7 +713,9 @@ def _conv_plan(x_shape, w_shape, b_shape, stride, pad, groups):
     if unit_stride and groups == 1 and kh == kw == 1 and ph == pw == 0:
         return "_pointwise", ()
     if unit_stride and groups == cin == cout and (hout, wout) == (h, wd):
-        return ("_depthwise_unrolled" if h * wd <= max(n, _UNROLL_MAX_HW) else "_depthwise_banded"), (ph, pw)
+        if h * wd <= max(n, _UNROLL_MAX_HW):
+            return "_depthwise_unrolled", (ph, pw)
+        return ("_depthwise_taps" if cin >= _TAPS_MIN_C else "_depthwise_banded"), (ph, pw)
     if groups == 1:
         return "_general", ((sh, sw), (ph, pw), (hout, wout))
     raise ShapeError(
@@ -743,17 +745,26 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
       channel's batch data, or at most 16 x 16, so building it pays back
       within the call (measured: at n <= 4 it wins up to 4x4 maps and loses
       from 6x6);
-    - the same with larger maps: ``_depthwise_banded``, each kernel row lowered
-      to a band matrix along the width.  Output tiles of t = min(8, w)
-      columns read windows of t + kw - 1 padded columns over every kernel
-      row, copied into a column matrix and multiplied by a
-      (rows * (t + kw - 1), t) band per channel: one batched matmul per
-      block of channels, the blocks equal and as few as keep each column
-      matrix within 2**21 values (8 MB in float32), all writing into one
-      output; k x 1 filters run on a transposed view.  On an h-row map with
-      pad p, kernel row u reaches data only for u in [max(0, p-h+1),
-      min(kh, p+h)), likewise for columns; both depthwise kernels skip the
-      other taps, and their weight gradient is exactly zero;
+    - the same with larger maps and fewer than 160 channels:
+      ``_depthwise_banded``, each kernel row lowered to a band matrix along
+      the width.  Output tiles of t = min(8, w) columns read windows of
+      t + kw - 1 padded columns over every kernel row, copied into a column
+      matrix and multiplied by a (rows * (t + kw - 1), t) band per channel:
+      one batched matmul per block of channels, the blocks equal and as few
+      as keep each column matrix within 2**21 values (8 MB in float32), all
+      writing into one output; k x 1 filters run on a transposed view;
+    - the same with 160 channels or more: ``_depthwise_taps``, `x` copied
+      once into a zero-padded channels-last (n, h + kh - 1, w + kw - 1, c)
+      buffer and one ``einsum`` over its (n, h, w, kh, kw, c) window view,
+      so every operand runs along the contiguous channels; each gradient is
+      one more einsum (the x-gradient with the kernel flipped).  Per call it
+      beats the banded kernel's per-channel products by up to 3x at xT's
+      stage-3/4 shapes; it loses to them on 56 x 56 maps and with few
+      channels, whose per-channel products are long enough.
+      On an h-row map with pad p, kernel row u reaches data only for u in
+      [max(0, p-h+1), min(kh, p+h)), likewise for columns; all three
+      depthwise kernels skip the other taps, and their weight gradient is
+      exactly zero;
     - any other dense call (groups == 1: stem, downsample): ``_general``,
       im2col and one matmul.  When n > w_out the batch axis is the
       innermost of the padded input, the columns and the col2im buffer, so
@@ -821,6 +832,10 @@ def _pointwise(x, w):
 _BAND_TILE = 8
 _BAND_BLOCK = 1 << 21  # column-matrix values per channel block of the banded kernel (8 MB in float32)
 _UNROLL_MAX_HW = 16  # below this many pixels the unrolled depthwise kernel wins at any batch size
+# from this many channels the channels-last depthwise kernel beats the banded one on maps up to 28 x 28
+# (not at 56 x 56); at 128 it gains only ~10% on xT's 28 x 28 filter, whose banded column matrix
+# is what keeps glibc's mmap threshold above the heap that a standalone xT forward frees
+_TAPS_MIN_C = 160
 
 
 @functools.lru_cache(maxsize=64)
@@ -838,6 +853,21 @@ def _band_table(rows, kw, t):
     return taps
 
 
+def _live_taps(w, h, wd, ph, pw):
+    """The taps of a same-size depthwise (c, 1, kh, kw) kernel `w` that can reach an h x wd map's data.
+
+    Kernel row u reaches data only for u in [max(0, ph-h+1), min(kh, ph+h)),
+    likewise for columns; the other taps only ever read padding.  The crop is
+    symmetric, so the cropped kernel is again a same-size conv.  Returns the
+    (c, kr, kc) live kernel, the (rows, columns) slices of `w` it keeps and
+    its pads.
+    """
+    c, _, kh, kw = w.shape
+    r0, c0 = max(0, ph - h + 1), max(0, pw - wd + 1)
+    live = (slice(r0, kh - r0), slice(c0, kw - c0))
+    return w.reshape(c, kh, kw)[:, live[0], live[1]], live, (ph - r0, pw - c0)
+
+
 def _depthwise_banded(x, w, ph, pw):
     n, c = x.shape[:2]
     w_shape = w.shape
@@ -845,13 +875,8 @@ def _depthwise_banded(x, w, ph, pw):
     if transposed:
         x, w, ph, pw = x.transpose(0, 1, 3, 2), w.transpose(0, 1, 3, 2), pw, ph
     hh, ww = x.shape[2:]
-    kh, kw = w.shape[2:]
-    # taps outside these ranges only ever read padding; the crop is symmetric,
-    # so the cropped kernel is again a same-size conv, with pads p and q
-    r0, c0 = max(0, ph - hh + 1), max(0, pw - ww + 1)
-    wc = w.reshape(c, kh, kw)[:, r0 : kh - r0, c0 : kw - c0]
+    wc, live, (p, q) = _live_taps(w, hh, ww, ph, pw)
     kr, kc = wc.shape[1:]
-    p, q = ph - r0, pw - c0
     t = min(_BAND_TILE, ww)
     nt = -(-ww // t)
     span = t + kc - 1
@@ -889,7 +914,7 @@ def _depthwise_banded(x, w, ph, pw):
             gx = apply(g, wc[:, ::-1, ::-1])
         if need_w:
             gw = np.zeros(w_shape, g.dtype)
-            cropped = (gw.transpose(0, 1, 3, 2) if transposed else gw)[:, 0, r0 : kh - r0, c0 : kw - c0]
+            cropped = (gw.transpose(0, 1, 3, 2) if transposed else gw)[:, 0, live[0], live[1]]
             for blk in blocks:
                 gb = g[:, blk].transpose(1, 0, 2, 3)
                 gp = np.zeros(gb.shape[:3] + (nt * t,), g.dtype)
@@ -901,6 +926,39 @@ def _depthwise_banded(x, w, ph, pw):
                     (len(gp), kr, kc, t), gband.dtype, buffer=gband, strides=(s0, span * t * e, t * e, (t + 1) * e)
                 )
                 cropped[blk] = diag.sum(axis=3)
+        return gx, gw
+
+    return apply(x, wc), grads
+
+
+def _depthwise_taps(x, w, ph, pw):
+    n, c, h, wd = x.shape
+    wc, live, (p, q) = _live_taps(w, h, wd, ph, pw)
+    kr, kc = wc.shape[1:]
+    dtype = np.result_type(x, w)
+
+    def windows(a):
+        """(n, h, wd, kr, kc, c) windows of the (n, c, h, wd) `a`, zero-padded, channels innermost."""
+        buf = np.zeros((n, h + kr - 1, wd + kc - 1, c), dtype)
+        buf[:, p : p + h, q : q + wd] = a.transpose(0, 2, 3, 1)
+        sn, sy, sx, sc = buf.strides
+        return np.ndarray((n, h, wd, kr, kc, c), dtype, buffer=buf, strides=(sn, sy, sx, sy, sx, sc))
+
+    def apply(a, kernel):
+        """`a` cross-correlated with the (c, kr, kc) `kernel`, as (n, c, h, wd)."""
+        # every operand runs along the contiguous channels; an NCHW out= view makes the einsum 4x slower
+        o = np.einsum("nyxuvc,uvc->nyxc", windows(a), np.ascontiguousarray(kernel.transpose(1, 2, 0)))
+        return np.ascontiguousarray(o.transpose(0, 3, 1, 2))
+
+    def grads(g, need_x, need_w):
+        gx = gw = None
+        if need_x:
+            gx = apply(g, wc[:, ::-1, ::-1])
+        if need_w:
+            gw = np.zeros(w.shape, g.dtype)
+            gl = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
+            # an out= view here, as in the forward, makes the einsum 5-15x slower
+            gw[:, 0, live[0], live[1]] = np.einsum("nyxuvc,nyxc->cuv", windows(x), gl)
         return gx, gw
 
     return apply(x, wc), grads

@@ -3,14 +3,13 @@
 The scripts import private names of ``src/`` (``call_cost.py`` the conv planner and
 the norm layers' shared body), and nothing else runs them; a retired name then fails
 here instead of breaking a script silently.  ``call_cost.py``'s two-tree comparison
-also runs once, against this same tree; its paired ratio is checked on canned
-per-round times and its order of calls on calls that only log themselves.
+also runs once in this process, against this same tree, on batches of one call; its
+paired ratio is checked on canned per-round times and its order of calls on calls that
+only log themselves.
 """
 
 import ast
 import importlib
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -66,14 +65,16 @@ def test_rounds_alternate_which_tree_runs_first(monkeypatch):
     ]
 
 
-def test_call_cost_compares_two_trees_in_one_process():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, str(SCRIPTS / "call_cost.py"), "--against", "src", "--rounds", "1"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    header, *lines = done.stdout.splitlines()
+def test_call_cost_compares_two_trees_in_one_process(monkeypatch, capsys):
+    call_cost = import_script(monkeypatch, "call_cost")
+    monkeypatch.setattr(call_cost, "BATCH_SECONDS", 0.0)  # batches of one call
+    monkeypatch.setattr(sys, "argv", ["call_cost.py", "--against", str(ROOT / "src"), "--rounds", "1"])
+    try:
+        call_cost.main()
+    finally:  # the second tree's modules, so no later import finds them
+        for name in [m for m in sys.modules if m.split(".")[0] == call_cost.AGAINST]:
+            del sys.modules[name]
+    header, *lines = capsys.readouterr().out.splitlines()
     assert header.split()[-3:] == ["tape+bwd", "against", "ratio"]
     rows = [line.split() for line in lines]
     # one row per distinct recorded call: every field but the count and the timings differs

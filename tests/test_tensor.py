@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvformer.tensor as tensor
+from mvformer.gradcheck import check_gradients
 from mvformer.model import build_model, model_config
 from mvformer.norm import MultiViewNorm
 from mvformer.training import ce_label_smoothing
@@ -49,6 +50,9 @@ from mvformer.tensor import (
     tsum,
     variance,
 )
+
+
+KERNELS = ("_pointwise", "_depthwise_banded", "_depthwise_taps", "_depthwise_unrolled", "_general")
 
 
 class TestConv2d:
@@ -153,11 +157,16 @@ class TestConv2d:
             ((20, 3, 4, 5), (3, 1, 3, 3), 1, 1, 3, "_depthwise_unrolled"),  # h*w == n > 16
             ((19, 3, 4, 5), (3, 1, 3, 3), 1, 1, 3, "_depthwise_banded"),  # h*w == n + 1 > 16
             ((3, 5, 1, 1), (7, 5, 1, 1), 1, 0, 1, "_pointwise"),  # one product over the batch
+            ((1, 159, 5, 5), (159, 1, 3, 3), 1, 1, 159, "_depthwise_banded"),  # one channel short
+            ((1, 160, 5, 5), (160, 1, 3, 3), 1, 1, 160, "_depthwise_taps"),  # enough channels for channels-last
+            ((1, 160, 14, 14), (160, 1, 13, 1), 1, (6, 0), 160, "_depthwise_taps"),
+            ((1, 128, 28, 28), (128, 1, 7, 7), 1, 3, 128, "_depthwise_banded"),  # xT's stage-2 7x7
+            ((1, 512, 4, 4), (512, 1, 7, 7), 1, 3, 512, "_depthwise_unrolled"),  # small maps stay unrolled
         ],
     )
     def test_kernel_routing(self, monkeypatch, shape, kernel, stride, pad, groups, path):
         used = []
-        for name in ("_pointwise", "_depthwise_banded", "_depthwise_unrolled", "_general"):
+        for name in KERNELS:
             real = getattr(tensor, name)
             monkeypatch.setattr(tensor, name, lambda *a, _n=name, _f=real: used.append(_n) or _f(*a))
         out = conv2d(Tensor(np.ones(shape)), Tensor(np.ones(kernel)), stride=stride, pad=pad, groups=groups)
@@ -198,6 +207,54 @@ class TestConv2d:
         want_gx, want_gw = conv2d_grads_oracle(x64, w64, gy[:, sel].astype(np.float64), (1, 1), pad, 3)
         for got, want in ((gx[:, sel], want_gx), (gw[sel], want_gw)):
             np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4 * np.abs(want).max())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("kernel", [(3, 3), (7, 7), (13, 1), (1, 27)], ids=lambda k: "x".join(map(str, k)))
+    def test_taps_against_oracles(self, kernel, n, dtype):
+        """The channels-last kernel's output and gradients against the oracles; the 1x27 filter
+        on an 11-column map has dead taps.  Its backward keeps only x and w, no padded copy."""
+        rng = np.random.default_rng(37)
+        shape, pad = (n, 6, 9, 11), (kernel[0] // 2, kernel[1] // 2)
+        x = rng.normal(size=shape).astype(dtype)
+        w = rng.normal(size=(6, 1, *kernel)).astype(dtype)
+        gy = rng.normal(size=shape).astype(dtype)
+        out, grads = tensor._depthwise_taps(x, w, *pad)
+        gx, gw = grads(gy, True, True)
+        assert out.dtype == gx.dtype == gw.dtype == dtype and out.flags.c_contiguous and gx.flags.c_contiguous
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(out, conv2d_oracle(x, w, None, (1, 1), pad, 6), rtol=tol, atol=tol)
+        want_gx, want_gw = conv2d_grads_oracle(x, w, gy, (1, 1), pad, 6)
+        for got, want in ((gx, want_gx), (gw, want_gw)):
+            np.testing.assert_allclose(got, want, rtol=10 * tol, atol=10 * tol * np.abs(want).max())
+        assert grads(gy, False, True)[0] is None and grads(gy, True, False)[1] is None
+        held = [c.cell_contents for c in grads.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+        assert held and all(np.shares_memory(a, x) or np.shares_memory(a, w) for a in held)
+
+    @pytest.mark.parametrize(
+        "shape,kernel,pad,live_rows,live_cols",
+        [
+            ((2, 4, 2, 3), (7, 7), (3, 3), slice(2, 5), slice(1, 6)),
+            ((1, 4, 3, 9), (13, 1), (6, 0), slice(4, 9), slice(0, 1)),
+        ],
+    )
+    def test_taps_crop_dead_taps(self, shape, kernel, pad, live_rows, live_cols):
+        """On a map smaller than the kernel only the taps that reach data run: output and gradients
+        match the oracles, and every dead tap's weight gradient is exactly 0."""
+        rng = np.random.default_rng(41)
+        c = shape[1]
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(c, 1, *kernel))
+        gy = rng.normal(size=shape)
+        out, grads = tensor._depthwise_taps(x, w, *pad)
+        gx, gw = grads(gy, True, True)
+        np.testing.assert_allclose(out, conv2d_oracle(x, w, None, (1, 1), pad, c), rtol=1e-12, atol=1e-12)
+        want_gx, want_gw = conv2d_grads_oracle(x, w, gy, (1, 1), pad, c)
+        np.testing.assert_allclose(gx, want_gx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gw, want_gw, rtol=1e-12, atol=1e-12)
+        dead = np.ones(kernel, dtype=bool)
+        dead[live_rows, live_cols] = False
+        assert (gw[:, :, dead] == 0).all() and (gw[:, :, ~dead] != 0).all()
 
     @pytest.mark.parametrize("pad", [1, 2])
     def test_strided_conv_keeps_no_padded_copy(self, pad):
@@ -382,7 +439,7 @@ class TestConv2d:
     def test_unsupported_forms_rejected(self, monkeypatch, shape, kernel, stride, pad, groups):
         """Grouped calls with 1 < groups < c_in, and depthwise calls that are strided, change
         the map size or have c_out != c_in, name the supported forms and run no kernel."""
-        for name in ("_pointwise", "_depthwise_banded", "_depthwise_unrolled", "_general"):
+        for name in KERNELS:
             monkeypatch.setattr(tensor, name, None)
         with pytest.raises(ShapeError, match=r"dense calls \(groups=1\) and stride-1 depthwise"):
             conv2d(Tensor(np.ones(shape)), Tensor(np.ones(kernel)), stride=stride, pad=pad, groups=groups)
@@ -1009,6 +1066,22 @@ class TestConvFastPathGrads:
         dead[live_rows, live_cols] = False
         assert (w.grad[:, :, dead] == 0).all() and (num[:, :, dead] == 0).all()
         assert (w.grad[:, :, ~dead] != 0).all()
+
+
+    def test_channels_last_depthwise_passes_the_gradient_check(self, monkeypatch):
+        """A 7x7 depthwise conv with bias wide enough for ``_depthwise_taps``, which the gradient
+        check's 8-channel layers never reach, through the float64 gradient check."""
+        used = []
+        real = tensor._depthwise_taps
+        monkeypatch.setattr(tensor, "_depthwise_taps", lambda *a: used.append(1) or real(*a))
+        rng = np.random.default_rng(43)
+        x = Tensor(rng.uniform(-1, 1, size=(2, 160, 5, 5)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, size=(160, 1, 7, 7)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, size=(1, 160, 1, 1)), requires_grad=True)
+        errors = check_gradients(
+            lambda: tsum(square(conv2d(x, w, b, pad=3, groups=160))), [("x", x), ("w", w), ("b", b)], rng=rng
+        )
+        assert used and max(errors.values()) < 1e-6, errors
 
 
 class TestDeterminism:
