@@ -11,7 +11,10 @@ Prints one digest per line:
   ``best.ckpt``, which rebuilds the model and data from the checkpoint's
   metadata;
 - ``gradcheck_rows``: the ``(group, parameter, error)`` rows that
-  ``mvformer gradcheck --module all`` prints, at full float precision.
+  ``mvformer gradcheck --module all`` prints, at full float precision;
+- ``cost_tables``: the ``cost_report`` CSV of every preset under every
+  ablation (and none) and every block norm, at 224x224 and, for micro,
+  also at 32x32.
 
 It uses only long-standing public names, so the same script runs against
 two checkouts; "same bits" is then one diff of the two outputs:
@@ -33,9 +36,11 @@ from pathlib import Path
 
 import numpy as np
 
+from mvformer.analysis import cost_report
 from mvformer.cli import main as cli_main
 from mvformer.gradcheck import run_checks
-from mvformer.model import build_model, model_config
+from mvformer.mixer import ABLATION_MODES
+from mvformer.model import NORM_KINDS, PRESETS, build_model, model_config
 from mvformer.tensor import Tensor
 from mvformer.training import parse_config, run_training
 
@@ -73,9 +78,20 @@ def gradcheck_rows():
     yield "gradcheck_rows", sha256(repr(rows).encode())
 
 
+def cost_tables():
+    points = [(preset, 224) for preset in PRESETS] + [("micro", 32)]
+    text = "".join(
+        cost_report(model_config(preset, ablation=ablation, block_norm=norm), hw).csv_text()
+        for preset, hw in points
+        for ablation in (None, *ABLATION_MODES)
+        for norm in NORM_KINDS
+    )
+    yield "cost_tables", sha256(text.encode())
+
+
 def main():
     argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
-    for part in (xt_logits, micro_run, gradcheck_rows):
+    for part in (xt_logits, micro_run, gradcheck_rows, cost_tables):
         for name, digest in part():
             print(f"{name:<20} {digest}", flush=True)
 

@@ -1,10 +1,11 @@
 """Cost accounting, norm-weight profiles, and normalized-image composites.
 
-Parameter and multiply-accumulate counts are computed symbolically from a
-``ModelConfig``, with no weights allocated, by walking the same
-construction rules the model builder uses.  MAC convention: one
+Parameter and multiply-accumulate counts are read from a weightless build
+of the model's own modules, ``MVFormer(cfg, None)``.  MAC convention: one
 multiply-accumulate per kernel tap per output element, per single image;
 biases, normalizations, activations, and residual additions are excluded.
+The decayed parameters are exactly the conv and dense kernels, so a row's
+MACs are their size times the area of the map the row writes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DOWN_GEOMETRY, HEAD_MLP_RATIO, RES_SCALE_STAGES, STEM_GEOMETRY, stage_map_sizes
+from .model import MVFormer, stage_map_sizes
 from .norm import DegenerateInputError, MultiViewNorm, PlainNorm
 from .tensor import Tensor, grad_enabled
 
@@ -66,58 +67,23 @@ class CostReport:
         return "\n".join(lines)
 
 
-def _norm_params(kind, channels):
-    # multi-view: three view weights + affine; single view: affine only
-    return 5 * channels if kind == "mvn" else 2 * channels
-
-
-def _mixer_costs(spec, hw):
-    c, e = spec.channels, spec.expanded
-    groups = spec.depthwise_groups
-    taps = sum(channels * kh * kw for _, channels, kernels in groups for _, (kh, kw) in kernels)
-    biases = sum(channels for _, channels, _ in groups)
-    params = e * c + e + 2 + taps + biases + c * e + c  # pw1, StarReLU scalars, depthwise, pw2
-    macs = (e * c + taps + c * e) * hw
-    return params, macs
-
-
-def _block_costs(cfg, stage, hw):
-    c = cfg.embed_dims[stage - 1]
-    spec = cfg.stage_spec(stage)
-    params = 2 * _norm_params(cfg.block_norm, c)
-    mix_p, mix_m = _mixer_costs(spec, hw)
-    params += mix_p
-    hidden = cfg.mlp_ratio * c
-    params += hidden * c + hidden + 2 + c * hidden + c  # MLP + its StarReLU
-    if stage in RES_SCALE_STAGES:
-        params += 2 * c
-    macs = mix_m + 2 * hidden * c * hw
-    return params, macs
+def _row(name, params, area):
+    """One row: the parameters' sizes, and the decayed ones (the kernels) times the output area."""
+    return CostRow(name, sum(p.data.size for p in params), area * sum(p.data.size for p in params if p.decay))
 
 
 def cost_report(cfg, input_hw=224):
     """Per-module parameter and MAC breakdown for one (`ModelConfig`, resolution)."""
-    rows = []
-    cin = cfg.input_channels
-    for stage, size in zip((1, 2, 3, 4), stage_map_sizes(input_hw)):
-        cout = cfg.embed_dims[stage - 1]
-        k = (STEM_GEOMETRY if stage == 1 else DOWN_GEOMETRY)[0]
-        params = k * k * cin * cout + cout
-        if stage > 1:
-            params += _norm_params(cfg.block_norm, cin)
-        macs = cout * size * size * cin * k * k
-        rows.append(CostRow(f"embed{stage}", params, macs))
-        hw = size * size
-        bp, bm = _block_costs(cfg, stage, hw)
-        depth = cfg.depths[stage - 1]
-        rows.append(CostRow(f"stage{stage}_blocks", depth * bp, depth * bm))
-        cin = cout
-    c_last = cfg.embed_dims[3]
-    hidden = HEAD_MLP_RATIO * c_last
-    head_params = 2 * c_last  # pre-head layer norm
-    head_params += hidden * c_last + hidden + 2 + cfg.num_classes * hidden + cfg.num_classes
-    head_macs = hidden * c_last + cfg.num_classes * hidden
-    rows.append(CostRow("head", head_params, head_macs))
+    sizes = stage_map_sizes(input_hw)
+    model = MVFormer(cfg, None)
+    rows, counted = [], set()
+    for stage, (embed, blocks, side) in enumerate(zip(model.embeds, model.stages, sizes), 1):
+        for name, modules in ((f"embed{stage}", (embed,)), (f"stage{stage}_blocks", blocks)):
+            params = [p for module in modules for _, p in module.named_parameters()]
+            counted.update(id(p) for p in params)
+            rows.append(_row(name, params, side * side))
+    # the head is every parameter not in a stage's rows, at area 1
+    rows.append(_row("head", [p for _, p in model.named_parameters() if id(p) not in counted], 1))
     return CostReport(tuple(rows), input_hw)
 
 

@@ -42,6 +42,8 @@ def read_ppm(path):
         buf = f.read()
     if not buf.startswith(b"P6"):
         raise ImageFormatError(f"{path}: expected P6 header, got {buf[:2]!r}")
+    if not buf[2:3].isspace():
+        raise ImageFormatError(f"{path}: expected whitespace after the P6 magic, got {buf[2:3]!r}")
     tokens, payload_at = _read_tokens(buf[2:], 3)
     try:
         width, height, maxval = (int(t) for t in tokens)

@@ -12,9 +12,9 @@ the last stage).  Channel shares per stage:
     stage 3   25 : 50 : 25
     stage 4    0 : 50 : 50
 
-``StageSpec.depthwise_groups`` is this table, the one the layer builds and
-runs and ``cost_report`` counts.  Empty groups own no kernels at all, so
-parameter and MAC counters see exactly the filters that run.
+``StageSpec.depthwise_groups`` is this table; only the layer reads it, to
+build and run its filters.  Empty groups own no kernels, so ``cost_report``,
+counting the layer's parameters, sees exactly the filters that run.
 """
 
 from __future__ import annotations
@@ -163,8 +163,11 @@ def _trunc_normal(rng, shape, std=0.02):
     The float64 normals are drawn in chunks straight into the float32
     result, so no full-size float64 copy is ever held; the values, the
     redraw order and the generator's final state are those of one
-    full-size draw.
+    full-size draw.  With ``rng=None`` nothing is drawn: the result is a
+    read-only, zero-stride view of one float32 zero, of `shape` but no storage.
     """
+    if rng is None:
+        return np.broadcast_to(np.float32(0), shape)
     out = np.empty(shape, np.float32)
     flat = out.reshape(-1)
     redraw = [np.empty(0, np.intp)]

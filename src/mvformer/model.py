@@ -226,7 +226,10 @@ class Downsample(Module):
 
 
 class MVFormer(Module):
-    """The assembled backbone plus pooled MLP classifier."""
+    """The assembled backbone plus pooled MLP classifier.
+
+    ``rng=None`` builds it weightless for ``analysis.cost_report``: exact parameter shapes, nothing drawn.
+    """
 
     def __init__(self, cfg, rng):
         super().__init__()

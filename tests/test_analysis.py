@@ -1,5 +1,7 @@
 """Cost accounting, alpha profiles, and image-normalization composites."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,8 +36,38 @@ class TestCounts:
         assert abs(rep.total_macs - macs_t) <= 0.05 * macs_t
 
     def test_frozen_xt_total(self):
-        # closed-form hand derivation of the xT parameter count
+        # every row of xT at 224 (total params 17,000,658) and of micro at 32, as (params, macs)
+        golden = {
+            ("xT", 224): {
+                "embed1": (9472, 29503488), "stage1_blocks": (108296, 331563008),
+                "embed2": (74176, 57802752), "stage2_blocks": (418952, 324438016),
+                "embed3": (369600, 72253440), "stage3_blocks": (5028496, 980062720),
+                "embed4": (1476672, 72253440), "stage4_blocks": (6414344, 313198592),
+                "head": (3100650, 3096576),
+            },
+            ("micro", 32): {
+                "embed1": (1184, 75264), "stage1_blocks": (1396, 78848),
+                "embed2": (1208, 18432), "stage2_blocks": (4684, 69760),
+                "embed3": (4720, 18432), "stage3_blocks": (30248, 115328),
+                "embed4": (18656, 18432), "stage4_blocks": (56836, 55424),
+                "head": (19340, 18944),
+            },
+        }
+        for (preset, hw), rows in golden.items():
+            rep = cost_report(model_config(preset), hw)
+            assert {r.name: (r.params, r.macs) for r in rep.rows} == rows, preset
+            assert [r.name for r in rep.rows] == list(rows), preset
         assert cost_report(model_config("xT")).total_params == 17_000_658
+
+    def test_holds_no_weights(self):
+        # B's float32 weights are about 228 MB; the weightless build holds none of them
+        tracemalloc.start()
+        try:
+            cost_report(model_config("B"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_registry_cross_check_micro(self):
         for ablation in (None, *mixer_mod.ABLATION_MODES):
@@ -48,18 +80,13 @@ class TestCounts:
         model = build_model(cfg, seed=0)
         assert cost_report(cfg).total_params == model.num_params()
 
-    def test_lone_pointwise_conv_macs(self):
-        # 1x1 conv 8 -> 16 on a 4x4 map: 16 * 4 * 4 * 8 = 2048
-        assert 16 * 4 * 4 * 8 == 2048
-        cfg = model_config("micro")
-        rep = cost_report(cfg, 32)
-        assert rep.total_macs > 0  # formula exercised below against execution
-
     def test_macs_match_instrumented_forward(self, monkeypatch):
         """Count MACs from the convolutions actually executed, at micro 32x32 (unablated and
         under each ablation) and xT 224x224, through the ``conv2d`` name each caller imports:
-        no convolution runs past it."""
+        no convolution runs past it.  The weights those convolutions receive must be exactly the
+        decayed parameters, the rule ``cost_report`` counts MACs by."""
         counted = [0]
+        weights = set()
         real_conv = mixer_mod.conv2d
 
         def counting_conv(x, w, b=None, stride=1, pad=0, groups=1):
@@ -67,6 +94,7 @@ class TestCounts:
             cout, cin_g, kh, kw = w.shape
             n, _, hout, wout = out.shape
             counted[0] += cout * hout * wout * cin_g * kh * kw
+            weights.add(id(w))
             return out
 
         monkeypatch.setattr(mixer_mod, "conv2d", counting_conv)
@@ -76,9 +104,11 @@ class TestCounts:
             cfg = model_config(preset, num_classes=4, ablation=ablation)
             model = build_model(cfg, seed=0)
             counted[0] = 0
+            weights.clear()
             x = Tensor(np.random.default_rng(0).uniform(0, 1, (1, 3, hw, hw)).astype(np.float32))
             model.forward(x, training=False)
             assert counted[0] == cost_report(cfg, hw).total_macs, (preset, ablation)
+            assert weights == {id(p.tensor) for _, p in model.named_parameters() if p.decay}, (preset, ablation)
 
     def test_block_macs_scale_quadratically_with_resolution(self):
         cfg = model_config("xT")

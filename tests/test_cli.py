@@ -348,6 +348,15 @@ class TestNormImage:
         assert rc == 2
         assert "two input images" in capsys.readouterr().err
 
+    def test_glued_magic_rejected(self, tmp_path, capsys):
+        paths = self._write_inputs(tmp_path)
+        Path(paths[1]).write_bytes(b"P65 2 255\n" + bytes(30))
+        out = tmp_path / "o"
+        rc = main(["norm-image", "--in", *paths, "--weights", "1,0,0", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2 and "whitespace after the P6 magic" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_bad_weights_rejected(self, tmp_path, capsys):
         paths = self._write_inputs(tmp_path)
         rc = main(["norm-image", "--in", *paths, "--weights", "1,0", "--out", str(tmp_path / "o")])

@@ -46,6 +46,7 @@ class TestGuards:
             (b"P6 0 4 255\n", "positive"),
             (b"P6 4 0 255\n", "positive"),
             (b"P6 2 2 2.5\n", "non-integer"),
+            (b"P65 2 255\n", "x.ppm: expected whitespace after the P6 magic"),  # not a 5x2 image
         ],
     )
     def test_malformed_header_fields(self, tmp_path, header, match):
