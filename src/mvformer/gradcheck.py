@@ -98,35 +98,15 @@ def check_gradients(loss_fn, named_tensors, samples_per_param=4, rng=None):
     return errors
 
 
-def _tensors(*modules):
-    return [p.tensor for m in modules if m is not None for _, p in m.named_parameters()]
+def _tensors(*owners):
+    """The parameter tensors of `owners`: modules, tensors, or ``None`` for an absent one."""
+    return [t for o in owners if o is not None
+            for t in ([o] if isinstance(o, Tensor) else [p.tensor for _, p in o.named_parameters()])]
 
 
-def block_steps(block):
-    """`block` as two training-mode steps, ``(step, params)`` with the parameters each is first to read."""
-    scales = [t for t in (block.res_scale1, block.res_scale2) if t is not None]
-    return [
-        (partial(block.mixer_half, training=True), scales[:1] + _tensors(block.norm1, block.mixer)),
-        (partial(block.mlp_half, training=True), scales[1:] + _tensors(block.norm2, block.mlp)),
-    ]
-
-
-def model_steps(model):
-    """`model.layers` as training-mode steps in network order, ``(step, params)`` as in `block_steps`.
-
-    Each block is its two halves; each downsample is its norm, if it has
-    one, then its strided conv.  Every parameter outside the head is in
-    exactly one step's `params`.
-    """
-    steps = []
-    for layer in model.layers:
-        if isinstance(layer, Block):
-            steps += block_steps(layer)
-            continue
-        if layer.norm is not None:
-            steps.append((partial(layer.norm.forward, training=True), _tensors(layer.norm)))
-        steps.append((layer.conv, [layer.w, layer.b]))
-    return steps
+def _training(steps):
+    """`steps` as training-mode ``(step(x), params)`` pairs, each step's owners resolved to their tensors."""
+    return [(partial(step, training=True), _tensors(*owners)) for step, owners in steps]
 
 
 def _suffix(steps, x, finish):
@@ -185,8 +165,7 @@ def check_mvn(seed=0, samples_per_param=4):
     """Gradients of the multi-view norm (training-mode batch statistics)."""
     rng = np.random.default_rng(seed)
     mvn = MultiViewNorm(8)
-    steps = [(partial(mvn.forward, training=True), _tensors(mvn))]
-    return _check_layer(mvn, steps, rng, 0.5, samples_per_param)
+    return _check_layer(mvn, _training([(mvn.forward, (mvn,))]), rng, 0.5, samples_per_param)
 
 
 def check_mvtm(seed=0, samples_per_param=4):
@@ -204,16 +183,16 @@ def check_mvtm(seed=0, samples_per_param=4):
 def check_block(seed=0, samples_per_param=4):
     """Gradients of a full residual block (stage-3 geometry, res-scaled).
 
-    The block runs as its two halves (`block_steps`), so a probe of an
+    The block runs as its two halves (`Block.steps`), so a probe of an
     MLP-half parameter re-runs only that half, from its cached input.
     """
     rng = np.random.default_rng(seed)
     blk = Block(make_stage_spec(3, 8), "mvn", mlp_ratio=2, use_res_scale=True, drop_prob=0.0, rng=rng)
-    return _check_layer(blk, block_steps(blk), rng, 0.3, samples_per_param)
+    return _check_layer(blk, _training(blk.steps), rng, 0.3, samples_per_param)
 
 
 def suffix_loss(model, images, targets):
-    """`loss(start)`: the training loss of `model` re-run from the input of ``model_steps(model)[start]``.
+    """`loss(start)`: the training loss of `model` re-run from the input of ``model.steps[start]``.
 
     Each step's input is computed once here, tape-free, and the label-smoothed
     targets are built once; ``start`` equal to the step count runs the head
@@ -223,14 +202,14 @@ def suffix_loss(model, images, targets):
     under ``ce_label_smoothing(..., 0.1)``.
     """
     q = smoothed_targets(targets, model.cfg.num_classes, 0.1, model.head_fc2_w.dtype)
-    return _suffix(model_steps(model), images, lambda x: cross_entropy(model.head(x, training=True), q))
+    return _suffix(_training(model.steps), images, lambda x: cross_entropy(model.head(x, training=True), q))
 
 
 def check_model(seed=0, samples_per_param=2):
     """End-to-end gradients of the micro model under the training loss.
 
     A parameter can only change the step that first reads it (its owner in
-    `model_steps`: a block half, a downsample's norm or its conv) and the
+    `model.steps`: a block half, a downsample's norm or its conv) and the
     steps after it, so a probe re-runs only those steps and the head, from
     the owner's cached input (`suffix_loss`).  Parameters are checked in runs
     of consecutive `named_parameters` entries that share an owner, in
@@ -241,7 +220,7 @@ def check_model(seed=0, samples_per_param=2):
     model = build_model(model_config("micro", num_classes=4), seed=seed).cast_(np.float64)
     loss = suffix_loss(model, Tensor(rng.uniform(0.0, 1.0, (2, 3, 32, 32))), np.array([0, 1]))
     named = [(n, p.tensor) for n, p in model.named_parameters()]
-    return _check_steps(model_steps(model), loss, named, samples_per_param, rng)
+    return _check_steps(_training(model.steps), loss, named, samples_per_param, rng)
 
 
 CHECKS = {

@@ -15,12 +15,10 @@ class ImageFormatError(ValueError):
 
 
 def _read_tokens(buf, count):
-    """Pull `count` whitespace-delimited header tokens, skipping comments."""
+    """Pull up to `count` whitespace-delimited header tokens, skipping comments; fewer if `buf` ends."""
     tokens = []
     pos = 0
-    while len(tokens) < count:
-        if pos >= len(buf):
-            raise ImageFormatError("unexpected end of header")
+    while len(tokens) < count and pos < len(buf):
         ch = buf[pos : pos + 1]
         if ch.isspace():
             pos += 1
@@ -45,6 +43,8 @@ def read_ppm(path):
     if not buf[2:3].isspace():
         raise ImageFormatError(f"{path}: expected whitespace after the P6 magic, got {buf[2:3]!r}")
     tokens, payload_at = _read_tokens(buf[2:], 3)
+    if len(tokens) < 3:
+        raise ImageFormatError(f"{path}: unexpected end of header")
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError as exc:

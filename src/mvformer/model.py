@@ -167,13 +167,25 @@ class Mlp(Module):
         return conv2d(y, self.fc2_w, self.fc2_b)
 
 
-class Block(Module):
+class Layer(Module):
+    """A layer written once, as its ``steps``: ``(step(x, training=False, rng=None), owners)`` pairs.
+
+    ``owners`` are the modules and tensors (``None`` if absent) holding the parameters a step is
+    first to read.  ``forward`` runs the steps in turn; the gradient check runs them one at a time.
+    """
+
+    def forward(self, x, training=False, rng=None):
+        for step, _ in self.steps:
+            x = step(x, training, rng)
+        return x
+
+
+class Block(Layer):
     """Mixer sub-block and MLP sub-block, each normalized and residual.
 
-    ``forward`` is ``mlp_half(mixer_half(x))``: ``mixer_half`` is ``x +
-    mixer(norm1(x))`` and ``mlp_half`` is ``x + mlp(norm2(x))``, each branch
-    times its residual scale (if any) and its stochastic-depth mask.  The
-    gradient check runs the halves as separate steps.
+    Its steps are ``mixer_half``, ``x + mixer(norm1(x))``, then ``mlp_half``,
+    ``x + mlp(norm2(x))``, each branch times its residual scale (if any) and
+    its stochastic-depth mask, the mixer half drawing its mask first.
     """
 
     def __init__(self, spec, norm_kind, mlp_ratio, use_res_scale, drop_prob, rng):
@@ -189,6 +201,13 @@ class Block(Module):
             self.res_scale1 = self.param("res_scale1", np.ones((1, c, 1, 1)), decay=False)
             self.res_scale2 = self.param("res_scale2", np.ones((1, c, 1, 1)), decay=False)
 
+    @property
+    def steps(self):
+        return (
+            (self.mixer_half, (self.res_scale1, self.norm1, self.mixer)),
+            (self.mlp_half, (self.res_scale2, self.norm2, self.mlp)),
+        )
+
     def mixer_half(self, x, training=False, rng=None):
         branch = self.mixer.forward(self.norm1.forward(x, training))
         return residual(x, branch, self.res_scale1, drop_path(branch, self.drop_prob, training, rng))
@@ -197,15 +216,12 @@ class Block(Module):
         branch = self.mlp.forward(self.norm2.forward(x, training))
         return residual(x, branch, self.res_scale2, drop_path(branch, self.drop_prob, training, rng))
 
-    def forward(self, x, training=False, rng=None):
-        return self.mlp_half(self.mixer_half(x, training, rng), training, rng)
 
-
-class Downsample(Module):
+class Downsample(Layer):
     """Strided patch embedding; stages 2-4 pre-normalize their input.
 
-    ``forward`` is ``norm``, if there is one, then ``conv``, the strided
-    convolution alone; the gradient check runs the two as separate steps.
+    Its steps are ``prenorm``, if it has a norm, then ``conv``, the strided
+    convolution alone.
     """
 
     def __init__(self, cin, cout, kernel, stride, pad, norm_kind, rng):
@@ -216,13 +232,16 @@ class Downsample(Module):
         self.w = self.param("w", _trunc_normal(rng, (cout, cin, kernel, kernel)))
         self.b = self.param("b", np.zeros((1, cout, 1, 1)), decay=False)
 
-    def conv(self, x):
-        return conv2d(x, self.w, self.b, stride=self.stride, pad=self.pad)
+    @property
+    def steps(self):
+        conv = ((self.conv, (self.w, self.b)),)
+        return conv if self.norm is None else ((self.prenorm, (self.norm,)), *conv)
 
-    def forward(self, x, training=False):
-        if self.norm is not None:
-            x = self.norm.forward(x, training)
-        return self.conv(x)
+    def prenorm(self, x, training=False, rng=None):
+        return self.norm.forward(x, training)
+
+    def conv(self, x, training=False, rng=None):
+        return conv2d(x, self.w, self.b, stride=self.stride, pad=self.pad)
 
 
 class MVFormer(Module):
@@ -276,12 +295,14 @@ class MVFormer(Module):
         self.head_fc2_w = self.param("head_fc2_w", _trunc_normal(rng, (cfg.num_classes, hidden, 1, 1)))
         self.head_fc2_b = self.param("head_fc2_b", np.zeros((1, cfg.num_classes, 1, 1)), decay=False)
 
+    @property
+    def steps(self):
+        """Every layer's steps in network order; the head's parameters are in none."""
+        return [step for layer in self.layers for step in layer.steps]
+
     def features(self, x, training=False, rng=None):
         for layer in self.layers:
-            if isinstance(layer, Block):
-                x = layer.forward(x, training, rng)
-            else:
-                x = layer.forward(x, training)
+            x = layer.forward(x, training, rng)
         return x
 
     def head(self, x, training=False):

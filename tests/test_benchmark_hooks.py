@@ -9,11 +9,13 @@ suite.  Import, attribute and signature checks only, no timing.
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 from mvformer.gradcheck import check_gradients
-from mvformer.model import MVFormer, build_model, model_config
+from mvformer.model import Block, Downsample, MVFormer, build_model, model_config
 from mvformer.optim import AdamW
+from mvformer.tensor import Tensor
 from mvformer.training import TrainConfig
 
 PATCHED = [
@@ -64,6 +66,26 @@ def test_model_layers_and_input_channels():
     assert isinstance(model, MVFormer)
     assert len(model.embeds) == 4
     assert [len(blocks) for blocks in model.stages] == list(cfg.depths)
+
+
+def test_the_forward_enters_each_layer_through_its_class_forward(monkeypatch):
+    """The tracer times ``features`` and each layer's ``forward`` by patching them on the class."""
+    entered = []
+
+    def counting(cls, name):
+        real = getattr(cls, name)
+
+        def wrapper(obj, *args, **kwargs):
+            entered.append((name, obj))
+            return real(obj, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls, name in ((MVFormer, "features"), (Block, "forward"), (Downsample, "forward")):
+        counting(cls, name)
+    model = build_model(model_config("micro"))
+    model.forward(Tensor(np.zeros((1, 3, 32, 32), dtype=np.float32)))
+    assert entered == [("features", model)] + [("forward", layer) for layer in model.layers]
 
 
 IMPORTED = [

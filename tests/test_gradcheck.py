@@ -6,15 +6,15 @@ import pytest
 import mvformer.gradcheck as gradcheck
 import mvformer.model as model_mod
 from mvformer.gradcheck import (
+    _training,
     check_block,
     check_gradients,
-    model_steps,
     relative_error,
     run_checks,
     suffix_loss,
 )
-from mvformer.mixer import make_stage_spec
-from mvformer.model import Block, build_model, model_config
+from mvformer.mixer import ABLATION_MODES, make_stage_spec
+from mvformer.model import NORM_KINDS, PRESETS, Block, MVFormer, build_model, model_config
 from mvformer.tensor import Tensor, _node, backward, grad_enabled, square, tsum
 from mvformer.training import ce_label_smoothing
 
@@ -140,12 +140,12 @@ class TestSuffixLoss:
 
     def test_loss_equals_full_forward_from_every_step(self, micro):
         model, loss, full, _ = micro
-        for start in range(len(model_steps(model)) + 1):
+        for start in range(len(model.steps) + 1):
             assert np.array_equal(loss(start).data, full.data), start
 
     def test_step_gradients_equal_full_tape(self, micro):
         model, loss, _, grads = micro
-        steps = model_steps(model)
+        steps = _training(model.steps)
         in_steps = {id(t) for _, params in steps for t in params}
         head = [p.tensor for _, p in model.named_parameters() if id(p.tensor) not in in_steps]
         assert head
@@ -167,18 +167,24 @@ class TestSuffixLoss:
         model = micro_model(12)
         loss = suffix_loss(model, Tensor(np.random.default_rng(12).uniform(0.0, 1.0, (2, 3, 32, 32))), [0, 1])
         with grad_enabled(False):
-            values = [loss(start).item() for start in (0, 3, 0, len(model_steps(model)))]
+            values = [loss(start).item() for start in (0, 3, 0, len(model.steps))]
         assert len(built) == 1
         assert values[0] == values[2]
+
+
+CONFIGS = [(p, n, a) for p in PRESETS for n in NORM_KINDS for a in (None, *ABLATION_MODES)]
 
 
 @pytest.mark.parametrize("res_scale_stages", [model_mod.RES_SCALE_STAGES, ()], ids=["res_scaled", "plain"])
 class TestStepOwnership:
     """Each parameter is owned by the first step that reads it, and by no other."""
 
-    def test_every_parameter_in_exactly_one_step_or_the_head(self, res_scale_stages):
-        model = micro_model(13, res_scale_stages)
-        steps = model_steps(model)
+    @pytest.mark.parametrize("preset,norm,ablation", CONFIGS, ids=[f"{p}-{n}-{a or 'none'}" for p, n, a in CONFIGS])
+    def test_every_parameter_in_exactly_one_step_or_the_head(self, res_scale_stages, preset, norm, ablation,
+                                                             monkeypatch):
+        monkeypatch.setattr(model_mod, "RES_SCALE_STAGES", res_scale_stages)
+        model = MVFormer(model_config(preset, block_norm=norm, ablation=ablation), None)  # weightless
+        steps = _training(model.steps)
         owned = [id(t) for _, params in steps for t in params]
         assert len(owned) == len(set(owned))
         head = {id(p.tensor) for n, p in model.named_parameters() if n.startswith("head_")}
@@ -189,7 +195,7 @@ class TestStepOwnership:
 
     def test_a_nan_parameter_first_shows_in_its_owner(self, res_scale_stages):
         model = micro_model(14, res_scale_stages)
-        steps = model_steps(model)
+        steps = _training(model.steps)
         x = Tensor(np.random.default_rng(14).uniform(0.0, 1.0, (2, 3, 32, 32)))
         owner = {id(t): k for k, (_, params) in enumerate(steps) for t in params}
         for name, p in model.named_parameters():

@@ -55,6 +55,13 @@ class TestGuards:
         with pytest.raises(ImageFormatError, match=match):
             read_ppm(path)
 
+    @pytest.mark.parametrize("header", [b"P6 2 2", b"P6\n", b"P6 2 2 # no maxval\n"])
+    def test_header_ending_early_names_the_file(self, tmp_path, header):
+        path = tmp_path / "x.ppm"
+        path.write_bytes(header)
+        with pytest.raises(ImageFormatError, match="x.ppm: unexpected end of header"):
+            read_ppm(path)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "x.ppm"
         path.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 5)
@@ -82,5 +89,5 @@ class TestFuzz:
         path.write_bytes(data.draw(byte_mutations(VALID_PPM)))
         try:
             read_ppm(path)
-        except ImageFormatError:
-            pass
+        except ImageFormatError as exc:
+            assert str(exc).startswith(f"{path}: "), exc

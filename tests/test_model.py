@@ -184,6 +184,36 @@ class TestDropPath:
         with pytest.raises(ValueError, match="random generator"):
             drop_path(Tensor(np.ones((1, 1, 1, 1))), 0.5, training=True, rng=None)
 
+    @staticmethod
+    def _train_step(forward, seed):
+        """One micro training forward and backward at drop-path rate 0.5: logits and gradient bytes."""
+        model = build_model(micro(drop_path_rate=0.5), seed=10)
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.uniform(0, 1, (8, 3, 32, 32)).astype(np.float32))
+        logits = forward(model, x, np.random.default_rng(seed))
+        backward(ce_label_smoothing(logits, rng.integers(0, 4, 8), 0.1))
+        return logits.data.tobytes(), {name: p.grad.tobytes() for name, p in model.named_parameters()}
+
+    def test_masks_drawn_in_network_order(self):
+        """The model's masks come from one rng, drawn as a loop written out by hand reads them."""
+
+        def by_hand(model, x, rng):
+            for embed, blocks in zip(model.embeds, model.stages):
+                if embed.norm is not None:
+                    x = embed.norm.forward(x, True)
+                x = embed.conv(x)
+                for blk in blocks:
+                    x = blk.mixer_half(x, True, rng)  # the mixer half draws its mask first
+                    x = blk.mlp_half(x, True, rng)
+            return model.head(x, True)
+
+        def forward(model, x, rng):
+            return model.forward(x, training=True, rng=rng)
+
+        got = self._train_step(forward, 12)
+        assert got == self._train_step(by_hand, 12)
+        assert got[0] != self._train_step(forward, 13)[0]  # the masks drop samples
+
 
 class TestFusedOps:
     """The model on ``tensor.star_relu``/``tensor.residual`` against the unfused oracles."""
