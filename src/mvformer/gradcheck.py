@@ -51,7 +51,8 @@ def check_gradients(loss_fn, named_tensors, samples_per_param=4, rng=None):
     at the window's two ends disagree by as much, the mark of a (ReLU)
     kink still inside it.  Refinement converges the numeric estimate toward
     the true derivative, so it cannot mask a wrong backward rule: a real
-    defect fails at every radius.
+    defect fails at every radius.  A non-finite analytic value or estimate
+    is error ``inf``.
     """
     rng = rng or np.random.default_rng(0)
     for name, t in named_tensors:
@@ -93,6 +94,8 @@ def check_gradients(loss_fn, named_tensors, samples_per_param=4, rng=None):
                 radius /= 2
                 estimate, kinked = probe(flat, idx, radius)
                 err = relative_error(a, estimate)
+            if not (np.isfinite(a) and np.isfinite(estimate)):
+                err = np.inf  # relative_error gives NaN here, which max() would drop
             worst = max(worst, err)
         errors[name] = worst
     return errors
@@ -183,8 +186,9 @@ def check_mvtm(seed=0, samples_per_param=4):
 def check_block(seed=0, samples_per_param=4):
     """Gradients of a full residual block (stage-3 geometry, res-scaled).
 
-    The block runs as its two halves (`Block.steps`), so a probe of an
-    MLP-half parameter re-runs only that half, from its cached input.
+    The block runs as its four steps (`Block.steps`): each norm ends a step,
+    so a probe of a mixer, MLP or residual-scale parameter re-runs only its
+    branch and what follows, from the cached normalized input.
     """
     rng = np.random.default_rng(seed)
     blk = Block(make_stage_spec(3, 8), "mvn", mlp_ratio=2, use_res_scale=True, drop_prob=0.0, rng=rng)
@@ -194,12 +198,14 @@ def check_block(seed=0, samples_per_param=4):
 def suffix_loss(model, images, targets):
     """`loss(start)`: the training loss of `model` re-run from the input of ``model.steps[start]``.
 
-    Each step's input is computed once here, tape-free, and the label-smoothed
-    targets are built once; ``start`` equal to the step count runs the head
-    alone.  The steps before ``start`` do not read the parameters of the steps
-    from ``start`` on, so the loss and those parameters' tape gradients are
-    the same floats as a full ``model.forward(images, training=True)``'s
-    under ``ce_label_smoothing(..., 0.1)``.
+    Each step's input is computed once here, tape-free (inside a block the
+    input of a residual step is the pair of the block input and its
+    normalized copy), and the label-smoothed targets are built once;
+    ``start`` equal to the step count runs the head alone.  The steps before
+    ``start`` do not read the parameters of the steps from ``start`` on, so
+    the loss and those parameters' tape gradients are the same floats as a
+    full ``model.forward(images, training=True)``'s under
+    ``ce_label_smoothing(..., 0.1)``.
     """
     q = smoothed_targets(targets, model.cfg.num_classes, 0.1, model.head_fc2_w.dtype)
     return _suffix(_training(model.steps), images, lambda x: cross_entropy(model.head(x, training=True), q))
@@ -209,12 +215,13 @@ def check_model(seed=0, samples_per_param=2):
     """End-to-end gradients of the micro model under the training loss.
 
     A parameter can only change the step that first reads it (its owner in
-    `model.steps`: a block half, a downsample's norm or its conv) and the
-    steps after it, so a probe re-runs only those steps and the head, from
-    the owner's cached input (`suffix_loss`).  Parameters are checked in runs
-    of consecutive `named_parameters` entries that share an owner, in
-    registry order, so `rng` draws the same probes as one check over the
-    whole model.
+    `model.steps`: a norm, a block's residual branch, or a downsample's
+    conv) and the steps after it, so a probe re-runs only those steps and
+    the head, from the owner's cached input (`suffix_loss`); every norm ends
+    a step, so a branch probe starts from its normalized input.  Parameters
+    are checked in runs of consecutive `named_parameters` entries that share
+    an owner, in registry order, so `rng` draws the same probes as one check
+    over the whole model.
     """
     rng = np.random.default_rng(seed)
     model = build_model(model_config("micro", num_classes=4), seed=seed).cast_(np.float64)

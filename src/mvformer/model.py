@@ -171,7 +171,9 @@ class Layer(Module):
     """A layer written once, as its ``steps``: ``(step(x, training=False, rng=None), owners)`` pairs.
 
     ``owners`` are the modules and tensors (``None`` if absent) holding the parameters a step is
-    first to read.  ``forward`` runs the steps in turn; the gradient check runs them one at a time.
+    first to read.  Every norm ends a step that owns it alone, so a step after it starts from the
+    normalized input.  ``forward`` runs the steps in turn, each taking the state the one before
+    returned (a tensor, or inside a block a pair); the gradient check runs them one at a time.
     """
 
     def forward(self, x, training=False, rng=None):
@@ -183,9 +185,11 @@ class Layer(Module):
 class Block(Layer):
     """Mixer sub-block and MLP sub-block, each normalized and residual.
 
-    Its steps are ``mixer_half``, ``x + mixer(norm1(x))``, then ``mlp_half``,
-    ``x + mlp(norm2(x))``, each branch times its residual scale (if any) and
-    its stochastic-depth mask, the mixer half drawing its mask first.
+    Every norm ends a step, so its four steps are ``prenorm1``, ``x -> (x, norm1(x))``;
+    ``mixer_residual``, ``(x, u) -> x + mixer(u)``; then ``prenorm2`` and ``mlp_residual``,
+    the same two for ``norm2`` and the MLP.  Each branch is multiplied by its residual scale
+    (if any) and its stochastic-depth mask, which a residual step draws after computing its
+    branch, so the mixer's mask is drawn first.
     """
 
     def __init__(self, spec, norm_kind, mlp_ratio, use_res_scale, drop_prob, rng):
@@ -204,16 +208,26 @@ class Block(Layer):
     @property
     def steps(self):
         return (
-            (self.mixer_half, (self.res_scale1, self.norm1, self.mixer)),
-            (self.mlp_half, (self.res_scale2, self.norm2, self.mlp)),
+            (self.prenorm1, (self.norm1,)),
+            (self.mixer_residual, (self.res_scale1, self.mixer)),
+            (self.prenorm2, (self.norm2,)),
+            (self.mlp_residual, (self.res_scale2, self.mlp)),
         )
 
-    def mixer_half(self, x, training=False, rng=None):
-        branch = self.mixer.forward(self.norm1.forward(x, training))
+    def prenorm1(self, x, training=False, rng=None):
+        return x, self.norm1.forward(x, training)
+
+    def mixer_residual(self, xu, training=False, rng=None):
+        x, u = xu
+        branch = self.mixer.forward(u)
         return residual(x, branch, self.res_scale1, drop_path(branch, self.drop_prob, training, rng))
 
-    def mlp_half(self, x, training=False, rng=None):
-        branch = self.mlp.forward(self.norm2.forward(x, training))
+    def prenorm2(self, x, training=False, rng=None):
+        return x, self.norm2.forward(x, training)
+
+    def mlp_residual(self, xu, training=False, rng=None):
+        x, u = xu
+        branch = self.mlp.forward(u)
         return residual(x, branch, self.res_scale2, drop_path(branch, self.drop_prob, training, rng))
 
 

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 import mvformer.gradcheck as gradcheck
+import mvformer.mixer as mixer_mod
 import mvformer.model as model_mod
 from mvformer.gradcheck import (
+    DEFAULT_TOLERANCE,
     _training,
     check_block,
     check_gradients,
+    check_model,
     relative_error,
     run_checks,
     suffix_loss,
 )
 from mvformer.mixer import ABLATION_MODES, make_stage_spec
 from mvformer.model import NORM_KINDS, PRESETS, Block, MVFormer, build_model, model_config
+from mvformer.norm import MultiViewNorm, PlainNorm
 from mvformer.tensor import Tensor, _node, backward, grad_enabled, square, tsum
 from mvformer.training import ce_label_smoothing
 
@@ -72,6 +76,15 @@ class TestCheckGradients:
         assert len(losses) > 1 and losses[0].requires_grad
         assert not any(loss.requires_grad for loss in losses[1:])
 
+    def test_non_finite_gradient_fails(self):
+        x = Tensor(np.random.default_rng(3).uniform(-1, 1, (1, 1, 2, 2)), requires_grad=True)
+
+        def nan_grad(t):
+            return _node(t.data * 1.0, (t,), lambda g, acc: acc(t, g * np.nan))
+
+        errs = check_gradients(lambda: tsum(square(nan_grad(x))), [("x", x)])
+        assert errs["x"] == np.inf
+
     def test_float32_rejected(self):
         x = Tensor(np.ones((1, 1, 1, 1), dtype=np.float32), requires_grad=True)
         with pytest.raises(ValueError, match="float64"):
@@ -98,7 +111,8 @@ class TestRunners:
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_block_rows_equal_one_check_of_the_whole_block(self, seed):
-        """Splitting the block into two cached steps changes no probe and no float of its rows."""
+        """Splitting the block into four cached steps, each norm ending one, changes no probe and no float
+        of its rows."""
         rng = np.random.default_rng(seed)
         blk = Block(make_stage_spec(3, 8), "mvn", mlp_ratio=2, use_res_scale=True, drop_prob=0.0, rng=rng)
         for _, p in blk.cast_(np.float64).named_parameters():
@@ -172,6 +186,18 @@ class TestSuffixLoss:
         assert values[0] == values[2]
 
 
+def modules(module):
+    """`module` and every module under it."""
+    yield module
+    for child in module._children.values():
+        yield from modules(child)
+
+
+def all_finite(state):
+    """Whether every entry of a step's state, a tensor or a pair of them, is finite."""
+    return all(np.isfinite(t.data).all() for t in (state if isinstance(state, tuple) else (state,)))
+
+
 CONFIGS = [(p, n, a) for p in PRESETS for n in NORM_KINDS for a in (None, *ABLATION_MODES)]
 
 
@@ -192,6 +218,11 @@ class TestStepOwnership:
         assert not set(owned) & head
         has_scales = any("res_scale" in n for n, _ in model.named_parameters())
         assert has_scales == bool(res_scale_stages)
+        norm_of = {id(p.tensor): norm for norm in modules(model) if isinstance(norm, (PlainNorm, MultiViewNorm))
+                   for _, p in norm.named_parameters()}
+        for _, params in steps:  # every norm ends a step: one that owns a norm's parameters owns nothing else
+            if any(id(t) in norm_of for t in params):
+                assert len({norm_of.get(id(t)) for t in params}) == 1
 
     def test_a_nan_parameter_first_shows_in_its_owner(self, res_scale_stages):
         model = micro_model(14, res_scale_stages)
@@ -205,11 +236,27 @@ class TestStepOwnership:
             stop = owner.get(id(t), len(steps))
             try:
                 with grad_enabled(False):
-                    y = x  # the input of steps[k]: finite up to the owner's
+                    y = x  # the input of steps[k], a tensor or a pair: finite up to the owner's
                     for k, (step, _) in enumerate(steps[:stop]):
                         y = step(y)
-                        assert np.isfinite(y.data).all(), (name, k)
+                        assert all_finite(y), (name, k)
                     out = steps[stop][0](y) if stop < len(steps) else model.head(y, training=True)
-                assert not np.isfinite(out.data).all(), name
+                assert not all_finite(out), name
             finally:
                 t.data = saved
+
+
+class TestDetection:
+    """A wrong backward rule past a cached norm still fails the check."""
+
+    def test_star_relu_defect_in_the_mixer_caught(self, monkeypatch):
+        real = mixer_mod.star_relu
+
+        def bad_star_relu(x, s, b):  # x's gradient scaled by 1.5
+            return real(_node(x.data, (x,), lambda g, acc: acc(x, 1.5 * g)), s, b)
+
+        monkeypatch.setattr(mixer_mod, "star_relu", bad_star_relu)
+        block = check_block(seed=0)
+        assert max(err for n, err in block.items() if n.startswith("mixer.")) > DEFAULT_TOLERANCE
+        model = check_model(seed=0)
+        assert max(err for n, err in model.items() if ".mixer." in n) > DEFAULT_TOLERANCE

@@ -151,11 +151,12 @@ class TestBlock:
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("res_scale", [True, False])
-    def test_forward_is_the_two_halves_in_turn(self, res_scale):
+    def test_forward_is_the_four_steps_in_turn(self, res_scale):
         blk = self._block(seed=6, res_scale=res_scale)
         x = Tensor(np.random.default_rng(7).normal(size=(2, 8, 4, 4)).astype(np.float32))
-        halves = blk.mlp_half(blk.mixer_half(x, training=True), training=True)
-        assert np.array_equal(blk.forward(x, training=True).data, halves.data)
+        mid = blk.mixer_residual(blk.prenorm1(x, training=True), training=True)
+        out = blk.mlp_residual(blk.prenorm2(mid, training=True), training=True)
+        assert np.array_equal(blk.forward(x, training=True).data, out.data)
 
     def test_res_scale_absent_when_disabled(self):
         blk = self._block(res_scale=False)
@@ -203,8 +204,10 @@ class TestDropPath:
                     x = embed.norm.forward(x, True)
                 x = embed.conv(x)
                 for blk in blocks:
-                    x = blk.mixer_half(x, True, rng)  # the mixer half draws its mask first
-                    x = blk.mlp_half(x, True, rng)
+                    for norm, branch, scale in ((blk.norm1, blk.mixer, blk.res_scale1),
+                                                (blk.norm2, blk.mlp, blk.res_scale2)):  # the mixer's mask first
+                        b = branch.forward(norm.forward(x, True))
+                        x = residual(x, b, scale, drop_path(b, blk.drop_prob, True, rng))
             return model.head(x, True)
 
         def forward(model, x, rng):
