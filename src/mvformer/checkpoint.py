@@ -103,7 +103,10 @@ def write_arrays(path, arrays):
 
 
 def read_arrays(path):
-    """Deserialize back to an ordered {name: ndarray} mapping."""
+    """Deserialize back to an ordered {name: ndarray} mapping of read-only arrays.
+
+    Each is a view of the one buffer the file is read into; copy it to modify it.
+    """
     with open(path, "rb") as f:
         buf = f.read()
     if buf[:4] != MAGIC:
@@ -134,7 +137,7 @@ def read_arrays(path):
         raise CheckpointIntegrityError(f"{path}: truncated manifest") from exc
     except UnicodeDecodeError as exc:
         raise CheckpointFormatError(f"{path}: entry name is not valid utf-8") from exc
-    payload = buf[pos:]
+    payload = memoryview(buf)[pos:]
     expected = sum(int(np.prod(s, dtype=np.int64)) * d.itemsize for _, d, s, _ in entries)
     if len(payload) != expected:
         raise CheckpointIntegrityError(
@@ -146,7 +149,7 @@ def read_arrays(path):
         if offset + nbytes > len(payload):
             raise CheckpointIntegrityError(f"{path}: entry {name!r} runs past end of payload")
         arrays[name] = np.frombuffer(payload, dtype=dtype, count=nbytes // dtype.itemsize,
-                                     offset=offset).reshape(shape).copy()
+                                     offset=offset).reshape(shape)
     return arrays
 
 

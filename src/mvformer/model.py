@@ -61,7 +61,7 @@ def stage_map_sizes(input_hw):
     return tuple(sizes)
 
 
-NORM_KINDS = ("mvn", "bn", "ln", "in")
+NORM_KINDS = ("mvn", *PlainNorm.KINDS)
 
 PRESETS = {
     "xT": dict(embed_dims=(64, 128, 320, 512), depths=(2, 2, 4, 2), drop_path_rate=0.2),

@@ -13,13 +13,15 @@ no tape, so their outputs hold no parents and no backward closures.
 Storage is float32 by default.  Ops preserve the dtype of their inputs, so
 a graph built from float64 leaves evaluates entirely in 64-bit (used by the
 finite-difference gradient checks).
+
+No norm view is named here: ``norm`` owns the views, their statistics and
+their fused nodes, which it makes with this module's ``_node``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import types
 
 import numpy as np
 
@@ -105,7 +107,7 @@ def _as_tensor(value, like=None):
     return Tensor.scalar(value, dtype=dtype)
 
 
-_grad_on = True  # read by _node and normalize; set only through grad_enabled
+_grad_on = True  # read by _node and norm.normalize; set only through grad_enabled
 
 
 @contextlib.contextmanager
@@ -374,224 +376,6 @@ def mean(x, axes=None):
     data = _sum_keep(x.data, axes)
     data /= count
     return _unary(x, data, lambda g, a, z: np.broadcast_to(g / count, a.shape))
-
-
-# -- normalization --------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=256)
-def _layout(kinds, shape):
-    """Where each view of a ``variance`` call on `shape` sits in its packed variances.
-
-    Returns a read-only ``{kind: slice}`` in the order of `kinds`: ``bn``
-    has one variance per channel, ``ln`` one per pixel and ``in`` one per
-    map.  Pure and cached, every call shares the result; the norm layer
-    checks its calls.
-    """
-    n, c, h, w = shape
-    size = {"bn": c, "ln": n * h * w, "in": n * c}
-    at, start = {}, 0
-    for kind in kinds:
-        at[kind] = slice(start, start + size[kind])
-        start += size[kind]
-    return types.MappingProxyType(at)
-
-
-class Moments:
-    """The plain arrays `variance` computes and `normalize` reads; no tape links.
-
-    ``at``: each view's slice of the packed variances, keyed by kind in the
-    call's order.  ``stats``: each view's ``(mean, variance)`` as flat
-    arrays, keyed by kind: ``bn`` per channel (c,), ``ln`` per pixel (n, h*w)
-    and ``in`` per map (n*c,).  ``xc``: `x` centred on its per-map means,
-    present with a ``bn`` or ``in`` view, and ``shift`` the per-map minus the
-    per-channel means, (n, c, 1, 1).  ``z``: the ``ln`` view's standardized
-    values.  ``const``: the ``bn`` statistics are given constants.
-    """
-
-    __slots__ = ("at", "stats", "xc", "shift", "z", "const")
-
-
-def variance(x, kinds, eps, running=None):
-    """Population variances of `x` over the norm views `kinds`, packed into one tape node.
-
-    `kinds` is an ordered subset of ``("bn", "ln", "in")``: batch statistics
-    per channel over (0, 2, 3), layer statistics per pixel over (1,) and
-    instance statistics per map over (2, 3).  The caller checks that each
-    extent is non-empty.  Returns ``(var, m)``: a (1, 1, 1, k) tensor
-    holding every view's variances, flattened in the order of `kinds`, whose
-    only parent is `x`, and the `Moments` that `normalize` reads.
-
-    `x` is centred once on its per-map means.  The ``bn`` moments are the
-    per-map ones combined over the batch (the pairwise update of Chan, Golub
-    and LeVeque, 1979), so they take no full-size pass of their own.
-    `running`, a ``(mean, var)`` pair of per-channel (c,) arrays, makes the
-    ``bn`` view constant: its variance is packed as given and gets no
-    gradient.  The ``ln`` view is centred and squared in one more pass and
-    standardized here with ``sqrt(var + eps)``, in place.  Every sum is one
-    matrix-vector product on a 2-D or 3-D reshape of C-contiguous data (a
-    non-contiguous `x` is copied first).  The gradient is each
-    view's ``2 (x - mu_v) / count_v`` times its incoming gradient, summed over
-    the views (centred values sum to zero, so the means add nothing).
-    """
-    at = _layout(kinds, x.shape)
-    xd = x.data if x.data.flags.c_contiguous else np.ascontiguousarray(x.data)
-    n, c, h, w = xd.shape
-    hw = h * w
-    m = Moments()
-    m.at = at
-    m.const = const = running is not None and "bn" in at
-    m.stats = stats = {}
-    xc = shift = z = std_ln = sq = None
-    if "in" in at or "bn" in at:
-        mu = _row_sums(xd.reshape(n * c, hw))
-        mu /= hw
-        mu4 = mu.reshape(n, c, 1, 1)
-        xc = xd - mu4
-        sq = xc * xc
-        var = _row_sums(sq.reshape(n * c, hw))
-        var /= hw
-        if "in" in at:
-            stats["in"] = mu, var
-    if "bn" in at:
-        if const:
-            mu_c, var_c = running
-        else:
-            mu_c = _col_sums(mu.reshape(n, c))
-            mu_c /= n
-        shift = mu4 - mu_c.reshape(c, 1, 1)
-        if not const:
-            s = shift.reshape(n, c)
-            var_c = _col_sums(var.reshape(n, c) + s * s)
-            var_c /= n
-        stats["bn"] = mu_c, var_c
-    if "ln" in at:
-        mu_p = _col_sums(xd.reshape(n, c, hw))
-        mu_p /= c
-        xl = xd - mu_p.reshape(n, 1, h, w)
-        sq = np.multiply(xl, xl, out=sq)
-        var_p = _col_sums(sq.reshape(n, c, hw))
-        var_p /= c
-        std_ln = np.sqrt(var_p + eps)
-        z = np.multiply(xl, (1.0 / std_ln).reshape(n, 1, h, w), out=xl)
-        stats["ln"] = mu_p, var_p
-    m.xc, m.shift, m.z = xc, shift, z
-    data = np.concatenate([stats[kind][1] for kind in at], axis=None).reshape(1, 1, 1, -1)
-
-    def bw(g, acc):
-        g = g.reshape(-1)
-        gc = None if "bn" not in at or const else g[at["bn"]].reshape(c, 1, 1)
-        gx = None
-        if "in" in at or gc is not None:
-            k = g[at["in"]].reshape(n, c, 1, 1) * (2.0 / hw) if "in" in at else 0.0
-            if gc is not None:  # x - mu is xc + shift
-                kc = gc * (2.0 / (n * hw))
-                k = k + kc
-            gx = xc * k
-            if gc is not None:
-                gx += shift * kc
-        if z is not None:
-            t = z * (g[at["ln"]].reshape(n, hw) * std_ln * (2.0 / c)).reshape(n, 1, h, w)
-            gx = t if gx is None else np.add(gx, t, out=gx)
-        acc(x, gx)
-
-    constant = const and len(at) == 1
-    return _node(data, () if constant else (x,), bw), m
-
-
-def normalize(x, m, std, weights, gamma, beta):
-    """``gamma * sum_v weight_v * (x - mu_v) / std_v + beta``, recorded as one tape node.
-
-    `m` and `std` come from ``variance``: `std` is ``sqrt(var + eps)`` of its
-    packed variances.  `weights` holds a tensor, or None for a weight of
-    one, per view in the order of the call's kinds; `gamma` and `beta` are
-    (1, c, 1, 1) tensors.  With ``r = 1 / std``, the ``in`` and ``bn`` views
-    are affine in ``xc`` per (n, c), so the output is ``xc * scale + offset +
-    ln_w * z`` with (n, c, 1, 1) arrays `scale` and `offset` and ``ln_w =
-    gamma * weight`` of the ``ln`` view.  An ``in`` view of 1x1 maps is
-    identically zero and drops out exactly, from the output and every
-    gradient.
-
-    The backward is closed-form.  Every weight, gamma, beta and std gradient
-    comes from the per-(n, c) sums of g, ``g * xc`` and ``g * z`` and the
-    per-pixel channel sums of ``ln_w * g`` and ``ln_w * g * z``.  `x`
-    receives each view's gradient with its mean's gradient folded in (none
-    for constant ``bn`` statistics): ``g * scale + q + (ln_w * g -
-    mean_c(ln_w * g)) * r`` with q per (n, c).  Only ``xc`` and ``z`` are kept; without a tape the
-    output is written over them.
-    """
-    parents = [x, std] + [t for t in weights if t is not None] + [gamma, beta]
-    tape = _grad_on and any(p.requires_grad for p in parents)
-    n, c, h, wd = x.shape
-    hw = h * wd
-    at, xc, z, shift = m.at, m.xc, m.z, m.shift
-    r = (1.0 / std.data).reshape(-1)
-    one = _ones(c, x.dtype).reshape(1, c, 1, 1)  # a missing weight multiplies exactly
-    gd = gamma.data
-    w = {kind: one if t is None else t.data for kind, t in zip(at, weights)}
-    coef_in = coef_bn = coef_ln = None
-    if "in" in at:
-        r_in = r[at["in"]].reshape(n, c, 1, 1)
-        if hw == 1:
-            r_in = np.zeros_like(r_in)
-        coef_in = gd * (w["in"] * r_in)
-    if "bn" in at:
-        r_bn = r[at["bn"]].reshape(1, c, 1, 1)
-        coef_bn = gd * (w["bn"] * r_bn)
-    if "ln" in at:
-        r_ln = r[at["ln"]].reshape(n, 1, h, wd)
-        coef_ln = gd * w["ln"]
-    offset = beta.data
-    if coef_bn is not None:
-        offset = coef_bn * shift + offset
-    out = None
-    if xc is not None:
-        scale = sum(k for k in (coef_in, coef_bn) if k is not None)
-        out = xc * scale if tape else np.multiply(xc, scale, out=xc)
-    if z is not None:
-        t = z * coef_ln if tape else np.multiply(z, coef_ln, out=z)
-        out = t if out is None else np.add(out, t, out=out)
-    out += offset
-
-    def bw(g, acc):
-        g = np.ascontiguousarray(g)
-        s0 = _row_sums(g.reshape(n * c, hw)).reshape(n, c, 1, 1)
-        s0n = _col_sums(s0.reshape(n, c)).reshape(1, c, 1, 1)  # the batch sum of s0
-        ys = {}  # per view: the sum of g * y_v over all but the channel
-        dstd = {}  # per view: the std gradient
-        gx = None
-        if xc is not None:
-            s1 = _row_sums((g * xc).reshape(n * c, hw)).reshape(n, c, 1, 1)
-            q = 0.0
-            if "in" in at:
-                ys["in"] = _col_sums((r_in * s1).reshape(n, c)).reshape(1, c, 1, 1)
-                dstd["in"] = -(coef_in * r_in * s1)
-                q = coef_in * s0 * (-1.0 / hw)
-            if "bn" in at:
-                ys["bn"] = r_bn * _col_sums((s1 + shift * s0).reshape(n, c)).reshape(1, c, 1, 1)
-                dstd["bn"] = -(coef_bn * ys["bn"])
-                if not m.const:
-                    q = q + coef_bn * s0n * (-1.0 / (n * hw))
-            gx = g * scale
-            gx += q
-        if z is not None:
-            gz = g * z
-            lw = coef_ln.reshape(c)
-            ys["ln"] = _col_sums(_row_sums(gz.reshape(n * c, hw)).reshape(n, c)).reshape(1, c, 1, 1)
-            dstd["ln"] = np.matmul(lw, gz.reshape(n, c, hw)).reshape(n, 1, h, wd) * -r_ln
-            t = g * coef_ln
-            t -= np.matmul(lw, g.reshape(n, c, hw)).reshape(n, 1, h, wd) * (1.0 / c)
-            t *= r_ln
-            gx = t if gx is None else np.add(gx, t, out=gx)
-        acc(x, gx)
-        acc(std, np.concatenate([dstd[kind] for kind in at], axis=None).reshape(std.shape))
-        for kind, t in zip(at, weights):
-            if t is not None:
-                acc(t, gd * ys[kind])
-        acc(gamma, sum(w[kind] * ys[kind] for kind in at))
-        acc(beta, s0n)
-
-    return _node(out, parents, bw)
 
 
 def global_avg_pool(x):

@@ -107,7 +107,7 @@ def moments_oracle(x, axes):
 def moments(x, axes):
     """Mean and population variance over `axes` as tensors, from plain tape ops.
 
-    The unfused composite of one view of ``tensor.variance``.
+    The unfused composite of one view of ``norm.variance``.
     Variance divides by the element count (no Bessel correction).
     """
     if not axes:
@@ -121,8 +121,22 @@ VIEW_AXES = {"bn": (0, 2, 3), "ln": (1,), "in": (2, 3)}
 VIEW_KIND = {axes: kind for kind, axes in VIEW_AXES.items()}
 
 
+def packed_layout(kinds, shape):
+    """``norm._check``'s ``{kind: slice}`` for views `kinds` of `shape`, without its checks.
+
+    Lets a test call ``norm.variance`` on shapes the layers reject: each
+    view is as long as the elements its reduction keeps.
+    """
+    at, start = {}, 0
+    for kind in kinds:
+        size = int(np.prod([d for i, d in enumerate(shape) if i not in VIEW_AXES[kind]]))
+        at[kind] = slice(start, start + size)
+        start += size
+    return at
+
+
 def view_stats(m, kind, shape):
-    """View `kind`'s ``(mean, variance)`` from ``tensor.variance``'s `Moments`, as keepdims arrays.
+    """View `kind`'s ``(mean, variance)`` from ``norm.variance``'s `Moments`, as keepdims arrays.
 
     `Moments` holds them flat, keyed by kind; `shape` is the input's.
     """
@@ -131,7 +145,7 @@ def view_stats(m, kind, shape):
 
 
 def identity_affine(x):
-    """``(gamma, beta)`` of ones and zeros for `x`'s channels: the affine ``tensor.normalize`` requires."""
+    """``(gamma, beta)`` of ones and zeros for `x`'s channels: the affine ``norm.normalize`` requires."""
     shape = (1, x.shape[1], 1, 1)
     return Tensor(np.ones(shape, x.dtype)), Tensor(np.zeros(shape, x.dtype))
 

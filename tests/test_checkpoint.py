@@ -1,6 +1,7 @@
 """Checkpoint format: byte-stable round trips and corruption handling."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,25 @@ class TestRoundTrip:
         for name in arrays:
             assert back[name].dtype == arrays[name].dtype
             assert np.array_equal(back[name], arrays[name])
+        assert not any(a.flags.writeable for a in back.values())  # views of the file's one buffer
+
+
+class TestReadMemory:
+    def test_read_meta_holds_one_copy_of_the_file(self, tmp_path):
+        """Reading a few hundred bytes of metadata peaks near the file size, not at a multiple of it."""
+        model, opt = trained_pair()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, opt, {"train.epoch": "2"})
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            assert read_meta(path) == {"train.epoch": "2"}
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * size, (peak, size)
 
 
 class TestGuards:

@@ -1,11 +1,13 @@
-"""Normalization tests: closed-form two-point cases, stats oracles, fusion."""
+"""Normalization tests: closed-form two-point cases, moments, stats oracles, fusion."""
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvformer.norm import DegenerateInputError, MultiViewNorm, PlainNorm, make_norm
+from mvformer.norm import DegenerateInputError, MultiViewNorm, PlainNorm, make_norm, normalize, variance
 from mvformer import norm, tensor
 from mvformer.tensor import ShapeError, Tensor, add, backward, grad_enabled, sqrt, tsum, square
 from oracles import (
@@ -19,6 +21,7 @@ from oracles import (
     mul,
     mvn_oracle,
     numeric_grad,
+    packed_layout,
     standardize_oracle,
     sub,
     ulp_err,
@@ -35,8 +38,8 @@ MVN_ULPS = 16
 def standardize(x, axes, eps):
     """The view over `axes`, unguarded and unweighted, through the norm body's nodes: ``(y, mu, var)``."""
     kind = VIEW_KIND[axes]
-    var, m = tensor.variance(x, (kind,), eps)
-    y = tensor.normalize(x, m, sqrt(add(var, eps)), [None], *identity_affine(x))
+    var, m = variance(x, packed_layout((kind,), x.shape), eps)
+    y = normalize(x, m, sqrt(add(var, eps)), [None], *identity_affine(x))
     return (y, *view_stats(m, kind, x.shape))
 
 
@@ -65,6 +68,121 @@ def op_nodes(out):
             ops.append(t)
         stack.extend(t._parents)
     return ops
+
+
+class TestMoments:
+    def test_constant(self):
+        x = Tensor(np.full((2, 3, 4, 4), 5.0, dtype=np.float32))
+        mu, var = moments(x, (0, 2, 3))
+        assert np.allclose(mu.data, 5.0)
+        assert np.allclose(var.data, 0.0)
+
+    def test_two_point(self):
+        data = np.zeros((2, 1, 1, 1), dtype=np.float32)
+        data[1] = 2.0
+        mu, var = moments(Tensor(data), (0, 2, 3))
+        assert mu.data.reshape(()) == 1.0
+        assert var.data.reshape(()) == 1.0
+
+    @pytest.mark.parametrize("axes", [(0, 2, 3), (1,), (2, 3), (0, 1, 2, 3)])
+    def test_against_two_pass_oracle(self, axes):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(3, 5, 4, 6))
+        mu, var = moments(Tensor(x.astype(np.float32)), axes)
+        mu_o, var_o = moments_oracle(x, axes)
+        np.testing.assert_allclose(mu.data, mu_o, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(var.data, var_o, rtol=1e-6, atol=1e-6)
+
+    def test_empty_axes_rejected(self):
+        with pytest.raises(ShapeError, match="at least one"):
+            moments(Tensor(np.ones((1, 2, 3, 3))), ())
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_variance_nonnegative_zero_iff_constant(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
+        if seed % 3 == 0:
+            x[:] = x.reshape(-1)[0]  # force a constant tensor sometimes
+        _, var = moments(Tensor(x), (0, 2, 3))
+        assert (var.data >= 0).all()
+        const_slices = np.array(
+            [np.ptp(x[:, c]) == 0 for c in range(x.shape[1])]
+        ).reshape(var.shape)
+        assert np.array_equal(var.data == 0, const_slices)
+
+
+class TestVarianceNormalize:
+    AXES = [(0, 2, 3), (1,), (2, 3)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axes", AXES)
+    def test_forward_bitwise_equals_composite(self, axes, dtype):
+        """Per-map and per-pixel moments are the composite's bitwise; the per-channel
+        ones (combined from the per-map moments) and the normalized values within 8 ulp."""
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(2.0, 3.0, size=(4, 5, 3, 6)).astype(dtype))
+        mu_t, var_t = moments(x, axes)
+        kind = VIEW_KIND[axes]
+        var, m = variance(x, packed_layout((kind,), x.shape), 1e-5)
+        mu_v, var_v = view_stats(m, kind, x.shape)
+        assert np.array_equal(var.data.reshape(var_t.shape), var_v)
+        if axes == (0, 2, 3):
+            assert ulp_err(mu_v, mu_t.data) <= 8 and ulp_err(var_v, var_t.data) <= 8
+        else:
+            assert np.array_equal(mu_v, mu_t.data) and np.array_equal(var_v, var_t.data)
+        std = sqrt(add(var, 1e-5))
+        y = normalize(x, m, std, [None], *identity_affine(x))
+        assert y.dtype == dtype
+        assert ulp_err(y.data, div(sub(x, mu_t), sqrt(add(var_t, 1e-5))).data) <= 8
+
+    @pytest.mark.parametrize("axes", AXES)
+    def test_variance_matches_oracle(self, axes):
+        x = np.random.default_rng(22).normal(-1.0, 2.0, size=(3, 5, 4, 6))
+        kind = VIEW_KIND[axes]
+        _, m = variance(Tensor(x), packed_layout((kind,), x.shape), 1e-5)
+        mu_v, var_v = view_stats(m, kind, x.shape)
+        mu_o, var_o = moments_oracle(x, axes)
+        np.testing.assert_allclose(mu_v, mu_o, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(var_v, var_o, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("axes", AXES)
+    def test_grads_match_central_differences(self, axes):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(3, 4, 2, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=x.shape))
+        at = packed_layout((VIEW_KIND[axes],), x.shape)
+        wv = Tensor(rng.normal(size=(1, 1, 1, variance(x, at, 1e-5)[0].size)))
+
+        def norm_loss():  # the whole stats path: variance, sqrt(var + eps), normalize
+            var, m = variance(x, at, 1e-5)
+            return tsum(mul(normalize(x, m, sqrt(add(var, 1e-5)), [None], *identity_affine(x)), w))
+
+        def var_loss():
+            return tsum(mul(variance(x, at, 1e-5)[0], wv))
+
+        for loss in (norm_loss, var_loss):
+            x.grad = None
+            backward(loss())
+            num = numeric_grad(lambda: loss().item(), x.data)
+            assert max_rel_err(x.grad, num) < 1e-3
+
+    def test_tape_links(self):
+        x = Tensor(np.arange(24.0).reshape(2, 3, 2, 2), requires_grad=True)
+        var, m = variance(x, packed_layout(("ln",), x.shape), 1e-5)
+        std = sqrt(add(var, 1e-5))
+        gamma, beta = identity_affine(x)
+        y = normalize(x, m, std, [None], gamma, beta)
+        assert isinstance(m.stats["ln"][0], np.ndarray) and var._parents == (x,)
+        assert y._parents == (x, std, gamma, beta)
+
+    @pytest.mark.parametrize("shape,axes", [((2, 3, 0, 4), (0, 2, 3)), ((0, 3, 2, 2), (0, 2, 3)), ((2, 0, 2, 2), (1,))])
+    def test_empty_extent_rejected(self, shape, axes):
+        """The norm layer, `variance`'s only caller, rejects a view over no elements before
+        computing anything; in eval mode the error names the first empty view's axes."""
+        message = f"variance over empty extent (axes {axes} of shape {shape})"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            MultiViewNorm(shape[1]).forward(Tensor(np.zeros(shape)), training=False)
 
 
 class TestStandardize:
@@ -357,6 +475,34 @@ class TestPlainNorm:
             free = layer.forward(x, training=True)
         assert calls == ["variance", "add", "sqrt", "normalize"]
         assert free._parents == () and free._backward is None and not free.requires_grad
+
+    @pytest.mark.parametrize("kind", KINDS + ("mvn",))
+    def test_every_node_goes_through_tensor_node(self, kind, monkeypatch):
+        """A wrapper over ``tensor._node`` sees all four nodes of a taped call, in order:
+        variance, add, sqrt and normalize; the one place to observe every op."""
+        made, real = [], tensor._node
+        monkeypatch.setattr(tensor, "_node", lambda *a: made.append(real(*a)) or made[-1])
+        x = Tensor(np.random.default_rng(36).normal(size=(2, 4, 3, 3)).astype(np.float32), requires_grad=True)
+        y = make_norm(kind, 4).forward(x, training=True)
+        std = y._parents[1]
+        added = std._parents[0]
+        var = added._parents[0]
+        assert len(made) == 4 and all(a is b for a, b in zip(made, (var, added, std, y)))
+
+    @pytest.mark.parametrize("kind", KINDS + ("mvn",))
+    @pytest.mark.parametrize("shape", [(2, 4, 3, 3), (5, 4, 1, 7)])
+    def test_plan_is_the_packed_layout_looked_up_once(self, kind, shape):
+        """``_check`` returns the read-only layout of the packed variances, one lookup per call."""
+        layer = make_norm(kind, 4)
+        x = Tensor(np.random.default_rng(37).normal(size=shape).astype(np.float32))
+        plan = norm._check(4, layer._kinds, shape, True)
+        assert dict(plan) == packed_layout(layer._kinds, shape)
+        with pytest.raises(TypeError):
+            plan["bn"] = slice(0, 1)
+        before = norm._check.cache_info()
+        layer.forward(x, training=True)
+        after = norm._check.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
     @pytest.mark.parametrize("kind", KINDS + ("mvn",))
     def test_eval_forward_records_no_tape(self, kind):

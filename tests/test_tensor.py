@@ -1,6 +1,4 @@
-"""Tensor-core tests: oracle convolutions, moments, round trips, autodiff."""
-
-import re
+"""Tensor-core tests: oracle convolutions, sums, round trips, autodiff."""
 
 import numpy as np
 import pytest
@@ -9,26 +7,19 @@ from hypothesis import strategies as st
 
 import mvformer.tensor as tensor
 from mvformer.gradcheck import check_gradients
-from mvformer.model import build_model, model_config
-from mvformer.norm import MultiViewNorm
+from mvformer.model import build_model, model_config, stage_map_sizes
 from mvformer.training import ce_label_smoothing
 from oracles import (
-    VIEW_KIND,
     conv2d_grads_oracle,
     conv2d_oracle,
-    div,
-    identity_affine,
     max_rel_err,
     moments,
-    moments_oracle,
     mul,
     numeric_grad,
     relu,
     residual_oracle,
     star_relu_oracle,
     sub,
-    ulp_err,
-    view_stats,
 )
 from mvformer.tensor import (
     GraphError,
@@ -42,13 +33,11 @@ from mvformer.tensor import (
     global_avg_pool,
     grad_enabled,
     mean,
-    normalize,
     residual,
     sqrt,
     star_relu,
     square,
     tsum,
-    variance,
 )
 
 
@@ -445,119 +434,38 @@ class TestConv2d:
             conv2d(Tensor(np.ones(shape)), Tensor(np.ones(kernel)), stride=stride, pad=pad, groups=groups)
 
 
-class TestMoments:
-    def test_constant(self):
-        x = Tensor(np.full((2, 3, 4, 4), 5.0, dtype=np.float32))
-        mu, var = moments(x, (0, 2, 3))
-        assert np.allclose(mu.data, 5.0)
-        assert np.allclose(var.data, 0.0)
+class TestDepthwiseRouting:
+    """The kernel of every depthwise call the presets make: the depthwise traffic, asked of
+    ``_conv_plan`` from shapes alone, so a routing change shows here first."""
 
-    def test_two_point(self):
-        data = np.zeros((2, 1, 1, 1), dtype=np.float32)
-        data[1] = 2.0
-        mu, var = moments(Tensor(data), (0, 2, 3))
-        assert mu.data.reshape(()) == 1.0
-        assert var.data.reshape(()) == 1.0
+    LETTER = {"_depthwise_banded": "b", "_depthwise_taps": "t", "_depthwise_unrolled": "u"}
+    # (preset, input side, batch): per stage, one letter per depthwise conv in
+    # `StageSpec.depthwise_groups` order (local 3x3, inter 7x7, then the global k x 1, 1 x k or k x k)
+    TABLE = {
+        ("xT", 224, 1): ("bb", "bbbb", "tttt", "tt"),
+        ("xT", 448, 1): ("bb", "bbbb", "tttt", "tt"),
+        ("T", 224, 1): ("bb", "bbbb", "tttt", "tt"),
+        ("T", 448, 1): ("bb", "bbbb", "tttt", "tt"),
+        ("S", 224, 1): ("bb", "bbbb", "tttt", "tt"),
+        ("S", 448, 1): ("bb", "bbbb", "tttt", "tt"),
+        ("B", 224, 1): ("bb", "btbb", "tttt", "tt"),  # the 192-channel stage-2 7x7 runs taps
+        ("B", 448, 1): ("bb", "btbb", "tttt", "tt"),  # ... also on its 56x56 maps
+        ("micro", 32, 64): ("uu", "uuuu", "uuuu", "uu"),
+        ("micro", 32, 2): ("bb", "uuuu", "uuuu", "uu"),  # banded on the 8x8 maps only
+    }
 
-    @pytest.mark.parametrize("axes", [(0, 2, 3), (1,), (2, 3), (0, 1, 2, 3)])
-    def test_against_two_pass_oracle(self, axes):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(3, 5, 4, 6))
-        mu, var = moments(Tensor(x.astype(np.float32)), axes)
-        mu_o, var_o = moments_oracle(x, axes)
-        np.testing.assert_allclose(mu.data, mu_o, rtol=1e-6, atol=1e-6)
-        np.testing.assert_allclose(var.data, var_o, rtol=1e-6, atol=1e-6)
-
-    def test_empty_axes_rejected(self):
-        with pytest.raises(ShapeError, match="at least one"):
-            moments(Tensor(np.ones((1, 2, 3, 3))), ())
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_variance_nonnegative_zero_iff_constant(self, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
-        if seed % 3 == 0:
-            x[:] = x.reshape(-1)[0]  # force a constant tensor sometimes
-        _, var = moments(Tensor(x), (0, 2, 3))
-        assert (var.data >= 0).all()
-        const_slices = np.array(
-            [np.ptp(x[:, c]) == 0 for c in range(x.shape[1])]
-        ).reshape(var.shape)
-        assert np.array_equal(var.data == 0, const_slices)
-
-
-class TestVarianceNormalize:
-    AXES = [(0, 2, 3), (1,), (2, 3)]
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("axes", AXES)
-    def test_forward_bitwise_equals_composite(self, axes, dtype):
-        """Per-map and per-pixel moments are the composite's bitwise; the per-channel
-        ones (combined from the per-map moments) and the normalized values within 8 ulp."""
-        rng = np.random.default_rng(21)
-        x = Tensor(rng.normal(2.0, 3.0, size=(4, 5, 3, 6)).astype(dtype))
-        mu_t, var_t = moments(x, axes)
-        kind = VIEW_KIND[axes]
-        var, m = variance(x, (kind,), 1e-5)
-        mu_v, var_v = view_stats(m, kind, x.shape)
-        assert np.array_equal(var.data.reshape(var_t.shape), var_v)
-        if axes == (0, 2, 3):
-            assert ulp_err(mu_v, mu_t.data) <= 8 and ulp_err(var_v, var_t.data) <= 8
-        else:
-            assert np.array_equal(mu_v, mu_t.data) and np.array_equal(var_v, var_t.data)
-        std = sqrt(add(var, 1e-5))
-        y = normalize(x, m, std, [None], *identity_affine(x))
-        assert y.dtype == dtype
-        assert ulp_err(y.data, div(sub(x, mu_t), sqrt(add(var_t, 1e-5))).data) <= 8
-
-    @pytest.mark.parametrize("axes", AXES)
-    def test_variance_matches_oracle(self, axes):
-        x = np.random.default_rng(22).normal(-1.0, 2.0, size=(3, 5, 4, 6))
-        kind = VIEW_KIND[axes]
-        _, m = variance(Tensor(x), (kind,), 1e-5)
-        mu_v, var_v = view_stats(m, kind, x.shape)
-        mu_o, var_o = moments_oracle(x, axes)
-        np.testing.assert_allclose(mu_v, mu_o, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(var_v, var_o, rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("axes", AXES)
-    def test_grads_match_central_differences(self, axes):
-        rng = np.random.default_rng(23)
-        x = Tensor(rng.normal(size=(3, 4, 2, 3)), requires_grad=True)
-        w = Tensor(rng.normal(size=x.shape))
-        kinds = (VIEW_KIND[axes],)
-        wv = Tensor(rng.normal(size=(1, 1, 1, variance(x, kinds, 1e-5)[0].size)))
-
-        def norm_loss():  # the whole stats path: variance, sqrt(var + eps), normalize
-            var, m = variance(x, kinds, 1e-5)
-            return tsum(mul(normalize(x, m, sqrt(add(var, 1e-5)), [None], *identity_affine(x)), w))
-
-        def var_loss():
-            return tsum(mul(variance(x, kinds, 1e-5)[0], wv))
-
-        for loss in (norm_loss, var_loss):
-            x.grad = None
-            backward(loss())
-            num = numeric_grad(lambda: loss().item(), x.data)
-            assert max_rel_err(x.grad, num) < 1e-3
-
-    def test_tape_links(self):
-        x = Tensor(np.arange(24.0).reshape(2, 3, 2, 2), requires_grad=True)
-        var, m = variance(x, ("ln",), 1e-5)
-        std = sqrt(add(var, 1e-5))
-        gamma, beta = identity_affine(x)
-        y = normalize(x, m, std, [None], gamma, beta)
-        assert isinstance(m.stats["ln"][0], np.ndarray) and var._parents == (x,)
-        assert y._parents == (x, std, gamma, beta)
-
-    @pytest.mark.parametrize("shape,axes", [((2, 3, 0, 4), (0, 2, 3)), ((0, 3, 2, 2), (0, 2, 3)), ((2, 0, 2, 2), (1,))])
-    def test_empty_extent_rejected(self, shape, axes):
-        """The norm layer, `variance`'s only caller, rejects a view over no elements before
-        computing anything; in eval mode the error names the first empty view's axes."""
-        message = f"variance over empty extent (axes {axes} of shape {shape})"
-        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
-            MultiViewNorm(shape[1]).forward(Tensor(np.zeros(shape)), training=False)
+    @pytest.mark.parametrize("preset,side,n", list(TABLE))
+    def test_kernel_of_every_depthwise_call(self, preset, side, n):
+        cfg = model_config(preset)
+        got = []
+        for stage, hw in enumerate(stage_map_sizes(side), start=1):
+            letters = ""
+            for _, c, kernels in cfg.stage_spec(stage).depthwise_groups:
+                for _, (kh, kw) in kernels:
+                    name, _ = tensor._conv_plan((n, c, hw, hw), (c, 1, kh, kw), None, 1, (kh // 2, kw // 2), c)
+                    letters += self.LETTER[name]
+            got.append(letters)
+        assert tuple(got) == self.TABLE[preset, side, n]
 
 
 class TestSumKeep:
