@@ -24,6 +24,11 @@ other time.  Separate runs on a shared machine drift too far apart to compare.
 BLAS threads are left as the environment sets them; the benchmark runs on one:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/call_cost.py [--rounds 15] [--against OTHER/src]
+
+``--count`` times nothing: for each row and timing it prints what one
+untimed call does, in counts that repeat exactly from one run of the script
+to the next (see `call_counts`), for this tree and, with ``--against``, the
+other.
 """
 
 import argparse
@@ -31,6 +36,7 @@ import importlib
 import importlib.util
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from unittest.mock import patch
@@ -44,6 +50,13 @@ from mvformer.tensor import Tensor, grad_enabled
 
 AGAINST = "mvformer_against"
 BATCH_SECONDS = 0.01
+TIMINGS = ("free", "tape", "tape+bwd")
+COUNT_NOTE = (
+    "# py: Python-level calls; c: C-level calls (sys.setprofile c_call events), which a named call of a\n"
+    "# builtin function or method raises (a.reshape(s), np.empty(k)) but a numpy operator (a - b) or ufunc\n"
+    "# (np.multiply(a, b)) does not; kib: tracemalloc's peak during the call, in KiB above what was traced\n"
+    "# when it started"
+)
 # printed fields of a row before its timings, with their widths
 COLUMNS = (
     ("workload", 10), ("kind", 5), ("x", 16), ("x_grad", 6), ("dtype", 8), ("mode", 5),
@@ -153,6 +166,44 @@ def calls_of(tree, key):
     return free, forward, tape_bwd
 
 
+def call_counts(fn, roots):
+    """``(py, c, kib)`` of one call of `fn`, after a first call has warmed every cache.
+
+    Calls count only while a function of `roots` runs (the recorded call, and with a tape the
+    backward): ``py`` the ``sys.setprofile`` ``call`` events, the root's own and every generator
+    resumption included, and ``c`` its ``c_call`` events.  ``kib`` comes from a third call
+    under ``tracemalloc`` alone, which traces the memory held, not how often it was allocated:
+    a temporary freed before the peak does not show.
+    """
+    codes = {f.__code__ for f in roots}
+    depth = py = c = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, py, c
+        if event == "call":
+            depth += frame.f_code in codes
+            py += depth > 0
+        elif event == "return":
+            depth -= frame.f_code in codes
+        elif event == "c_call":
+            c += depth > 0
+
+    fn()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        kib = (tracemalloc.get_traced_memory()[1] - start) / 1024
+    finally:
+        tracemalloc.stop()
+    return py, c, kib
+
+
 def batch_size(fn):
     """How many calls fill about ``BATCH_SECONDS``."""
     fn()
@@ -190,31 +241,54 @@ def paired_ratio(this, other):
     return float(np.median(np.divide(this, other)))
 
 
+def row_fields(workload, key, count):
+    """The row's fields before its figures; shapes print without spaces, so every field is one word."""
+    kind, xs, x_grad, dtype, mode, conv = key
+    ws, _, stride, pad, groups = conv or ("-",) * 5
+    kernel = tensor._conv_plan(xs, ws, None, stride, pad, groups)[0] if conv else "-"
+    fields = (workload, kind, xs, x_grad, dtype, mode, ws, stride, pad, groups, kernel, count)
+    return " ".join(f"{str(v).replace(' ', ''):<{width}}" for v, (_, width) in zip(fields, COLUMNS))
+
+
+def print_counts(rows, trees):
+    """One line per row and timing: each tree's `call_counts`, this tree's first."""
+    print(COUNT_NOTE)
+    names = ("py", "c", "kib") + (("against_py", "against_c", "against_kib") if len(trees) > 1 else ())
+    print(" ".join(f"{name:<{width}}" for name, width in COLUMNS), f"{'timing':<8}", *(f"{n:>11}" for n in names))
+    for workload, key, count in rows:
+        calls = [calls_of(tree, key) for tree in trees]
+        for i, timing in enumerate(TIMINGS):
+            cells = []
+            for (_, tree_tensor), fns in zip(trees, calls):
+                py, c, kib = call_counts(fns[i], (fns[1], tree_tensor.backward))
+                cells += [f"{py:>11}", f"{c:>11}", f"{kib:>11.1f}"]
+            print(row_fields(workload, key, count), f"{timing:<8}", *cells)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rounds", type=int, default=15)
     parser.add_argument("--against", metavar="DIR", help="a source tree to compare with, timed in the same rounds")
+    parser.add_argument("--count", action="store_true", help="print each call's counts instead of its timings")
     args = parser.parse_args()
     trees = [(norm, tensor)] + ([load_tree(args.against)] if args.against else [])
     rows = [(name, key, count) for name, run in WORKLOADS.items() for key, count in record(run).items()]
+    if args.count:
+        print_counts(rows, trees)
+        return
     # per row, the three timings of each tree side by side: this tree's free, the other's free, ...
     calls = [fn for _, key, _ in rows for fns in zip(*(calls_of(tree, key) for tree in trees)) for fn in fns]
     times = np.reshape(round_us(calls, args.rounds, len(trees)), (len(rows), 3, len(trees), args.rounds))
     head = " ".join(f"{name:<{width}}" for name, width in COLUMNS)
     against = f" {'against':>9} {'ratio':>6}" if args.against else ""
-    print(head, " ".join(f"{t:>9}{against}" for t in ("free", "tape", "tape+bwd")))
+    print(head, " ".join(f"{t:>9}{against}" for t in TIMINGS))
     for (workload, key, count), row in zip(rows, times):
-        kind, xs, x_grad, dtype, mode, conv = key
-        ws, _, stride, pad, groups = conv or ("-",) * 5
-        kernel = tensor._conv_plan(xs, ws, None, stride, pad, groups)[0] if conv else "-"
-        fields = (workload, kind, xs, x_grad, dtype, mode, ws, stride, pad, groups, kernel, count)
         cells = []
         for timing in row:  # each tree's rounds of one timing
             cells += [f"{np.median(t):9.1f}" for t in timing]
             if args.against:
                 cells.append(f"{paired_ratio(*timing):6.3f}")
-        # shapes print without spaces, so every field is one word
-        print(" ".join(f"{str(v).replace(' ', ''):<{width}}" for v, (_, width) in zip(fields, COLUMNS)), *cells)
+        print(row_fields(workload, key, count), *cells)
 
 
 if __name__ == "__main__":

@@ -43,16 +43,18 @@ are constants of every norm.
 from __future__ import annotations
 
 import functools
+import operator
 import types
 
 import numpy as np
 
 from . import tensor
 from .module import Module
-from .tensor import ShapeError, _col_sums, _count, _ones, _row_sums, add, sqrt
+from .tensor import ShapeError, _col_sums, _count, _row_sums, add, sqrt
 
 EPS = 1e-5
 MOMENTUM = 0.1
+_requires_grad = operator.attrgetter("requires_grad")
 
 # reduction axes of each view (counted by the checks, named when empty; the other axes size its
 # packed variances), and the error raised when they span fewer than two elements
@@ -67,17 +69,52 @@ class DegenerateInputError(ValueError):
     """Normalization over a reduction extent too small to carry statistics."""
 
 
-@functools.lru_cache(maxsize=256)
-def _check(channels, kinds, shape, training):
-    """The plan of a norm call: every check, once per signature, then the packed layout.
+class _Plan:
+    """What every norm call of one signature would otherwise work out again; never rebound.
 
-    In order: the channel count; the ``bn`` guard in training and the guard
-    of a plain ``in`` view (a weighted ``in`` view is unguarded, on 1x1 maps
-    it contributes exactly zero); an empty extent of any view; the ``ln``
-    guard.  Returns ``variance``'s read-only ``{kind: slice}`` in the order
-    of `kinds`, each view as long as the elements its reduction keeps.
-    Cached: every call shares the result, and a bad signature raises on
-    every call, as exceptions are not cached.
+    ``slices``: ``variance``'s read-only ``{kind: slice}`` of the packed variances, each view
+    as long as the elements its reduction keeps, ``size`` their total, and ``bn``, ``ln``,
+    ``in_`` those slices or None.  The input's ``shape`` (n, c, h, w) is worked on as ``cols``
+    (n, c, h*w), ``maps`` (n*c, h*w) and ``pairs`` (n, c).  ``in_dropped``: an ``in`` view of
+    1x1 maps, which contributes exactly zero.  ``div_n``, ``div_c``, ``div_hw`` (the counts),
+    ``one`` and ``zero``: the forward's numbers as read-only 0-d arrays of the input's dtype,
+    which numpy applies faster than Python numbers, with their bits (each is exact or meets
+    arrays of that dtype).  The backward's quotients stay Python numbers, as its gradients
+    may be of a wider dtype.
+    """
+
+    __slots__ = (
+        "slices", "size", "bn", "ln", "in_", "in_dropped", "shape", "cols", "maps", "pairs", "div_n", "div_c", "div_hw",
+        "one", "zero",
+    )
+
+    def __init__(self, kinds, shape, dtype):
+        """The plan of views `kinds` over inputs of `shape` and `dtype`, unchecked."""
+        n, c, hw = shape[0], shape[1], shape[2] * shape[3]
+        slices, start = {}, 0
+        for kind in kinds:
+            size = _count(shape, [i for i in range(4) if i not in _VIEWS[kind][0]])
+            slices[kind] = slice(start, start + size)
+            start += size
+        self.slices, self.size = types.MappingProxyType(slices), start
+        self.bn, self.ln, self.in_ = map(slices.get, _VIEWS)
+        self.in_dropped = "in" in slices and hw == 1
+        self.shape, self.cols, self.maps, self.pairs = shape, (n, c, hw), (n * c, hw), (n, c)
+        self.div_n, self.div_c, self.div_hw, self.one, self.zero = (
+            np.broadcast_to(np.array(v, dtype), ()) for v in (n, c, hw, 1, 0)  # read-only views
+        )
+
+
+@functools.lru_cache(maxsize=256)
+def _check(channels, kinds, shape, dtype, training):
+    """The plan of a norm call: every check, once per signature, then its `_Plan`.
+
+    Keyed by the input's `dtype` too, for the plan's numbers.  In order: the
+    channel count; the ``bn`` guard in training and the guard of a plain
+    ``in`` view (a weighted ``in`` view is unguarded, on 1x1 maps it
+    contributes exactly zero); an empty extent of any view; the ``ln``
+    guard.  Cached: every call shares the plan, and a bad signature raises
+    on every call, as exceptions are not cached.
     """
     if shape[1] != channels:
         raise ValueError(f"norm built for {channels} channels, input has {shape[1]}")
@@ -91,25 +128,19 @@ def _check(channels, kinds, shape, training):
             raise ShapeError(f"variance over empty extent (axes {_VIEWS[k][0]} of shape {shape})")
     if "ln" in kinds and count["ln"] < 2:
         raise DegenerateInputError(_VIEWS["ln"][1].format(*shape))
-    at, start = {}, 0
-    for k in kinds:
-        size = _count(shape, [i for i in range(4) if i not in _VIEWS[k][0]])
-        at[k] = slice(start, start + size)
-        start += size
-    return types.MappingProxyType(at)
+    return _Plan(kinds, shape, dtype)
 
 
 class Moments:
     """The plain arrays `variance` computes and `normalize` reads; no tape links.
 
-    ``at``: the call's plan from `_check`, each view's slice of the packed
-    variances, keyed by kind in the call's order.  ``stats``: each view's
+    ``at``: the call's `_Plan` from `_check`.  ``stats``: each view's
     ``(mean, variance)`` as flat arrays, keyed by kind: ``bn`` per channel
     (c,), ``ln`` per pixel (n, h*w) and ``in`` per map (n*c,).  ``xc``: `x`
-    centred on its per-map means, present with a ``bn`` or ``in`` view, and
-    ``shift`` the per-map minus the per-channel means, (n, c, 1, 1).  ``z``:
-    the ``ln`` view's standardized values.  ``const``: the ``bn`` statistics
-    are given constants.
+    centred on its per-map means, (n, c, h*w), present with a ``bn`` or
+    ``in`` view, and ``shift`` the per-map minus the per-channel means,
+    (n, c, 1).  ``z``: the ``ln`` view's standardized values, (n, c, h*w).
+    ``const``: the ``bn`` statistics are given constants.
     """
 
     __slots__ = ("at", "stats", "xc", "shift", "z", "const")
@@ -118,12 +149,12 @@ class Moments:
 def variance(x, at, eps, running=None):
     """Population variances of `x` over the norm views of `at`, packed into one tape node.
 
-    `at` is the call's plan from `_check`, ``{kind: slice}`` over an ordered
-    subset of `_VIEWS`: batch statistics per channel over (0, 2, 3), layer
-    statistics per pixel over (1,) and instance statistics per map over
-    (2, 3).  Returns ``(var, m)``: a (1, 1, 1, k) tensor holding every
-    view's variances, flattened into the slices of `at`, whose only parent
-    is `x`, and the `Moments` that `normalize` reads.
+    `at` is the call's `_Plan`, over an ordered subset of `_VIEWS`: batch
+    statistics per channel over (0, 2, 3), layer statistics per pixel over
+    (1,) and instance statistics per map over (2, 3).  Returns ``(var, m)``:
+    a (1, 1, 1, k) tensor holding every view's variances, flattened into
+    ``at.slices``, whose only parent is `x`, and the `Moments` that
+    `normalize` reads.
 
     `x` is centred once on its per-map means.  The ``bn`` moments are the
     per-map ones combined over the batch (the pairwise update of Chan, Golub
@@ -138,54 +169,57 @@ def variance(x, at, eps, running=None):
     the views (centred values sum to zero, so the means add nothing).
     """
     xd = x.data if x.data.flags.c_contiguous else np.ascontiguousarray(x.data)
-    n, c, h, w = xd.shape
-    hw = h * w
-    m = Moments()
-    m.at = at
-    m.const = const = running is not None and "bn" in at
-    m.stats = stats = {}
+    n, c, hw = at.cols
+    x3 = xd.reshape(at.cols)
+    const = running is not None and at.bn is not None
+    stats = {}
+    dtype = xd.dtype  # of the packed variances: the views' promoted, as by concatenation
+    if const:
+        dtype = running[1].dtype if len(at.slices) == 1 else np.result_type(xd, running[1])
+    packed = np.empty(at.size, dtype)
     xc = shift = z = std_ln = sq = None
-    if "in" in at or "bn" in at:
-        mu = _row_sums(xd.reshape(n * c, hw))
-        mu /= hw
-        mu4 = mu.reshape(n, c, 1, 1)
-        xc = xd - mu4
+    if at.in_ is not None or at.bn is not None:
+        mu = _row_sums(xd.reshape(at.maps))
+        mu /= at.div_hw
+        mu3 = mu.reshape(n, c, 1)
+        xc = x3 - mu3
         sq = xc * xc
-        var = _row_sums(sq.reshape(n * c, hw))
-        var /= hw
-        if "in" in at:
+        var = _row_sums(sq.reshape(at.maps))
+        var /= at.div_hw
+        if at.in_ is not None:
             stats["in"] = mu, var
-    if "bn" in at:
+            packed[at.in_] = var
+    if at.bn is not None:
         if const:
             mu_c, var_c = running
         else:
-            mu_c = _col_sums(mu.reshape(n, c))
-            mu_c /= n
-        shift = mu4 - mu_c.reshape(c, 1, 1)
+            mu_c = _col_sums(mu.reshape(at.pairs))
+            mu_c /= at.div_n
+        shift = mu3 - mu_c.reshape(c, 1)
         if not const:
-            s = shift.reshape(n, c)
-            var_c = _col_sums(var.reshape(n, c) + s * s)
-            var_c /= n
+            s = shift.reshape(at.pairs)
+            var_c = _col_sums(var.reshape(at.pairs) + s * s)
+            var_c /= at.div_n
         stats["bn"] = mu_c, var_c
-    if "ln" in at:
-        mu_p = _col_sums(xd.reshape(n, c, hw))
-        mu_p /= c
-        xl = xd - mu_p.reshape(n, 1, h, w)
+        packed[at.bn] = var_c
+    if at.ln is not None:
+        mu_p = _col_sums(x3)
+        mu_p /= at.div_c
+        xl = x3 - mu_p.reshape(n, 1, hw)
         sq = np.multiply(xl, xl, out=sq)
-        var_p = _col_sums(sq.reshape(n, c, hw))
-        var_p /= c
+        var_p = _col_sums(sq)
+        var_p /= at.div_c
         std_ln = np.sqrt(var_p + eps)
-        z = np.multiply(xl, (1.0 / std_ln).reshape(n, 1, h, w), out=xl)
+        z = np.multiply(xl, (at.one / std_ln).reshape(n, 1, hw), out=xl)
         stats["ln"] = mu_p, var_p
-    m.xc, m.shift, m.z = xc, shift, z
-    data = np.concatenate([stats[kind][1] for kind in at], axis=None).reshape(1, 1, 1, -1)
+        packed[at.ln] = var_p.reshape(-1)
 
     def bw(g, acc):
         g = g.reshape(-1)
-        gc = None if "bn" not in at or const else g[at["bn"]].reshape(c, 1, 1)
+        gc = None if at.bn is None or const else g[at.bn].reshape(c, 1)
         gx = None
-        if "in" in at or gc is not None:
-            k = g[at["in"]].reshape(n, c, 1, 1) * (2.0 / hw) if "in" in at else 0.0
+        if at.in_ is not None or gc is not None:
+            k = g[at.in_].reshape(n, c, 1) * (2.0 / hw) if at.in_ is not None else 0.0
             if gc is not None:  # x - mu is xc + shift
                 kc = gc * (2.0 / (n * hw))
                 k = k + kc
@@ -193,25 +227,28 @@ def variance(x, at, eps, running=None):
             if gc is not None:
                 gx += shift * kc
         if z is not None:
-            t = z * (g[at["ln"]].reshape(n, hw) * std_ln * (2.0 / c)).reshape(n, 1, h, w)
+            t = z * (g[at.ln].reshape(n, hw) * std_ln * (2.0 / c)).reshape(n, 1, hw)
             gx = t if gx is None else np.add(gx, t, out=gx)
-        acc(x, gx)
+        acc(x, gx.reshape(at.shape))
 
-    constant = const and len(at) == 1
-    return tensor._node(data, () if constant else (x,), bw), m
+    m = Moments()
+    m.at, m.stats, m.xc, m.shift, m.z, m.const = at, stats, xc, shift, z, const
+    constant = const and len(at.slices) == 1
+    return tensor._node(packed.reshape(1, 1, 1, -1), () if constant else (x,), bw), m
 
 
 def normalize(x, m, std, weights, gamma, beta):
     """``gamma * sum_v weight_v * (x - mu_v) / std_v + beta``, recorded as one tape node.
 
     `m` and `std` come from ``variance``: `std` is ``sqrt(var + eps)`` of its
-    packed variances, laid out by ``m.at``.  `weights` holds a tensor, or
-    None for a weight of one, per view in the order of ``m.at``; `gamma`
-    and `beta` are (1, c, 1, 1) tensors.  With ``r = 1 / std``, the ``in`` and ``bn`` views
+    packed variances, laid out by ``m.at.slices``.  `weights` holds a tensor
+    per view in the order of ``m.at.slices``, or none for a single view,
+    whose weight is one (a skipped ``1 *`` is exact); `gamma` and `beta` are
+    (1, c, 1, 1) tensors.  With ``r = 1 / std``, the ``in`` and ``bn`` views
     are affine in ``xc`` per (n, c), so the output is ``xc * scale + offset +
-    ln_w * z`` with (n, c, 1, 1) arrays `scale` and `offset` and ``ln_w =
-    gamma * weight`` of the ``ln`` view.  An ``in`` view of 1x1 maps is
-    identically zero and drops out exactly, from the output and every
+    ln_w * z`` on the plan's ``cols``, with per-(n, c) `scale` and `offset`
+    and ``ln_w = gamma * weight`` of the ``ln`` view.  An ``in`` view of 1x1
+    maps is identically zero and drops out exactly, from the output and every
     gradient.
 
     The backward is closed-form.  Every weight, gamma, beta and std gradient
@@ -222,33 +259,33 @@ def normalize(x, m, std, weights, gamma, beta):
     mean_c(ln_w * g)) * r`` with q per (n, c).  Only ``xc`` and ``z`` are kept; without a tape the
     output is written over them.
     """
-    parents = [x, std] + [t for t in weights if t is not None] + [gamma, beta]
-    tape = tensor._grad_on and any(p.requires_grad for p in parents)
-    n, c, h, wd = x.shape
-    hw = h * wd
-    at, xc, z, shift = m.at, m.xc, m.z, m.shift
-    r = (1.0 / std.data).reshape(-1)
-    one = _ones(c, x.dtype).reshape(1, c, 1, 1)  # a missing weight multiplies exactly
-    gd = gamma.data
-    w = {kind: one if t is None else t.data for kind, t in zip(at, weights)}
-    coef_in = coef_bn = coef_ln = None
-    if "in" in at:
-        r_in = r[at["in"]].reshape(n, c, 1, 1)
-        if hw == 1:
-            r_in = np.zeros_like(r_in)
-        coef_in = gd * (w["in"] * r_in)
-    if "bn" in at:
-        r_bn = r[at["bn"]].reshape(1, c, 1, 1)
-        coef_bn = gd * (w["bn"] * r_bn)
-    if "ln" in at:
-        r_ln = r[at["ln"]].reshape(n, 1, h, wd)
-        coef_ln = gd * w["ln"]
-    offset = beta.data
-    if coef_bn is not None:
+    at, xc, shift, z, const = m.at, m.xc, m.shift, m.z, m.const
+    parents = (x, std, *weights, gamma, beta)
+    tape = tensor._grad_on and any(map(_requires_grad, parents))
+    n, c, hw = at.cols
+    r = (1.0 / std.data).reshape(-1)  # std may be of the running statistics' dtype
+    gd = gamma.data.reshape(c, 1)
+    wv = {}  # each view's weight per channel
+    for kind, t in zip(at.slices, weights):
+        wv[kind] = t.data.reshape(c, 1)
+    if not wv and r.dtype != x.data.dtype:  # a weight of one in x's dtype would promote r
+        r = r.astype(np.result_type(r, x.data))
+    offset = beta.data.reshape(c, 1)
+    scale = at.zero  # the coefficients add to +0.0, so a -0.0 one scales by +0.0
+    if at.in_ is not None:
+        r_in = at.zero if at.in_dropped else r[at.in_].reshape(n, c, 1)
+        coef_in = gd * (wv["in"] * r_in) if wv else gd * r_in
+        scale = scale + coef_in
+    if at.bn is not None:
+        r_bn = r[at.bn].reshape(c, 1)
+        coef_bn = gd * (wv["bn"] * r_bn) if wv else gd * r_bn
+        scale = scale + coef_bn
         offset = coef_bn * shift + offset
+    if at.ln is not None:
+        r_ln = r[at.ln].reshape(n, 1, hw)
+        coef_ln = gd * wv["ln"] if wv else gd
     out = None
     if xc is not None:
-        scale = sum(k for k in (coef_in, coef_bn) if k is not None)
         out = xc * scale if tape else np.multiply(xc, scale, out=xc)
     if z is not None:
         t = z * coef_ln if tape else np.multiply(z, coef_ln, out=z)
@@ -256,44 +293,43 @@ def normalize(x, m, std, weights, gamma, beta):
     out += offset
 
     def bw(g, acc):
-        g = np.ascontiguousarray(g)
-        s0 = _row_sums(g.reshape(n * c, hw)).reshape(n, c, 1, 1)
-        s0n = _col_sums(s0.reshape(n, c)).reshape(1, c, 1, 1)  # the batch sum of s0
+        g = np.ascontiguousarray(g).reshape(at.cols)
+        s0 = _row_sums(g.reshape(at.maps)).reshape(n, c, 1)
+        s0n = _col_sums(s0.reshape(at.pairs)).reshape(c, 1)  # the batch sum of s0
         ys = {}  # per view: the sum of g * y_v over all but the channel
         dstd = {}  # per view: the std gradient
         gx = None
         if xc is not None:
-            s1 = _row_sums((g * xc).reshape(n * c, hw)).reshape(n, c, 1, 1)
+            s1 = _row_sums((g * xc).reshape(at.maps)).reshape(n, c, 1)
             q = 0.0
-            if "in" in at:
-                ys["in"] = _col_sums((r_in * s1).reshape(n, c)).reshape(1, c, 1, 1)
+            if at.in_ is not None:
+                ys["in"] = _col_sums((r_in * s1).reshape(at.pairs)).reshape(c, 1)
                 dstd["in"] = -(coef_in * r_in * s1)
                 q = coef_in * s0 * (-1.0 / hw)
-            if "bn" in at:
-                ys["bn"] = r_bn * _col_sums((s1 + shift * s0).reshape(n, c)).reshape(1, c, 1, 1)
+            if at.bn is not None:
+                ys["bn"] = r_bn * _col_sums((s1 + shift * s0).reshape(at.pairs)).reshape(c, 1)
                 dstd["bn"] = -(coef_bn * ys["bn"])
-                if not m.const:
+                if not const:
                     q = q + coef_bn * s0n * (-1.0 / (n * hw))
             gx = g * scale
             gx += q
         if z is not None:
             gz = g * z
             lw = coef_ln.reshape(c)
-            ys["ln"] = _col_sums(_row_sums(gz.reshape(n * c, hw)).reshape(n, c)).reshape(1, c, 1, 1)
-            dstd["ln"] = np.matmul(lw, gz.reshape(n, c, hw)).reshape(n, 1, h, wd) * -r_ln
+            ys["ln"] = _col_sums(_row_sums(gz.reshape(at.maps)).reshape(at.pairs)).reshape(c, 1)
+            dstd["ln"] = np.matmul(lw, gz).reshape(n, 1, hw) * -r_ln
             t = g * coef_ln
-            t -= np.matmul(lw, g.reshape(n, c, hw)).reshape(n, 1, h, wd) * (1.0 / c)
+            t -= np.matmul(lw, g).reshape(n, 1, hw) * (1.0 / c)
             t *= r_ln
             gx = t if gx is None else np.add(gx, t, out=gx)
-        acc(x, gx)
-        acc(std, np.concatenate([dstd[kind] for kind in at], axis=None).reshape(std.shape))
-        for kind, t in zip(at, weights):
-            if t is not None:
-                acc(t, gd * ys[kind])
-        acc(gamma, sum(w[kind] * ys[kind] for kind in at))
-        acc(beta, s0n)
+        acc(x, gx.reshape(at.shape))
+        acc(std, np.concatenate([dstd[kind] for kind in at.slices], axis=None).reshape(1, 1, 1, -1))
+        for kind, t in zip(at.slices, weights):  # every parameter is (1, c, 1, 1)
+            acc(t, (gd * ys[kind]).reshape(1, c, 1, 1))
+        acc(gamma, sum(wv[kind] * ys[kind] if wv else ys[kind] for kind in at.slices).reshape(1, c, 1, 1))
+        acc(beta, s0n.reshape(1, c, 1, 1))
 
-    return tensor._node(out, parents, bw)
+    return tensor._node(out.reshape(at.shape), parents, bw)
 
 
 class _ViewSum(Module):
@@ -313,7 +349,7 @@ class _ViewSum(Module):
         super().__init__()
         self.channels = channels
         shape = (1, channels, 1, 1)
-        weights = [None] * len(kinds)
+        weights = []
         if len(kinds) > 1:
             weights = [self.param(f"alpha_{k}", np.ones(shape), decay=False) for k in kinds]
         self.gamma = self.param("gamma", np.ones(shape), decay=False)
@@ -335,11 +371,11 @@ class _ViewSum(Module):
         return self._buffers["run_var"]
 
     def forward(self, x, training=False):
-        at = _check(self.channels, self._kinds, x.shape, training)
-        running = (self.run_mean, self.run_var) if self._bn and not training else None
-        var, m = variance(x, at, EPS, running)
-        if self._bn and training:
-            for buf, stat in zip((self.run_mean, self.run_var), m.stats["bn"]):
+        at = _check(self.channels, self._kinds, x.data.shape, x.data.dtype, training)
+        running = (self._buffers["run_mean"], self._buffers["run_var"]) if self._bn else None
+        var, m = variance(x, at, EPS, None if training else running)
+        if running and training:
+            for buf, stat in zip(running, m.stats["bn"]):
                 buf *= 1.0 - MOMENTUM
                 buf += MOMENTUM * stat
         return normalize(x, m, sqrt(add(var, EPS)), self._weights, self.gamma, self.beta)

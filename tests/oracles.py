@@ -122,10 +122,10 @@ VIEW_KIND = {axes: kind for kind, axes in VIEW_AXES.items()}
 
 
 def packed_layout(kinds, shape):
-    """``norm._check``'s ``{kind: slice}`` for views `kinds` of `shape`, without its checks.
+    """The ``slices`` of ``norm._check``'s plan for views `kinds` of `shape`, worked out apart.
 
-    Lets a test call ``norm.variance`` on shapes the layers reject: each
-    view is as long as the elements its reduction keeps.
+    Each view is as long as the elements its reduction keeps.  (A test calls
+    ``norm.variance`` on shapes the layers reject with ``norm._Plan``.)
     """
     at, start = {}, 0
     for kind in kinds:

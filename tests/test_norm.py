@@ -33,13 +33,15 @@ TWO_POINT = 1.0 / np.sqrt(1.0 + EPS)  # normalized value of {0, 2} data
 # the fused norm body is not bitwise the unfused ops: bounds in ulp of the output's largest magnitude
 VIEW_ULPS = 8
 MVN_ULPS = 16
+# the norm shapes of the gradient check's micro model, batch 2 at 32x32
+GRADCHECK_MODEL_SHAPES = [(2, 8, 8, 8), (2, 16, 4, 4), (2, 32, 2, 2), (2, 64, 1, 1)]
 
 
 def standardize(x, axes, eps):
     """The view over `axes`, unguarded and unweighted, through the norm body's nodes: ``(y, mu, var)``."""
     kind = VIEW_KIND[axes]
-    var, m = variance(x, packed_layout((kind,), x.shape), eps)
-    y = normalize(x, m, sqrt(add(var, eps)), [None], *identity_affine(x))
+    var, m = variance(x, norm._Plan((kind,), x.shape, x.dtype), eps)
+    y = normalize(x, m, sqrt(add(var, eps)), (), *identity_affine(x))
     return (y, *view_stats(m, kind, x.shape))
 
 
@@ -113,6 +115,8 @@ class TestMoments:
 
 
 class TestVarianceNormalize:
+    """One view through the norm body's nodes: `variance`, ``sqrt(var + eps)`` and `normalize`."""
+
     AXES = [(0, 2, 3), (1,), (2, 3)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -124,80 +128,16 @@ class TestVarianceNormalize:
         x = Tensor(rng.normal(2.0, 3.0, size=(4, 5, 3, 6)).astype(dtype))
         mu_t, var_t = moments(x, axes)
         kind = VIEW_KIND[axes]
-        var, m = variance(x, packed_layout((kind,), x.shape), 1e-5)
+        var, m = variance(x, norm._Plan((kind,), x.shape, x.dtype), EPS)
         mu_v, var_v = view_stats(m, kind, x.shape)
         assert np.array_equal(var.data.reshape(var_t.shape), var_v)
         if axes == (0, 2, 3):
-            assert ulp_err(mu_v, mu_t.data) <= 8 and ulp_err(var_v, var_t.data) <= 8
+            assert ulp_err(mu_v, mu_t.data) <= VIEW_ULPS and ulp_err(var_v, var_t.data) <= VIEW_ULPS
         else:
             assert np.array_equal(mu_v, mu_t.data) and np.array_equal(var_v, var_t.data)
-        std = sqrt(add(var, 1e-5))
-        y = normalize(x, m, std, [None], *identity_affine(x))
+        y = normalize(x, m, sqrt(add(var, EPS)), (), *identity_affine(x))
         assert y.dtype == dtype
-        assert ulp_err(y.data, div(sub(x, mu_t), sqrt(add(var_t, 1e-5))).data) <= 8
-
-    @pytest.mark.parametrize("axes", AXES)
-    def test_variance_matches_oracle(self, axes):
-        x = np.random.default_rng(22).normal(-1.0, 2.0, size=(3, 5, 4, 6))
-        kind = VIEW_KIND[axes]
-        _, m = variance(Tensor(x), packed_layout((kind,), x.shape), 1e-5)
-        mu_v, var_v = view_stats(m, kind, x.shape)
-        mu_o, var_o = moments_oracle(x, axes)
-        np.testing.assert_allclose(mu_v, mu_o, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(var_v, var_o, rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("axes", AXES)
-    def test_grads_match_central_differences(self, axes):
-        rng = np.random.default_rng(23)
-        x = Tensor(rng.normal(size=(3, 4, 2, 3)), requires_grad=True)
-        w = Tensor(rng.normal(size=x.shape))
-        at = packed_layout((VIEW_KIND[axes],), x.shape)
-        wv = Tensor(rng.normal(size=(1, 1, 1, variance(x, at, 1e-5)[0].size)))
-
-        def norm_loss():  # the whole stats path: variance, sqrt(var + eps), normalize
-            var, m = variance(x, at, 1e-5)
-            return tsum(mul(normalize(x, m, sqrt(add(var, 1e-5)), [None], *identity_affine(x)), w))
-
-        def var_loss():
-            return tsum(mul(variance(x, at, 1e-5)[0], wv))
-
-        for loss in (norm_loss, var_loss):
-            x.grad = None
-            backward(loss())
-            num = numeric_grad(lambda: loss().item(), x.data)
-            assert max_rel_err(x.grad, num) < 1e-3
-
-    def test_tape_links(self):
-        x = Tensor(np.arange(24.0).reshape(2, 3, 2, 2), requires_grad=True)
-        var, m = variance(x, packed_layout(("ln",), x.shape), 1e-5)
-        std = sqrt(add(var, 1e-5))
-        gamma, beta = identity_affine(x)
-        y = normalize(x, m, std, [None], gamma, beta)
-        assert isinstance(m.stats["ln"][0], np.ndarray) and var._parents == (x,)
-        assert y._parents == (x, std, gamma, beta)
-
-    @pytest.mark.parametrize("shape,axes", [((2, 3, 0, 4), (0, 2, 3)), ((0, 3, 2, 2), (0, 2, 3)), ((2, 0, 2, 2), (1,))])
-    def test_empty_extent_rejected(self, shape, axes):
-        """The norm layer, `variance`'s only caller, rejects a view over no elements before
-        computing anything; in eval mode the error names the first empty view's axes."""
-        message = f"variance over empty extent (axes {axes} of shape {shape})"
-        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
-            MultiViewNorm(shape[1]).forward(Tensor(np.zeros(shape)), training=False)
-
-
-class TestStandardize:
-    AXES = [(0, 2, 3), (1,), (2, 3)]
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("axes", AXES)
-    def test_forward_bitwise_equals_composite(self, axes, dtype):
-        rng = np.random.default_rng(21)
-        x = Tensor(rng.normal(2.0, 3.0, size=(4, 5, 3, 6)).astype(dtype))
-        mu, var = moments(x, axes)
-        composite = div(sub(x, mu), sqrt(add(var, EPS)))
-        y, _, _ = standardize(x, axes, EPS)
-        assert y.dtype == dtype
-        assert ulp_err(y.data, composite.data) <= VIEW_ULPS
+        assert ulp_err(y.data, div(sub(x, mu_t), sqrt(add(var_t, EPS))).data) <= VIEW_ULPS
 
     @pytest.mark.parametrize("axes", AXES)
     def test_matches_oracles(self, axes):
@@ -213,18 +153,28 @@ class TestStandardize:
         [((3, 4, 2, 3), (0, 2, 3)), ((3, 4, 2, 3), (1,)), ((3, 4, 2, 3), (2, 3)), ((3, 4, 1, 1), (2, 3))],
     )
     def test_x_grads_match_central_differences(self, shape, axes):
+        """The whole stats path and the packed variances alone; an ``in`` view of 1x1 maps,
+        which the layers reject unweighted, has an exactly zero centred numerator."""
         rng = np.random.default_rng(23)
         x = Tensor(rng.normal(size=shape), requires_grad=True)
         w = Tensor(rng.normal(size=shape))
+        kind = VIEW_KIND[axes]
+        at = norm._Plan((kind,), x.shape, x.dtype)
+        wv = Tensor(rng.normal(size=(1, 1, 1, at.slices[kind].stop)))
 
-        def loss():
+        def norm_loss():
             return tsum(mul(standardize(x, axes, EPS)[0], w))
 
-        backward(loss())
-        num = numeric_grad(lambda: loss().item(), x.data)
-        assert max_rel_err(x.grad, num) < 1e-3
-        if shape[2] * shape[3] == 1 and axes == (2, 3):  # centred numerator exactly zero
-            assert (x.grad == 0).all() and (num == 0).all()
+        def var_loss():
+            return tsum(mul(variance(x, at, EPS)[0], wv))
+
+        for loss in (norm_loss, var_loss):
+            x.grad = None
+            backward(loss())
+            num = numeric_grad(lambda: loss().item(), x.data)
+            assert max_rel_err(x.grad, num) < 1e-3
+            if shape[2] * shape[3] == 1:
+                assert (x.grad == 0).all() and (num == 0).all()
 
     def test_wrong_sqrt_gradient_shows_in_x_grad(self, monkeypatch):
         """The std path runs through this module's `sqrt`, so a broken one is visible."""
@@ -246,6 +196,44 @@ class TestStandardize:
 
         monkeypatch.setattr(norm, "sqrt", doubled_sqrt)
         assert max_rel_err(x_grad(), right) > 0.1
+
+    def test_tape_links(self):
+        x = Tensor(np.arange(24.0).reshape(2, 3, 2, 2), requires_grad=True)
+        var, m = variance(x, norm._Plan(("ln",), x.shape, x.dtype), EPS)
+        std = sqrt(add(var, EPS))
+        gamma, beta = identity_affine(x)
+        y = normalize(x, m, std, (), gamma, beta)
+        assert isinstance(m.stats["ln"][0], np.ndarray) and var._parents == (x,)
+        assert y._parents == (x, std, gamma, beta)
+
+    @pytest.mark.parametrize("axes", AXES)
+    def test_float64_gradient_of_float32_x_takes_exact_quotients(self, axes):
+        """A float32 `x` under a float64 gradient (a float32 input into a float64 layer): the
+        count quotients enter the float64 products unrounded, 2/25 and 2/50 being no float32."""
+        rng = np.random.default_rng(25)
+        x = Tensor(rng.normal(size=(2, 3, 5, 5)).astype(np.float32), requires_grad=True)
+        kind = VIEW_KIND[axes]
+        var, m = variance(x, norm._Plan((kind,), x.shape, x.dtype), EPS)
+        g = rng.normal(size=var.shape)
+        got = []
+        var._backward(g, lambda t, v: got.append(v))
+        if kind == "in":
+            want = m.xc * (g.reshape(2, 3, 1) * (2.0 / 25))
+        elif kind == "bn":
+            k = g.reshape(3, 1) * (2.0 / 50)
+            want = m.xc * k + m.shift * k
+        else:
+            std = np.sqrt(m.stats["ln"][1] + EPS)
+            want = m.z * (g.reshape(2, 25) * std * (2.0 / 3)).reshape(2, 1, 25)
+        assert got[0].dtype == np.float64 and np.array_equal(got[0], want.reshape(x.shape))
+
+    @pytest.mark.parametrize("shape,axes", [((2, 3, 0, 4), (0, 2, 3)), ((0, 3, 2, 2), (0, 2, 3)), ((2, 0, 2, 2), (1,))])
+    def test_empty_extent_rejected(self, shape, axes):
+        """The norm layer, `variance`'s only caller, rejects a view over no elements before
+        computing anything; in eval mode the error names the first empty view's axes."""
+        message = f"variance over empty extent (axes {axes} of shape {shape})"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            MultiViewNorm(shape[1]).forward(Tensor(np.zeros(shape)), training=False)
 
 
 class TestBatchNorm:
@@ -492,17 +480,34 @@ class TestPlainNorm:
     @pytest.mark.parametrize("kind", KINDS + ("mvn",))
     @pytest.mark.parametrize("shape", [(2, 4, 3, 3), (5, 4, 1, 7)])
     def test_plan_is_the_packed_layout_looked_up_once(self, kind, shape):
-        """``_check`` returns the read-only layout of the packed variances, one lookup per call."""
+        """``_check`` returns the read-only layout of the packed variances and the forward's
+        numbers, read-only in the input's dtype, one lookup per call."""
         layer = make_norm(kind, 4)
         x = Tensor(np.random.default_rng(37).normal(size=shape).astype(np.float32))
-        plan = norm._check(4, layer._kinds, shape, True)
-        assert dict(plan) == packed_layout(layer._kinds, shape)
+        plan = norm._check(4, layer._kinds, shape, np.dtype(np.float32), True)
+        assert dict(plan.slices) == packed_layout(layer._kinds, shape)
         with pytest.raises(TypeError):
-            plan["bn"] = slice(0, 1)
+            plan.slices["bn"] = slice(0, 1)
+        numbers = (plan.div_n, plan.div_c, plan.div_hw, plan.one, plan.zero)
+        assert [a.item() for a in numbers] == [shape[0], 4, shape[2] * shape[3], 1, 0]
+        assert all(a.dtype == np.float32 and not a.flags.writeable for a in numbers)
         before = norm._check.cache_info()
         layer.forward(x, training=True)
         after = norm._check.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize(
+        "kind,shape", [("ln", (2, 3, 0, 4)), ("ln", (0, 3, 2, 2)), ("in", (0, 3, 2, 2)), ("bn", (2, 0, 2, 2))]
+    )
+    def test_empty_input_accepted_by_a_view_it_leaves_nonempty(self, kind, shape, training):
+        """No view's reduction is empty here, so the call goes through to empty outputs and gradients."""
+        layer = make_norm(kind, shape[1]).cast_(np.float64)
+        x = Tensor(np.zeros(shape), requires_grad=True)
+        y = layer.forward(x, training)
+        backward(tsum(y))
+        assert y.shape == x.grad.shape == shape
+        assert [p.grad.shape for _, p in layer.named_parameters()] == [(1, shape[1], 1, 1)] * 2
 
     @pytest.mark.parametrize("kind", KINDS + ("mvn",))
     def test_eval_forward_records_no_tape(self, kind):
@@ -620,7 +625,7 @@ def random_mvn(c, dtype, rng):
 
 
 class TestMultiViewNormOracle:
-    SHAPES = [(3, 5, 4, 6), (4, 6, 1, 1)]  # on 1x1 maps the instance view contributes zero
+    SHAPES = [(3, 5, 4, 6), (4, 6, 1, 1), *GRADCHECK_MODEL_SHAPES]  # on 1x1 maps the instance view contributes zero
 
     @pytest.mark.parametrize("tape", [True, False])
     @pytest.mark.parametrize("training", [True, False])
@@ -866,13 +871,15 @@ def random_layer(kind, c, dtype, seed):
     return random_mvn(c, dtype, rng) if kind == "mvn" else random_plain(kind, c, dtype, rng)
 
 
-# (kind, shape, training): the micro training maps, the gradient-check input and an eval call at n = 1;
-# a plain instance norm rejects 1x1 maps
+# (kind, shape, training): the micro training maps, the gradient check's layer input and model maps, and an
+# eval call at n = 1; a plain instance norm rejects 1x1 maps
 ONE_BODY_CALLS = [
     (kind, shape, training)
     for kind in ("mvn", "bn", "ln", "in")
     for shape, training in [
-        (shape, training) for shape in ((64, 8, 8, 8), (64, 32, 2, 2), (64, 64, 1, 1), (2, 8, 5, 5)) for training in (True, False)
+        (shape, training)
+        for shape in ((64, 8, 8, 8), (64, 32, 2, 2), (64, 64, 1, 1), (2, 8, 5, 5), *GRADCHECK_MODEL_SHAPES)
+        for training in (True, False)
     ] + [((1, 8, 5, 5), False)]
     if kind != "in" or shape[2] * shape[3] > 1
 ]

@@ -5,11 +5,14 @@ the norm layers' shared body), and nothing else runs them; a retired name then f
 here instead of breaking a script silently.  ``call_cost.py``'s two-tree comparison
 also runs once in this process, against this same tree, on batches of one call; its
 paired ratio is checked on canned per-round times and its order of calls on calls that
-only log themselves.
+only log themselves.  Its ``--count`` runs twice in fresh interpreters, which must print
+the same counts, and once in this process against this same tree.
 """
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -84,3 +87,42 @@ def test_call_cost_compares_two_trees_in_one_process(monkeypatch, capsys):
     for row in rows:  # per timing: this tree's µs, the other's, their paired ratio
         cells = [float(v) for v in row[-9:]]
         assert all(v > 0 for v in cells), row
+
+
+def count_rows(out):
+    """The note, header and rows of ``call_cost.py --count``'s output, each row split into words."""
+    lines = out.splitlines()
+    note = " ".join(line for line in lines if line.startswith("#"))
+    header, *rows = [line.split() for line in lines if not line.startswith("#")]
+    return note, header, rows
+
+
+def test_call_counts_repeat_from_run_to_run():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    command = [sys.executable, str(SCRIPTS / "call_cost.py"), "--count"]
+    runs = [subprocess.run(command, env=env, capture_output=True, text=True, timeout=300) for _ in range(2)]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    note, header, rows = count_rows(runs[0].stdout)
+    assert "numpy operator (a - b)" in note and "does not" in note
+    assert header[-4:] == ["timing", "py", "c", "kib"]
+    norms = [(w, kind, ast.literal_eval(x), dtype, mode) for w, kind, x, _, dtype, mode, *_ in rows if kind != "conv"]
+    assert norms == [call for call in NORM_CALLS for _ in range(3)]
+    assert len(rows) == 3 * (CONV_CALLS + len(NORM_CALLS))
+    assert [row[-4] for row in rows] == ["free", "tape", "tape+bwd"] * (len(rows) // 3)
+    assert all(int(row[-3]) > 0 and int(row[-2]) > 0 and float(row[-1]) > 0 for row in rows)
+
+
+def test_call_counts_of_two_trees_side_by_side(monkeypatch, capsys):
+    call_cost = import_script(monkeypatch, "call_cost")
+    monkeypatch.setattr(call_cost, "WORKLOADS", {"gradcheck": call_cost.WORKLOADS["gradcheck"]})
+    monkeypatch.setattr(sys, "argv", ["call_cost.py", "--count", "--against", str(ROOT / "src")])
+    try:
+        call_cost.main()
+    finally:  # the second tree's modules, so no later import finds them
+        for name in [m for m in sys.modules if m.split(".")[0] == call_cost.AGAINST]:
+            del sys.modules[name]
+    _, header, rows = count_rows(capsys.readouterr().out)
+    assert header[-7:] == ["timing", "py", "c", "kib", "against_py", "against_c", "against_kib"]
+    for row in rows:  # the same source makes the same calls
+        assert row[-6:-4] == row[-3:-1], row
